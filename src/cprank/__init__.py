@@ -34,7 +34,6 @@ from .approx import (
     ExtractionConstants,
     ExtractionReport,
     ExtractionTargets,
-    FunctionSystem,
     StepFailure,
     build_cp_approx,
     direct_sum_approx,

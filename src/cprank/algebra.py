@@ -202,23 +202,24 @@ def eigh_canonical(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _require_hermitian(a: AlgebraElement, tol: float) -> None:
+    """Reject a non-hermitian element, reporting the asymmetry magnitude."""
+    defect = a.hermitian_defect()
+    if defect > tol:
+        raise ValueError(f"element is not hermitian: asymmetry {defect:.3e} > tol {tol:.1e}")
+
+
 def spectrum(a: AlgebraElement, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Merged ascending eigenvalue list of a hermitian element.
 
     Rejects non-hermitian input, reporting the asymmetry magnitude.
     """
-    defect = a.hermitian_defect()
-    if defect > tol:
-        raise ValueError(f"element is not hermitian: asymmetry {defect:.3e} > tol {tol:.1e}")
-    vals = [np.linalg.eigvalsh((b + b.conj().T) / 2) for b in a.blocks]
-    return np.sort(np.concatenate(vals))
+    return np.sort(np.concatenate(block_spectra(a, tol)))
 
 
 def block_spectra(a: AlgebraElement, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Per-block ascending eigenvalues of a hermitian element."""
-    defect = a.hermitian_defect()
-    if defect > tol:
-        raise ValueError(f"element is not hermitian: asymmetry {defect:.3e} > tol {tol:.1e}")
+    _require_hermitian(a, tol)
     return [np.linalg.eigvalsh((b + b.conj().T) / 2) for b in a.blocks]
 
 
@@ -365,9 +366,7 @@ def apply_function(
     Inverse-gap and gapped-threshold kinds reject operands whose spectrum
     enters the forbidden band, naming the offending eigenvalue.
     """
-    defect = a.hermitian_defect()
-    if defect > tol:
-        raise ValueError(f"element is not hermitian: asymmetry {defect:.3e} > tol {tol:.1e}")
+    _require_hermitian(a, tol)
     if spec.kind in ("inverse-gap", "inverse-support", "inverse-sqrt-support"):
         low = min(float(s.min()) if s.size else 0.0 for s in block_spectra(a, tol=np.inf))
         if low < -tol:
@@ -387,9 +386,7 @@ def support_projection(
 
     Satisfies P a = a P = a, with rank equal to the numerical rank of ``a``.
     """
-    defect = a.hermitian_defect()
-    if defect > tol:
-        raise ValueError(f"element is not hermitian: asymmetry {defect:.3e} > tol {tol:.1e}")
+    _require_hermitian(a, tol)
     out = []
     for b in a.blocks:
         w, v = eigh_canonical((b + b.conj().T) / 2)

@@ -10,7 +10,7 @@ verifying every named inequality along the way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,13 +18,14 @@ from .algebra import AlgebraElement, FiniteDimAlgebra, eigh_canonical
 from .covers import (
     Cover,
     FiniteMetricSpace,
-    ball_cover,
     cover_order,
     cover_strict_order,
     disjoint_union,
+    mask_indices,
     member_diameter,
     net_ball_cover,
     partition_of_unity,
+    point_member_masks,
     refines,
     strict_refinement,
 )
@@ -34,7 +35,6 @@ from .cpmaps import (
     certify_order_zero,
     strict_order_abelian,
     strict_order_bounds,
-    tensor_strict_order_exact,
     tensor_with_identity,
 )
 from .projections import alpha_for, orthogonalize_family
@@ -81,28 +81,6 @@ def element_values(elem: AlgebraElement) -> np.ndarray:
     if m == 1:
         return np.array([b[0, 0] for b in elem.blocks])
     return np.stack(elem.blocks)
-
-
-@dataclass
-class FunctionSystem:
-    """A finite set of scalar functions over a finite metric model."""
-
-    space: FiniteMetricSpace
-    functions: list[np.ndarray] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.functions = [np.asarray(f, dtype=complex).reshape(-1) for f in self.functions]
-        for f in self.functions:
-            if f.shape != (self.space.npts,):
-                raise ValueError("function length does not match the space")
-
-    @staticmethod
-    def sup_norm(f: np.ndarray) -> float:
-        return float(np.abs(f).max()) if len(f) else 0.0
-
-    @staticmethod
-    def is_positive(f: np.ndarray, tol: float = 1e-12) -> bool:
-        return bool(np.all(np.abs(f.imag) <= tol) and np.all(f.real >= -tol))
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +136,14 @@ class CPApproximation:
         return max(float(np.linalg.norm(d, 2)) for d in diff)
 
 
-def _prune_to_exclusive(members: list[frozenset[int]], labels: list[str]) -> tuple[list[frozenset[int]], list[str]]:
-    """Drop duplicate members, then members without a point of their own."""
+def _prune_to_exclusive(
+    members: list[frozenset[int]], labels: list[str]
+) -> tuple[list[frozenset[int]], list[str], list[int]]:
+    """Drop duplicate members, then members without a point of their own.
+
+    A point is a member's own when that member is the only one through it.
+    Returns the kept members and labels with each member's lowest own point.
+    """
     seen: set[frozenset[int]] = set()
     mem: list[frozenset[int]] = []
     lab: list[str] = []
@@ -169,17 +153,14 @@ def _prune_to_exclusive(members: list[frozenset[int]], labels: list[str]) -> tup
             mem.append(m)
             lab.append(l)
     while True:
-        counts: dict[int, int] = {}
-        for m in mem:
-            for p in m:
-                counts[p] = counts.get(p, 0) + 1
-        drop = None
-        for idx, m in enumerate(mem):
-            if not any(counts[p] == 1 for p in m):
-                drop = idx
-                break
+        own: dict[int, int] = {}
+        for p, mask in point_member_masks(mem).items():
+            if mask.bit_count() == 1:
+                idx = mask.bit_length() - 1
+                own[idx] = min(p, own.get(idx, p))
+        drop = next((idx for idx in range(len(mem)) if idx not in own), None)
         if drop is None:
-            return mem, lab
+            return mem, lab, [own[idx] for idx in range(len(mem))]
         del mem[drop], lab[drop]
 
 
@@ -228,21 +209,12 @@ def build_cp_approx(
 
     base = net_ball_cover(space, radius)
     cover = strict_refinement(space, base) if refine else base
-    members, labels = _prune_to_exclusive(list(cover.members), list(cover.labels or [str(i) for i in range(len(cover))]))
+    members, labels, exclusive = _prune_to_exclusive(
+        list(cover.members), list(cover.labels or [str(i) for i in range(len(cover))])
+    )
     cover = Cover(members, labels)
     if not cover.is_covering(space.npts):
         raise AssertionError("pruning lost coverage")
-
-    counts: dict[int, int] = {}
-    for m in cover.members:
-        for p in m:
-            counts[p] = counts.get(p, 0) + 1
-    exclusive = []
-    for m in cover.members:
-        own = sorted(p for p in m if counts[p] == 1)
-        if not own:
-            raise AssertionError("pruned cover lost an exclusive point")
-        exclusive.append(own[0])
 
     pou = partition_of_unity(space, cover)
     weights = pou.weights
@@ -513,9 +485,8 @@ def _diam_failure_data(
             chosen.append(p)
         if len(chosen) == n + 2:
             break
-    lam_sets = []
-    for p in chosen:
-        lam_sets.append([l for l, m in enumerate(targets.V.members) if p in m])
+    through = point_member_masks(targets.V.members)
+    lam_sets = [mask_indices(through[p]) for p in chosen]
     sums = []
     for lset in lam_sets:
         h = targets.weights[lset].sum(axis=0) if lset else np.zeros(space.npts)
@@ -580,10 +551,7 @@ def extract_cover(
     for j, r in enumerate(F.block_sizes):
         if r == 1:
             continue
-        sub = FiniteDimAlgebra((r,))
-        images = {(0, c): phi.image_array(j, c) for c in range(phi.codomain.num_blocks)}
-        block_map = CPMap(sub, phi.codomain, images, phi.codomain_space, phi.codomain_matdim)
-        block_ok = certify_order_zero(block_map).ok or (r - 1 <= n)
+        block_ok = certify_order_zero(phi.restrict_to_block(j)).ok or (r - 1 <= n)
         checks.append(NamedCheck("block-order", float(r - 1), float(n), block_ok, f"block {j}"))
         if not block_ok:
             raise StepFailure(
@@ -623,33 +591,21 @@ def extract_cover(
         phi_block_values(j, np.eye(F.block_sizes[j], dtype=complex)) for j in range(m_blocks)
     ]
     A_sets = [frozenset(np.flatnonzero(_above(v, C)).tolist()) for v in one_vals]
-    pt_members: list[list[int]] = [[] for _ in range(space.npts)]
-    for l, mem in enumerate(targets.V.members):
-        for p in mem:
-            pt_members[p].append(l)
+    through = point_member_masks(targets.V.members)
     classes: list[list[list[int]]] = []
     for j in range(m_blocks):
-        # members sharing a point of A_j are equivalent; chain through points
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        # members sharing a point of A_j are equivalent; chain through points,
+        # joining the members at each point with every class (a member mask)
+        # that meets them
+        merged: list[int] = []
         for x in A_sets[j]:
-            ms = pt_members[x]
-            for l in ms:
-                parent.setdefault(l, l)
-            for l in ms[1:]:
-                ra, rb = find(ms[0]), find(l)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-        groups: dict[int, list[int]] = {}
-        for l in parent:
-            groups.setdefault(find(l), []).append(l)
-        classes.append([sorted(g) for _, g in sorted(groups.items())])
+            joined = through.get(x, 0)
+            for c in merged:
+                if c & joined:
+                    joined |= c
+            if joined:
+                merged = [c for c in merged if not c & joined] + [joined]
+        classes.append(sorted(mask_indices(c) for c in merged))
 
     V_tilde: dict[tuple[int, int], frozenset[int]] = {}
     q_mats: dict[tuple[int, int], np.ndarray] = {}

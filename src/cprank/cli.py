@@ -31,9 +31,11 @@ from .approx import (
     tensor_approx,
     verify_cp_approx,
 )
+from .cliques import max_clique
 from .covers import (
     cover_order,
     cover_strict_order,
+    intersection_graph,
     nerve,
     refines,
     strict_refinement,
@@ -94,9 +96,7 @@ def _cmd_cover(args: argparse.Namespace, data: Any) -> Any:
         return {"order": cover_order(cover)}
     if action == "strict-order":
         cover = jsonio.cover_from_json(_need(data, "cover"))
-        from .cliques import max_clique
-
-        clique = max_clique(_intersection_adjacency(cover))
+        clique = max_clique(intersection_graph(cover))
         return {"strict_order": max(len(clique) - 1, 0), "clique": clique}
     if action == "nerve":
         cover = jsonio.cover_from_json(_need(data, "cover"))
@@ -119,17 +119,6 @@ def _cmd_cover(args: argparse.Namespace, data: Any) -> Any:
         ok, witness = refines(fine, coarse)
         return {"refines": ok, "witness": witness}
     raise SchemaError(f"unknown cover action {action!r}")
-
-
-def _intersection_adjacency(cover) -> np.ndarray:
-    k = len(cover.members)
-    masks = cover.masks()
-    adj = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if masks[i] & masks[j]:
-                adj[i, j] = adj[j, i] = True
-    return adj
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,13 @@
 """Exact maximum-clique search, branch and bound with a greedy coloring bound.
 
-Vertices are 0..n-1; adjacency is a symmetric boolean matrix or integer
-bitmasks.  Desk-scale graphs only (hundreds of vertices); the search is
-single-threaded and deterministic.
+Vertices are 0..n-1; adjacency is a symmetric boolean matrix, in which
+diagonal entries do not count as edges.  Desk-scale graphs only (hundreds
+of vertices); the search is single-threaded and deterministic.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
@@ -70,10 +69,6 @@ def max_clique(adj: np.ndarray) -> list[int]:
 
     expand((1 << n) - 1, [])
     return sorted(perm[i] for i in best)
-
-
-def max_clique_size(adj: np.ndarray) -> int:
-    return len(max_clique(adj))
 
 
 def max_clique_brute(adj: np.ndarray) -> int:

@@ -139,13 +139,30 @@ class Cover:
         return out
 
 
+def point_member_masks(members: list[frozenset[int]]) -> dict[int, int]:
+    """Map each point to the bitmask of the members that contain it."""
+    masks: dict[int, int] = {}
+    for idx, m in enumerate(members):
+        bit = 1 << idx
+        for p in m:
+            masks[p] = masks.get(p, 0) | bit
+    return masks
+
+
+def mask_indices(mask: int) -> list[int]:
+    """Positions of the set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def cover_order(cover: Cover) -> int:
     """Largest number of members through a single point, minus one."""
-    counts: dict[int, int] = {}
-    for m in cover.members:
-        for p in m:
-            counts[p] = counts.get(p, 0) + 1
-    return max(counts.values(), default=0) - 1
+    through = point_member_masks(cover.members).values()
+    return max((mask.bit_count() for mask in through), default=0) - 1
 
 
 def cover_order_brute(cover: Cover) -> int:
@@ -165,28 +182,15 @@ def cover_order_brute(cover: Cover) -> int:
     return best - 1
 
 
-def _point_member_masks(members: list[frozenset[int]]) -> dict[int, int]:
-    """Map each point to the bitmask of the members that contain it."""
-    masks: dict[int, int] = {}
-    for idx, m in enumerate(members):
-        bit = 1 << idx
-        for p in m:
-            masks[p] = masks.get(p, 0) | bit
-    return masks
-
-
-def cover_strict_order(cover: Cover) -> int:
-    """Clique number of the pairwise-intersection graph, minus one (exact).
+def intersection_graph(cover: Cover) -> np.ndarray:
+    """Boolean adjacency of the members, an edge where two members meet.
 
     A member's neighbours are the union, over its points, of the members
     through that point.  The graph records only whether two members meet and
-    never counts their common points, so the result is exact for overlaps of
-    any size.
+    never counts their common points, so it is exact for overlaps of any size.
     """
     k = len(cover.members)
-    if k == 0:
-        return 0
-    through = _point_member_masks(cover.members)
+    through = point_member_masks(cover.members)
     nbytes = (k + 7) // 8
     rows = bytearray()
     for m in cover.members:
@@ -197,7 +201,12 @@ def cover_strict_order(cover: Cover) -> int:
     packed = np.frombuffer(rows, dtype=np.uint8).reshape(k, nbytes)
     adj = np.unpackbits(packed, axis=1, count=k, bitorder="little").view(bool)
     np.fill_diagonal(adj, False)
-    return max(len(max_clique(adj)) - 1, 0)
+    return adj
+
+
+def cover_strict_order(cover: Cover) -> int:
+    """Clique number of the intersection graph, minus one (exact)."""
+    return max(len(max_clique(intersection_graph(cover))) - 1, 0)
 
 
 def cover_strict_order_brute(cover: Cover) -> int:
@@ -220,7 +229,7 @@ def refines(fine: Cover, coarse: Cover) -> tuple[bool, list[int | None]]:
     coarse members through every point of the fine member, intersected as
     bitmasks, so coarse members away from it are never visited.
     """
-    through = _point_member_masks(coarse.members)
+    through = point_member_masks(coarse.members)
     everything = (1 << len(coarse.members)) - 1
     witness: list[int | None] = []
     for m in fine.members:
@@ -318,17 +327,13 @@ def nerve(cover: Cover, max_faces: int = 1 << 20) -> SimplicialComplex:
     On a finite model every face arises from the membership set of some
     point, so the nerve is the downward closure of those sets.
     """
-    point_faces: set[frozenset[int]] = set()
-    point_members: dict[int, set[int]] = {}
-    for idx, m in enumerate(cover.members):
-        for p in m:
-            point_members.setdefault(p, set()).add(idx)
-    total = sum(2 ** len(s) for s in point_members.values())
+    through = point_member_masks(cover.members).values()
+    total = sum(1 << mask.bit_count() for mask in through)
     if total > max_faces:
         raise ValueError(f"nerve enumeration too large ({total} subsets)")
     faces: set[frozenset[int]] = set()
-    for s in point_members.values():
-        items = sorted(s)
+    for mask in through:
+        items = mask_indices(mask)
         for size in range(1, len(items) + 1):
             for sub in combinations(items, size):
                 faces.add(frozenset(sub))

@@ -101,8 +101,11 @@ class CPMap:
         x = AlgebraElement.from_block(self.domain, i, mat)
         return self.apply(x)
 
-    def unit_image_norm_table(self) -> float:
-        return max((np.abs(a).max() for a in self.images.values()), default=0.0)
+    def restrict_to_block(self, i: int) -> "CPMap":
+        """The map on domain block i alone, as a map out of M_{d_i}."""
+        images = {(0, c): self.image_array(i, c) for c in range(self.codomain.num_blocks)}
+        sub_domain = FiniteDimAlgebra((self.domain.block_sizes[i],))
+        return CPMap(sub_domain, self.codomain, images, self.codomain_space, self.codomain_matdim)
 
     def adjoint_symmetry_defect(self) -> float:
         """max over blocks of || phi(e_kj) - phi(e_jk)^* ||_max."""
@@ -361,15 +364,8 @@ def multiplicativity_defect(
 # strict order
 # ---------------------------------------------------------------------------
 
-def strict_order_abelian(phi: CPMap, tol: float = ORTH_TOL) -> int:
-    """Exact strict order of a map with abelian domain.
-
-    The generators' images form an intersection graph (edge when the product
-    norm exceeds the tolerance); the strict order is the clique number less
-    one.
-    """
-    if not phi.domain.is_abelian():
-        raise ValueError("domain is not abelian")
+def _generator_graph(phi: CPMap, tol: float) -> np.ndarray:
+    """Adjacency of the domain generators whose images have product norm above tol."""
     s = phi.domain.num_blocks
     adj = np.zeros((s, s), dtype=bool)
     if phi.codomain.is_abelian():
@@ -387,7 +383,19 @@ def strict_order_abelian(phi: CPMap, tol: float = ORTH_TOL) -> int:
             for j in range(i + 1, s):
                 if (gens[i] @ gens[j]).norm() > tol:
                     adj[i, j] = adj[j, i] = True
-    return max(len(max_clique(adj)) - 1, 0)
+    return adj
+
+
+def strict_order_abelian(phi: CPMap, tol: float = ORTH_TOL) -> int:
+    """Exact strict order of a map with abelian domain.
+
+    The generators' images form an intersection graph (edge when the product
+    norm exceeds the tolerance); the strict order is the clique number less
+    one.
+    """
+    if not phi.domain.is_abelian():
+        raise ValueError("domain is not abelian")
+    return max(len(max_clique(_generator_graph(phi, tol))) - 1, 0)
 
 
 def strict_order_abelian_brute(phi: CPMap, tol: float = ORTH_TOL) -> int:
@@ -708,12 +716,7 @@ def strict_order_bounds(
         return OrderBounds(r - 1, r - 1, True, "dichotomy")
     lower = 0
     for i, r in enumerate(sizes):
-        sub_domain = FiniteDimAlgebra((r,))
-        images = {(0, c): phi.image_array(i, c) for c in range(phi.codomain.num_blocks)}
-        block_map = CPMap(sub_domain, phi.codomain, images, phi.codomain_space, phi.codomain_matdim)
-        if r == 1:
-            continue
-        if not certify_order_zero(block_map, tol).ok:
+        if r > 1 and not certify_order_zero(phi.restrict_to_block(i), tol).ok:
             lower = max(lower, r - 1)
     probe = witness_elementary_set(phi, lower + 2, seed=seed, tol=witness_tol)
     while probe:
@@ -769,14 +772,7 @@ def tensor_strict_order_exact(
     """
     if not phi.domain.is_abelian():
         raise ValueError("exact tensored order requires an abelian base map")
-    s = phi.domain.num_blocks
-    gens = [phi.unit_image(i, 0, 0) for i in range(s)]
-    adj = np.zeros((s, s), dtype=bool)
-    for i in range(s):
-        for j in range(i + 1, s):
-            if (gens[i] @ gens[j]).norm() > tol:
-                adj[i, j] = adj[j, i] = True
-    clique = max_clique(adj)
+    clique = max_clique(_generator_graph(phi, tol))
     order = max(len(clique) - 1, 0)
     tensored = tensor_with_identity(phi, r)
     witness_members = []

@@ -108,12 +108,6 @@ def complex_to_json_sc(k: SimplicialComplex) -> dict:
     return {"faces": sorted([sorted(f) for f in k.faces])}
 
 
-def complex_from_json_sc(data: Any) -> SimplicialComplex:
-    if not isinstance(data, dict) or "faces" not in data:
-        raise SchemaError("complex needs faces")
-    return SimplicialComplex({frozenset(int(v) for v in f) for f in data["faces"]})
-
-
 # ---------------------------------------------------------------------------
 # maps and approximations
 # ---------------------------------------------------------------------------

@@ -1,0 +1,133 @@
+"""The graph kernels against their oracles: clique search, the intersection
+graph of a cover (with its order, strict order and nerve), and the graph of
+non-orthogonal generators of a map with abelian domain."""
+
+from itertools import combinations
+
+import numpy as np
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from cprank import (
+    CPMap,
+    Cover,
+    FiniteDimAlgebra,
+    cover_order,
+    cover_strict_order,
+    function_algebra,
+    interval_grid,
+    nerve,
+    strict_order_abelian,
+    tensor_strict_order_exact,
+)
+from cprank.cliques import max_clique, max_clique_brute
+from cprank.covers import cover_order_brute, cover_strict_order_brute, intersection_graph
+from cprank.cpmaps import strict_order_abelian_brute
+
+from conftest import rand_unitary
+
+
+def random_graph(rng, n, density):
+    upper = np.triu(rng.random((n, n)) < density, k=1)
+    return upper | upper.T
+
+
+class TestMaxClique:
+    def test_brute_force_agreement(self):
+        rng = np.random.default_rng(71)
+        for n in range(15):
+            for density in (0.1, 0.3, 0.5, 0.7, 0.9, 0.95):
+                for _ in range(3):
+                    adj = random_graph(rng, n, density)
+                    if rng.random() < 0.5:
+                        np.fill_diagonal(adj, True)
+                    clique = max_clique(adj)
+                    assert clique == sorted(clique)
+                    assert all(adj[a, b] for a, b in combinations(clique, 2))
+                    assert len(clique) == max_clique_brute(adj)
+
+
+# Members are a run of consecutive points plus a few scattered ones, drawn
+# from 600 points, so two members can share more than 255 points.
+POINTS = 600
+
+
+@st.composite
+def covers(draw):
+    members = []
+    for _ in range(draw(st.integers(0, 7))):
+        lo = draw(st.integers(0, POINTS))
+        hi = draw(st.integers(lo, POINTS))
+        scattered = draw(st.frozensets(st.integers(0, POINTS - 1), max_size=4))
+        members.append(frozenset(range(lo, hi)) | scattered)
+    if any(len(a & b) > 255 for a, b in combinations(members, 2)):
+        event("two members share more than 255 points")
+    return Cover(members)
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+class TestCoverProperties:
+    @PROPERTY
+    @given(covers())
+    def test_orders_match_oracles(self, cover):
+        assert cover_order(cover) == cover_order_brute(cover)
+        assert cover_strict_order(cover) == cover_strict_order_brute(cover)
+
+    @PROPERTY
+    @given(covers())
+    def test_intersection_graph_edges(self, cover):
+        adj = intersection_graph(cover)
+        k = len(cover)
+        assert adj.shape == (k, k)
+        for i in range(k):
+            for j in range(k):
+                assert adj[i, j] == (i != j and bool(cover.members[i] & cover.members[j]))
+
+    @PROPERTY
+    @given(covers())
+    def test_nerve_faces_are_subfamilies_with_a_common_point(self, cover):
+        expect = set()
+        for size in range(1, len(cover) + 1):
+            for sub in combinations(range(len(cover)), size):
+                if frozenset.intersection(*(cover.members[i] for i in sub)):
+                    expect.add(frozenset(sub))
+        assert nerve(cover).faces == expect
+
+
+def scalar_codomain_map(rng, s):
+    """C^s into functions on a grid, with sparse nonnegative values."""
+    space = interval_grid(int(rng.integers(1, 10)))
+    values = rng.uniform(0, 1, size=(s, space.npts)) * (rng.random((s, space.npts)) < 0.4)
+    images = {
+        (i, x): np.full((1, 1, 1, 1), values[i, x], complex)
+        for i in range(s)
+        for x in range(space.npts)
+        if values[i, x]
+    }
+    return CPMap(FiniteDimAlgebra([1] * s), function_algebra(space), images, codomain_space=space)
+
+
+def matrix_codomain_map(rng, s):
+    """C^s into M_n: generator i goes to a rotated diagonal projection, so two
+    images are orthogonal exactly when their diagonal supports are disjoint."""
+    n = int(rng.integers(2, 5))
+    u = rand_unitary(rng, n)
+    images = {}
+    for i in range(s):
+        diag = (rng.random(n) < 0.4).astype(complex)
+        if diag.any():
+            images[(i, 0)] = ((u * diag) @ u.conj().T).reshape(1, 1, n, n)
+    return CPMap(FiniteDimAlgebra([1] * s), FiniteDimAlgebra([n]), images)
+
+
+class TestGeneratorGraph:
+    def test_tensored_order_matches_abelian_order(self):
+        rng = np.random.default_rng(72)
+        for make in (scalar_codomain_map, matrix_codomain_map):
+            for _ in range(40):
+                phi = make(rng, int(rng.integers(1, 8)))
+                order, witness = tensor_strict_order_exact(phi, 2)
+                assert order == strict_order_abelian(phi) == strict_order_abelian_brute(phi)
+                assert len(witness) == order + 1
