@@ -6,7 +6,7 @@ operations.  One invocation is one computation; outputs are canonical JSON
 (sorted keys) so identical inputs and seed produce identical bytes.
 
 Exit codes: 0 success, 2 schema violation, 3 precondition failure,
-4 pipeline-step failure.
+4 pipeline-step failure or failed internal self-check.
 """
 
 from __future__ import annotations
@@ -179,11 +179,10 @@ def _cmd_approx(args: argparse.Namespace, data: Any) -> Any:
         n = int(_need(data, "n"))
         approx = jsonio.approximation_from_json(_need(data, "approximation"), args.max_block)
         W, rep = extract_cover(space, U, n, approx)
-        ok, _ = refines(W, U)
         return {
             "W": jsonio.cover_to_json(W),
             "order": rep.W_order,
-            "refines": ok,
+            "refines": all(c.ok for c in rep.checks if c.step == "refines"),
             "constants": {
                 "n": rep.constants.n,
                 "C": rep.constants.C,
@@ -358,6 +357,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SCHEMA
     except (StepFailure, HypothesisFailure) as exc:
         print(f"pipeline failure: {exc}", file=sys.stderr)
+        return EXIT_STEP
+    except AssertionError as exc:
+        # a self-check inside the library found a broken invariant
+        print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_STEP
     except (ValueError, GapHypothesisError, RuntimeError) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)

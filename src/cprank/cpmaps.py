@@ -104,7 +104,9 @@ class CPMap:
     def restrict_to_block(self, i: int) -> "CPMap":
         """The map on domain block i alone, as a map out of M_{d_i}."""
         images = {(0, c): self.image_array(i, c) for c in range(self.codomain.num_blocks)}
-        sub_domain = FiniteDimAlgebra((self.domain.block_sizes[i],))
+        d = self.domain.block_sizes[i]
+        # d passed the cap of self.domain, which may be above the default
+        sub_domain = FiniteDimAlgebra((d,), max_block=d)
         return CPMap(sub_domain, self.codomain, images, self.codomain_space, self.codomain_matdim)
 
     def adjoint_symmetry_defect(self) -> float:
@@ -201,7 +203,8 @@ def unitize(phi: CPMap, tol: float = CP_TOL) -> CPMap:
     ok, nrm = is_contractive(phi, tol)
     if not ok:
         raise ValueError(f"map is not contractive: ||phi(1)|| = {nrm:.6g}")
-    new_domain = FiniteDimAlgebra(tuple(phi.domain.block_sizes) + (1,))
+    sizes = phi.domain.block_sizes
+    new_domain = FiniteDimAlgebra(sizes + (1,), max_block=max(sizes))
     images = {(i, c): arr.copy() for (i, c), arr in phi.images.items()}
     defect = AlgebraElement.identity(phi.codomain) - phi.apply_one()
     m = phi.domain.num_blocks
@@ -486,7 +489,7 @@ def certify_order_zero(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificat
                             f"block {i}: ||phi(e_{j}{j}) phi(e_{k}{k})|| = {prod:.3e} > tol"
                         )
 
-        sub_domain = FiniteDimAlgebra((d,))
+        sub_domain = FiniteDimAlgebra((d,), max_block=d)
         sig_arr = {}
         for c in range(phi.codomain.num_blocks):
             arr = phi.image_array(i, c)

@@ -389,7 +389,9 @@ def af_local_step(
     live = [(i, W) for i, W in enumerate(bases) if W.shape[1] > 0]
     if not live:
         raise HypothesisFailure("cut", f"no eigenvalue of psi(u) reaches sqrt(eps) = {root:.4g}")
-    sub = FiniteDimAlgebra(tuple(W.shape[1] for _, W in live))
+    sizes = tuple(W.shape[1] for _, W in live)
+    # each size is at most a codomain block size, which passed its cap
+    sub = FiniteDimAlgebra(sizes, max_block=max(sizes))
     images = {}
     for new_i, (i, W) in enumerate(live):
         m = W.shape[1]

@@ -392,6 +392,25 @@ class TestStrictOrderBounds:
         assert b.upper == 3
         assert not b.exact or b.lower == b.upper
 
+    def test_block_above_default_cap(self):
+        # a block of 65 is legal under a raised cap; the per-block restriction
+        # must accept it too.  phi(1) = 132 is not contractive, so every order
+        # zero certificate fails at once, before its O(d^4) unit checks.
+        alg = FiniteDimAlgebra((65, 1), max_block=128)
+        images = {
+            (0, 0): 2 * np.eye(65, dtype=complex).reshape(65, 65, 1, 1),
+            (1, 0): 2 * np.ones((1, 1, 1, 1), complex),
+        }
+        phi = CPMap(alg, FiniteDimAlgebra((1,)), images)
+        assert phi.restrict_to_block(0).domain.block_sizes == (65,)
+        b = strict_order_bounds(phi)
+        assert (b.lower, b.upper, b.exact) == (65, 65, True)
+
+    def test_unitize_block_above_default_cap(self):
+        alg = FiniteDimAlgebra((65,), max_block=128)
+        out = unitize(CPMap(alg, FiniteDimAlgebra((1,)), {}))
+        assert out.domain.block_sizes == (65, 1)
+
 
 class TestTensoring:
     def test_r_equal_one(self):

@@ -5,6 +5,7 @@ non-orthogonal generators of a map with abelian domain."""
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from cprank import (
     CPMap,
     Cover,
     FiniteDimAlgebra,
+    ball_cover,
     cover_order,
     cover_strict_order,
     function_algebra,
@@ -19,6 +21,7 @@ from cprank import (
     nerve,
     strict_order_abelian,
     tensor_strict_order_exact,
+    torus_grid,
 )
 from cprank.cliques import max_clique, max_clique_brute
 from cprank.covers import cover_order_brute, cover_strict_order_brute, intersection_graph
@@ -45,6 +48,35 @@ class TestMaxClique:
                     assert clique == sorted(clique)
                     assert all(adj[a, b] for a, b in combinations(clique, 2))
                     assert len(clique) == max_clique_brute(adj)
+
+    def test_near_complete_graphs_against_brute_force(self):
+        # few missing edges: long unit-propagation chains, many pruned vertices
+        rng = np.random.default_rng(73)
+        for n in range(17):
+            for density in (0.97, 0.99):
+                for _ in range(4):
+                    adj = random_graph(rng, n, density)
+                    clique = max_clique(adj)
+                    assert all(adj[a, b] for a, b in combinations(clique, 2))
+                    assert len(clique) == max_clique_brute(adj)
+
+    def test_dense_graphs_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(74)
+        for n in (25, 35, 45, 60):
+            for density in (0.8, 0.9, 0.97):
+                for _ in range(3):
+                    adj = random_graph(rng, n, density)
+                    clique = max_clique(adj)
+                    assert all(adj[a, b] for a, b in combinations(clique, 2))
+                    graph = nx.from_numpy_array(adj.astype(int))
+                    expect, _ = nx.max_weight_clique(graph, weight=None)
+                    assert len(clique) == len(expect)
+
+    def test_dense_torus_cover(self):
+        # 100 balls of radius 3.5 spacings on the 10x10 torus: graph density
+        # 0.95, clique number 41
+        assert cover_strict_order(ball_cover(torus_grid(10, 10), 0.35)) == 40
 
 
 # Members are a run of consecutive points plus a few scattered ones, drawn

@@ -12,7 +12,7 @@ from cprank import (
     circle_grid,
     interval_grid,
 )
-from cprank import jsonio
+from cprank import cli, jsonio
 from cprank.cli import main
 
 from conftest import (
@@ -164,6 +164,20 @@ class TestCLI:
         }
         code, _ = run_cli(tmp_path, "x4", payload, "approx", "extract-cover")
         assert code == 4
+
+    def test_failed_self_check_exits_4(self, tmp_path, monkeypatch, capsys):
+        def broken(space, cover):
+            raise AssertionError("refinement lost points")
+
+        monkeypatch.setattr(cli, "strict_refinement", broken)
+        payload = {
+            "space": jsonio.space_to_json(circle_grid(12)),
+            "cover": jsonio.cover_to_json(three_arcs_cover(12)),
+        }
+        code, out = run_cli(tmp_path, "selfcheck", payload, "cover", "refine")
+        assert code == 4
+        assert out == b""
+        assert "refinement lost points" in capsys.readouterr().err
 
     def test_approx_build_and_verify(self, tmp_path):
         sp = interval_grid(41)
