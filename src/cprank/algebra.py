@@ -10,7 +10,7 @@ phase convention so repeated runs give identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,7 +31,12 @@ class GapHypothesisError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteDimAlgebra:
-    """Direct sum of full matrix blocks, identified by its block sizes."""
+    """Direct sum of full matrix blocks, identified by its block sizes.
+
+    Blocks of one size form a size group (``group_sizes``, ``group_blocks``),
+    in order of first appearance; ``block_slots`` gives each block's (group,
+    slot) in the ``(count, r, r)`` arrays an element stores per group.
+    """
 
     block_sizes: tuple[int, ...]
 
@@ -45,6 +50,13 @@ class FiniteDimAlgebra:
             if r > max_block:
                 raise ValueError(f"block size {r} exceeds cap {max_block}")
         object.__setattr__(self, "block_sizes", sizes)
+        groups: dict[int, list[int]] = {}
+        for b, r in enumerate(sizes):
+            groups.setdefault(r, []).append(b)
+        slots = {b: (g, s) for g, blocks in enumerate(groups.values()) for s, b in enumerate(blocks)}
+        object.__setattr__(self, "group_sizes", tuple(groups))
+        object.__setattr__(self, "group_blocks", tuple(np.array(b) for b in groups.values()))
+        object.__setattr__(self, "block_slots", tuple(slots[b] for b in range(len(sizes))))
 
     @property
     def num_blocks(self) -> int:
@@ -55,104 +67,128 @@ class FiniteDimAlgebra:
         """Vector-space dimension, the sum of squared block sizes."""
         return sum(r * r for r in self.block_sizes)
 
-    @property
-    def rank_sum(self) -> int:
-        """Sum of block sizes (the size of a faithful block-diagonal model)."""
-        return sum(self.block_sizes)
-
     def is_abelian(self) -> bool:
         return all(r == 1 for r in self.block_sizes)
+
+    def zero_stacks(self) -> list[np.ndarray]:
+        """Fresh zero arrays, one ``(count, r, r)`` per size group."""
+        return [np.zeros((len(b), r, r), complex) for r, b in zip(self.group_sizes, self.group_blocks)]
 
 
 class AlgebraElement:
     """Block-diagonal element of a :class:`FiniteDimAlgebra`.
 
-    Blocks are copied on construction and treated as immutable afterwards.
+    ``stacks`` holds one read-only ``(count, r, r)`` array per size group of
+    the algebra; ``blocks`` is the sequence of per-block views in block order.
+    Blocks are copied on construction.
     """
 
-    __slots__ = ("algebra", "blocks")
+    __slots__ = ("algebra", "stacks")
 
     def __init__(self, algebra: FiniteDimAlgebra, blocks: Sequence[np.ndarray]):
         if len(blocks) != algebra.num_blocks:
             raise ValueError(
                 f"expected {algebra.num_blocks} blocks, got {len(blocks)}"
             )
-        mats = []
-        for r, b in zip(algebra.block_sizes, blocks):
-            m = np.array(b, dtype=complex)
+        mats = [np.asarray(b, dtype=complex) for b in blocks]
+        for r, m in zip(algebra.block_sizes, mats):
             if m.shape != (r, r):
                 raise ValueError(f"block shape {m.shape} does not match size {r}")
-            mats.append(m)
+        self._set(algebra, [np.stack([mats[b] for b in idx]) for idx in algebra.group_blocks])
+
+    def _set(self, algebra: FiniteDimAlgebra, stacks: Sequence[np.ndarray]) -> None:
+        for s in stacks:
+            s.flags.writeable = False
         self.algebra = algebra
-        self.blocks = mats
+        self.stacks = tuple(stacks)
+
+    @classmethod
+    def from_stacks(cls, algebra: FiniteDimAlgebra, stacks: Sequence[np.ndarray]) -> "AlgebraElement":
+        """Element taking over one complex ``(count, r, r)`` array per size group.
+
+        The arrays are neither copied nor checked, and become read-only.
+        """
+        out = cls.__new__(cls)
+        out._set(algebra, stacks)
+        return out
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.stacks[g][s] for g, s in self.algebra.block_slots)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zeros(cls, algebra: FiniteDimAlgebra) -> "AlgebraElement":
-        return cls(algebra, [np.zeros((r, r), complex) for r in algebra.block_sizes])
+        return cls.from_stacks(algebra, algebra.zero_stacks())
 
     @classmethod
     def identity(cls, algebra: FiniteDimAlgebra) -> "AlgebraElement":
-        return cls(algebra, [np.eye(r, dtype=complex) for r in algebra.block_sizes])
+        return cls.from_stacks(algebra, [z + np.eye(z.shape[-1]) for z in algebra.zero_stacks()])
 
     @classmethod
     def from_block(cls, algebra: FiniteDimAlgebra, index: int, block: np.ndarray) -> "AlgebraElement":
         """Element supported in a single block, zero elsewhere."""
-        out = cls.zeros(algebra)
         r = algebra.block_sizes[index]
-        m = np.array(block, dtype=complex)
+        m = np.asarray(block, dtype=complex)
         if m.shape != (r, r):
             raise ValueError(f"block shape {m.shape} does not match size {r}")
-        out.blocks[index] = m
-        return out
+        stacks = algebra.zero_stacks()
+        g, s = algebra.block_slots[index]
+        stacks[g][s] = m
+        return cls.from_stacks(algebra, stacks)
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_same(self, other: "AlgebraElement") -> None:
+    def _zip(self, other: "AlgebraElement", op) -> "AlgebraElement":
         if self.algebra.block_sizes != other.algebra.block_sizes:
             raise ValueError("elements live in different algebras")
+        return AlgebraElement.from_stacks(self.algebra, list(map(op, self.stacks, other.stacks)))
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_same(other)
-        return AlgebraElement(self.algebra, [a + b for a, b in zip(self.blocks, other.blocks)])
+        return self._zip(other, np.add)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_same(other)
-        return AlgebraElement(self.algebra, [a - b for a, b in zip(self.blocks, other.blocks)])
+        return self._zip(other, np.subtract)
+
+    def __matmul__(self, other: "AlgebraElement") -> "AlgebraElement":
+        return self._zip(other, np.matmul)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, [-a for a in self.blocks])
+        return AlgebraElement.from_stacks(self.algebra, [-a for a in self.stacks])
 
     def __mul__(self, scalar) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, [scalar * a for a in self.blocks])
+        return AlgebraElement.from_stacks(self.algebra, [scalar * a for a in self.stacks])
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_same(other)
-        return AlgebraElement(self.algebra, [a @ b for a, b in zip(self.blocks, other.blocks)])
-
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, [a.conj().T for a in self.blocks])
+        return AlgebraElement.from_stacks(self.algebra, [_dagger(a) for a in self.stacks])
 
     # -- metrics -----------------------------------------------------------
 
     def norm(self) -> float:
         """Operator norm: max over blocks of the largest singular value."""
-        return max(float(np.linalg.norm(b, 2)) if b.size else 0.0 for b in self.blocks)
+        return max(_spectral_norm(s) for s in self.stacks)
 
     def hermitian_defect(self) -> float:
-        return max(float(np.linalg.norm(b - b.conj().T, 2)) for b in self.blocks)
-
-    def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.hermitian_defect() <= tol
+        return max(_spectral_norm(s - _dagger(s)) for s in self.stacks)
 
     def copy(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, self.blocks)
+        return AlgebraElement.from_stacks(self.algebra, [s.copy() for s in self.stacks])
 
     def __repr__(self) -> str:
         return f"AlgebraElement(blocks={self.algebra.block_sizes}, norm={self.norm():.3g})"
+
+
+def _dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value over a stack of matrices."""
+    return float(np.linalg.svd(a, compute_uv=False).max())
 
 
 def matrix_unit(algebra: FiniteDimAlgebra, block: int, row: int, col: int) -> AlgebraElement:
@@ -191,15 +227,15 @@ def eigh_canonical(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Eigenvalues come out ascending (LAPACK order); each eigenvector is scaled
     so its first component of significant magnitude is real and positive.
+    Stacks of matrices are decomposed matrix by matrix.
     """
     w, v = np.linalg.eigh(mat)
-    for i in range(v.shape[1]):
-        col = v[:, i]
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * max(1.0, np.abs(col).max()))
-        if nz.size:
-            c = col[nz[0]]
-            v[:, i] = col * (c.conjugate() / abs(c))
-    return w, v
+    mag = np.abs(v)
+    live = mag > 1e-12 * np.maximum(1.0, mag.max(axis=-2, keepdims=True))
+    first = np.take_along_axis(v, live.argmax(axis=-2)[..., None, :], axis=-2)
+    # hypot, not np.abs: the vectorised complex abs can differ in the last bit
+    phase = first.conjugate() / np.hypot(first.real, first.imag)
+    return w, np.where(live.any(axis=-2, keepdims=True), v * phase, v)
 
 
 def _require_hermitian(a: AlgebraElement, tol: float) -> None:
@@ -207,6 +243,10 @@ def _require_hermitian(a: AlgebraElement, tol: float) -> None:
     defect = a.hermitian_defect()
     if defect > tol:
         raise ValueError(f"element is not hermitian: asymmetry {defect:.3e} > tol {tol:.1e}")
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    return (a + _dagger(a)) / 2
 
 
 def spectrum(a: AlgebraElement, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -220,7 +260,13 @@ def spectrum(a: AlgebraElement, tol: float = DEFAULT_TOL) -> np.ndarray:
 def block_spectra(a: AlgebraElement, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Per-block ascending eigenvalues of a hermitian element."""
     _require_hermitian(a, tol)
-    return [np.linalg.eigvalsh((b + b.conj().T) / 2) for b in a.blocks]
+    w = [np.linalg.eigvalsh(_hermitian_part(s)) for s in a.stacks]
+    return [w[g][s] for g, s in a.algebra.block_slots]
+
+
+def _in_block_order(a: AlgebraElement, group_values: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-group ``(count, r)`` eigenvalues as one vector in block order."""
+    return np.concatenate([group_values[g][s] for g, s in a.algebra.block_slots])
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +414,14 @@ def apply_function(
     """
     _require_hermitian(a, tol)
     if spec.kind in ("inverse-gap", "inverse-support", "inverse-sqrt-support"):
-        low = min(float(s.min()) if s.size else 0.0 for s in block_spectra(a, tol=np.inf))
+        low = float(spectrum(a, tol=np.inf)[0])
         if low < -tol:
             raise ValueError(f"element is not positive: eigenvalue {low:.3e}")
-    out = []
-    for b in a.blocks:
-        w, v = eigh_canonical((b + b.conj().T) / 2)
-        fw = _eval_spec(spec, w, domain_tol)
-        out.append((v * fw) @ v.conj().T)
-    return AlgebraElement(a.algebra, out)
+    w, v = zip(*(eigh_canonical(_hermitian_part(s)) for s in a.stacks))
+    # checked in block order first, so a violation names the first offending block
+    _eval_spec(spec, _in_block_order(a, w), domain_tol)
+    out = [(vg * _eval_spec(spec, wg, domain_tol)[:, None, :]) @ _dagger(vg) for wg, vg in zip(w, v)]
+    return AlgebraElement.from_stacks(a.algebra, out)
 
 
 def support_projection(
@@ -387,14 +432,15 @@ def support_projection(
     Satisfies P a = a P = a, with rank equal to the numerical rank of ``a``.
     """
     _require_hermitian(a, tol)
-    out = []
-    for b in a.blocks:
-        w, v = eigh_canonical((b + b.conj().T) / 2)
-        if w.size and w.min() < -tol:
-            raise ValueError(f"element is not positive: eigenvalue {w.min():.3e}")
-        on = (w > rank_tol).astype(float)
-        out.append((v * on) @ v.conj().T)
-    return AlgebraElement(a.algebra, out)
+    w, v = zip(*(eigh_canonical(_hermitian_part(s)) for s in a.stacks))
+    # ascending per block: the first eigenvalue below -tol is its block's minimum
+    neg = _in_block_order(a, w)
+    neg = neg[neg < -tol]
+    if neg.size:
+        raise ValueError(f"element is not positive: eigenvalue {neg[0]:.3e}")
+    return AlgebraElement.from_stacks(
+        a.algebra, [(vg * (wg > rank_tol)[:, None, :]) @ _dagger(vg) for wg, vg in zip(w, v)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +472,7 @@ def validate(a: AlgebraElement, predicate: str, tol: float = DEFAULT_TOL) -> Val
     if predicate == "positive":
         if herm > tol:
             return ValidationReport(False, predicate, herm, f"asymmetry {herm:.3e}")
-        low = min(float(s.min()) if s.size else 0.0 for s in block_spectra(a, tol=np.inf))
+        low = float(spectrum(a, tol=np.inf)[0])
         defect = max(0.0, -low)
         return ValidationReport(defect <= tol, predicate, defect, f"most negative eigenvalue {low:.3e}")
     if predicate == "projection":

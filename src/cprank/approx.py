@@ -11,6 +11,7 @@ verifying every named inequality along the way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,25 +63,27 @@ def _above(values: np.ndarray, threshold: float) -> np.ndarray:
 
 def function_algebra(space: FiniteMetricSpace, matdim: int = 1) -> FiniteDimAlgebra:
     """The block algebra of matrix-valued functions on a finite point set."""
-    return FiniteDimAlgebra((matdim,) * space.npts)
+    return _equal_blocks(space.npts, matdim)
+
+
+@lru_cache(maxsize=32)
+def _equal_blocks(count: int, r: int) -> FiniteDimAlgebra:
+    return FiniteDimAlgebra((r,) * count)
 
 
 def function_element(space: FiniteMetricSpace, values: np.ndarray, matdim: int = 1) -> AlgebraElement:
     vals = np.asarray(values, dtype=complex)
-    alg = function_algebra(space, matdim)
     if matdim == 1:
         vals = vals.reshape(space.npts, 1, 1)
     if vals.shape != (space.npts, matdim, matdim):
         raise ValueError(f"values have shape {vals.shape}, expected ({space.npts},{matdim},{matdim})")
-    return AlgebraElement(alg, list(vals))
+    return AlgebraElement.from_stacks(function_algebra(space, matdim), [vals.copy()])
 
 
 def element_values(elem: AlgebraElement) -> np.ndarray:
     """Flatten a function-algebra element back to pointwise values."""
-    m = elem.algebra.block_sizes[0]
-    if m == 1:
-        return np.array([b[0, 0] for b in elem.blocks])
-    return np.stack(elem.blocks)
+    (vals,) = elem.stacks  # one block size, one block per point
+    return vals[:, 0, 0] if vals.shape[1] == 1 else vals
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +108,8 @@ class CPApproximation:
     """A triple (F, psi, phi) through a finite-dimensional algebra.
 
     ``psi`` maps functions on the space into F, ``phi`` maps F back to
-    functions; ``weights`` is the fast evaluation path when F is abelian and
-    phi is given by scalar weight functions.
+    functions.  ``evaluation_points`` are the points psi evaluates at, kept
+    for serialisation; every value is computed through psi and phi.
     """
 
     space: FiniteMetricSpace
@@ -115,14 +118,17 @@ class CPApproximation:
     psi: CPMap
     phi: CPMap
     evaluation_points: list[int] | None = None
-    weights: np.ndarray | None = None
     report: BuildReport | None = None
+
+    @property
+    def weights(self) -> np.ndarray | None:
+        """phi as scalar weight functions, one row per block of an abelian F."""
+        if self.matdim != 1 or not self.F.is_abelian():
+            return None
+        return np.array([_values_of(self.phi, l, np.eye(1)) for l in range(self.F.num_blocks)])
 
     def compose_values(self, values: np.ndarray) -> np.ndarray:
         """Pointwise values of phi(psi(f))."""
-        if self.weights is not None and self.matdim == 1 and self.evaluation_points is not None:
-            f = np.asarray(values, dtype=complex).reshape(-1)
-            return self.weights.T @ f[self.evaluation_points]
         elem = function_element(self.space, values, self.matdim)
         return element_values(self.phi.apply(self.psi.apply(elem)))
 
@@ -132,8 +138,7 @@ class CPApproximation:
         out = self.compose_values(vals)
         if self.matdim == 1:
             return float(np.abs(out - vals.reshape(-1)).max())
-        diff = out - vals
-        return max(float(np.linalg.norm(d, 2)) for d in diff)
+        return float(np.linalg.svd(out - vals, compute_uv=False).max())
 
 
 def _prune_to_exclusive(
@@ -226,13 +231,10 @@ def build_cp_approx(
         (exclusive[l], l): fun_alg_unit.copy() for l in range(s)
     }
     psi = CPMap(function_algebra(space), F, psi_images)
-    phi_images = {}
-    for l in range(s):
-        for x in np.flatnonzero(weights[l] > 0):
-            phi_images[(l, int(x))] = weights[l, x] * fun_alg_unit
+    phi_images = {(int(l), int(x)): weights[l, x] * fun_alg_unit for l, x in np.argwhere(weights > 0)}
     phi = CPMap(F, function_algebra(space), phi_images, codomain_space=space, codomain_matdim=1)
 
-    approx = CPApproximation(space, 1, F, psi, phi, exclusive, weights)
+    approx = CPApproximation(space, 1, F, psi, phi, exclusive)
     errors = [approx.error_on(f) for f in funcs]
     if base_radius is None and any(e > eps for e in errors):
         raise AssertionError(f"builder exceeded its tolerance: errors {errors}")
@@ -297,16 +299,8 @@ def tensor_approx(approx: CPApproximation, r: int) -> CPApproximation:
         return approx
     psi = tensor_with_identity(approx.psi, r)
     phi = tensor_with_identity(approx.phi, r)
-    F = FiniteDimAlgebra(tuple(r for _ in approx.F.block_sizes))
     return CPApproximation(
-        approx.space,
-        approx.matdim * r,
-        F,
-        psi,
-        phi,
-        approx.evaluation_points,
-        approx.weights,
-        approx.report,
+        approx.space, approx.matdim * r, phi.domain, psi, phi, approx.evaluation_points, approx.report
     )
 
 
@@ -321,29 +315,18 @@ def direct_sum_approx(a: CPApproximation, b: CPApproximation) -> CPApproximation
     F = FiniteDimAlgebra(tuple(a.F.block_sizes) + tuple(b.F.block_sizes))
     fun_alg = function_algebra(space, m)
 
-    psi_images = {}
-    for (x, l), arr in a.psi.images.items():
-        psi_images[(x, l)] = arr
-    for (x, l), arr in b.psi.images.items():
-        psi_images[(x + na, l + sa)] = arr
+    psi_images = dict(a.psi.images)
+    psi_images.update({(x + na, l + sa): arr for (x, l), arr in b.psi.images.items()})
     psi = CPMap(fun_alg, F, psi_images)
 
-    phi_images = {}
-    for (l, x), arr in a.phi.images.items():
-        phi_images[(l, x)] = arr
-    for (l, x), arr in b.phi.images.items():
-        phi_images[(l + sa, x + na)] = arr
+    phi_images = dict(a.phi.images)
+    phi_images.update({(l + sa, x + na): arr for (l, x), arr in b.phi.images.items()})
     phi = CPMap(F, fun_alg, phi_images, codomain_space=space, codomain_matdim=m)
 
     eval_pts = None
     if a.evaluation_points is not None and b.evaluation_points is not None:
         eval_pts = list(a.evaluation_points) + [x + na for x in b.evaluation_points]
-    weights = None
-    if a.weights is not None and b.weights is not None and m == 1:
-        weights = np.zeros((sa + b.F.num_blocks, space.npts))
-        weights[:sa, :na] = a.weights
-        weights[sa:, na:] = b.weights
-    return CPApproximation(space, m, F, psi, phi, eval_pts, weights)
+    return CPApproximation(space, m, F, psi, phi, eval_pts)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +438,7 @@ class ExtractionReport:
 
 def _values_of(phi: CPMap, block: int, mat: np.ndarray) -> np.ndarray:
     """Pointwise (scalar) values of phi applied to one domain block element."""
-    out = phi.apply_to_block(block, mat)
-    vals = np.array([b[0, 0] for b in out.blocks])
+    vals = element_values(phi.apply_to_block(block, mat))
     if np.abs(vals.imag).max(initial=0.0) > 1e-9:
         raise AssertionError("expected real function values")
     return vals.real
@@ -535,18 +517,6 @@ def extract_cover(
     checks: list[NamedCheck] = []
     eta_checks: list[NamedCheck] = []
 
-    fast = approx.weights is not None and approx.evaluation_points is not None
-
-    def phi_block_values(j: int, mat: np.ndarray) -> np.ndarray:
-        if fast and F.block_sizes[j] == 1:
-            return float(mat[0, 0].real) * approx.weights[j]
-        return _values_of(phi, j, mat)
-
-    def psi_block(j: int, h_vals: np.ndarray) -> np.ndarray:
-        if fast and F.block_sizes[j] == 1:
-            return np.array([[complex(h_vals[approx.evaluation_points[j]])]])
-        return psi.apply(function_element(space, h_vals)).blocks[j]
-
     # strict-order admissibility, blockwise via the dichotomy
     for j, r in enumerate(F.block_sizes):
         if r == 1:
@@ -588,7 +558,7 @@ def extract_cover(
     # support sets A_j and the equivalence classes over them
     m_blocks = F.num_blocks
     one_vals = [
-        phi_block_values(j, np.eye(F.block_sizes[j], dtype=complex)) for j in range(m_blocks)
+        _values_of(phi, j, np.eye(F.block_sizes[j], dtype=complex)) for j in range(m_blocks)
     ]
     A_sets = [frozenset(np.flatnonzero(_above(v, C)).tolist()) for v in one_vals]
     through = point_member_masks(targets.V.members)
@@ -618,7 +588,7 @@ def extract_cover(
                 vt |= targets.V.members[l] & A
             V_tilde[(j, i)] = frozenset(vt)
             h = eta_check(f"class ({j},{i})", cls)
-            blk = psi_block(j, h)
+            blk = psi.apply(function_element(space, h)).blocks[j]
             w, vecs = eigh_canonical((blk + blk.conj().T) / 2)
             proj = (vecs * _above(w, theta).astype(float)) @ vecs.conj().T
             q_mats[(j, i)] = proj
@@ -626,7 +596,7 @@ def extract_cover(
 
             # named inequality (1): phi(1_j - q)(x) < C/2 on the class support
             rest = np.eye(F.block_sizes[j], dtype=complex) - proj
-            vals = phi_block_values(j, rest)
+            vals = _values_of(phi, j, rest)
             sup = max((vals[x] for x in vt), default=0.0)
             checks.append(NamedCheck("(1)", float(sup), C / 2.0, sup < C / 2.0, f"({j},{i})"))
             if sup >= C / 2.0:
@@ -657,10 +627,7 @@ def extract_cover(
         r = F.block_sizes[j]
         sub = FiniteDimAlgebra((r,), max_block=r)
         qs = [AlgebraElement(sub, [q_mats[(j, i)]]) for i in idxs]
-        total = qs[0]
-        for q in qs[1:]:
-            total = total + q
-        sup_norm = total.norm()
+        sup_norm = sum(qs[1:], qs[0]).norm()
         checks.append(NamedCheck("sum-alpha", sup_norm, alpha, sup_norm <= alpha + SNAP, f"block {j}"))
         if sup_norm > alpha + SNAP:
             raise StepFailure(
@@ -683,11 +650,11 @@ def extract_cover(
     keys: list[tuple[int, int]] = []
     p_vals: dict[tuple[int, int], np.ndarray] = {}
     for (j, i), p in p_mats.items():
-        vals = phi_block_values(j, p)
+        vals = _values_of(phi, j, p)
         p_vals[(j, i)] = vals
         w_set = frozenset(np.flatnonzero(_above(vals, C)).tolist())
         rest = np.eye(F.block_sizes[j], dtype=complex) - p
-        rest_vals = phi_block_values(j, rest)
+        rest_vals = _values_of(phi, j, rest)
         vt = V_tilde[(j, i)]
         sup = max((rest_vals[x] for x in vt), default=0.0)
         checks.append(NamedCheck("(*)", float(sup), C, sup < C, f"({j},{i})"))

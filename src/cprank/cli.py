@@ -27,7 +27,6 @@ from .approx import (
     direct_sum_approx,
     estimate_cpr_commutative,
     extract_cover,
-    extraction_targets,
     tensor_approx,
     verify_cp_approx,
 )
@@ -289,16 +288,9 @@ def _cmd_cpmap(args: argparse.Namespace, data: Any) -> Any:
         phi = jsonio.cpmap_from_json(_need(data, "map"), args.max_block)
         dec = decompose_order_zero(phi)
         blocks = []
-        for i, blk in enumerate(dec.blocks):
-            d = phi.domain.block_sizes[i]
-            sigma_units = []
-            for j in range(d):
-                for k in range(d):
-                    img = blk.sigma.unit_image(0, j, k)
-                    if img.norm() > 0:
-                        sigma_units.append(
-                            {"row": j, "col": k, "value": jsonio.element_to_json(img)}
-                        )
+        for blk in dec.blocks:
+            units = jsonio.unit_records(blk.sigma)
+            sigma_units = [{key: u[key] for key in ("row", "col", "value")} for u in units]
             blocks.append(
                 {
                     "support": [float(t) for t in blk.eigenvalue_support],

@@ -317,9 +317,6 @@ class SimplicialComplex:
     def dimension(self) -> int:
         return max((len(f) - 1 for f in self.faces), default=-1)
 
-    def faces_of_dim(self, d: int) -> list[frozenset[int]]:
-        return sorted((f for f in self.faces if len(f) == d + 1), key=sorted)
-
 
 def nerve(cover: Cover, max_faces: int = 1 << 20) -> SimplicialComplex:
     """Nerve of a cover: a face for every subfamily with a common point.

@@ -14,17 +14,20 @@ and witness search for the order-zero dichotomy on matrix blocks.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .algebra import (
-    DEFAULT_TOL,
     AlgebraElement,
     FiniteDimAlgebra,
+    apply_function,
     eigh_canonical,
     inverse_sqrt_on_support,
+    matrix_unit,
     orthogonality_defect,
     projection_from_vector,
     support_projection,
@@ -42,7 +45,9 @@ class CPMap:
 
     ``images[(i, c)]`` is a complex array of shape ``(d_i, d_i, r_c, r_c)``
     holding, at ``[j, k]``, the block-c component of the image of the matrix
-    unit ``e^{(i)}_{jk}``.  Pairs absent from the dictionary are zero.
+    unit ``e^{(i)}_{jk}``.  Pairs absent from the dictionary are zero.  Maps
+    read a stacked copy, rebuilt when an entry is replaced, added or removed:
+    replace arrays rather than modify them in place.
     """
 
     def __init__(
@@ -69,8 +74,32 @@ class CPMap:
             if np.any(a):
                 store[(i, c)] = a
         self.images = store
+        self._stacked: tuple = ((), (), [])
 
     # -- basic structure ---------------------------------------------------
+
+    def _layout(self) -> list[tuple]:
+        """Per codomain size group: the codomain slots of its pairs in dictionary
+        order and, per domain size group, their domain slots, places in that
+        order and stacked images.  Kept while ``images`` is unchanged."""
+        keys, arrays = tuple(self.images), tuple(self.images.values())
+        if keys == self._stacked[0] and all(map(operator.is_, arrays, self._stacked[1])):
+            return self._stacked[2]
+        groups: dict[int, tuple[list, dict]] = {}
+        for (i, c), arr in zip(keys, arrays):
+            (gd, sd), (gc, sc) = self.domain.block_slots[i], self.codomain.block_slots[c]
+            slots, parts = groups.setdefault(gc, ([], {}))
+            dom_slots, at, arrs = parts.setdefault(gd, ([], [], []))
+            dom_slots.append(sd)
+            at.append(len(slots))
+            arrs.append(arr)
+            slots.append(sc)
+        layout = [
+            (gc, slots, [(gd, sd, at, np.stack(arrs)) for gd, (sd, at, arrs) in parts.items()])
+            for gc, (slots, parts) in groups.items()
+        ]
+        self._stacked = (keys, arrays, layout)
+        return layout
 
     def image_array(self, i: int, c: int) -> np.ndarray:
         d = self.domain.block_sizes[i]
@@ -79,19 +108,21 @@ class CPMap:
 
     def unit_image(self, i: int, j: int, k: int) -> AlgebraElement:
         """Image of the matrix unit e^{(i)}_{jk} as a codomain element."""
-        out = AlgebraElement.zeros(self.codomain)
-        for (bi, c), arr in self.images.items():
-            if bi == i:
-                out.blocks[c] = out.blocks[c] + arr[j, k]
-        return out
+        return self.apply(matrix_unit(self.domain, i, j, k))
 
     def apply(self, x: AlgebraElement) -> AlgebraElement:
+        """phi(x): one einsum per group of same-shape pairs, then each pair's term
+        added into its codomain block in dictionary order, as a pair-by-pair
+        sum would."""
         if x.algebra.block_sizes != self.domain.block_sizes:
             raise ValueError("element does not live in the domain")
-        out = AlgebraElement.zeros(self.codomain)
-        for (i, c), arr in self.images.items():
-            out.blocks[c] = out.blocks[c] + np.einsum("jk,jkab->ab", x.blocks[i], arr)
-        return out
+        stacks = self.codomain.zero_stacks()
+        for gc, slots, parts in self._layout():
+            terms = np.empty((len(slots),) + stacks[gc].shape[1:], complex)
+            for gd, dom_slots, at, arrays in parts:
+                terms[at] = np.einsum("njk,njkab->nab", x.stacks[gd][dom_slots], arrays)
+            np.add.at(stacks[gc], slots, terms)
+        return AlgebraElement.from_stacks(self.codomain, stacks)
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         return self.apply(x)
@@ -125,17 +156,11 @@ class CPMap:
         d, _, r, _ = arr.shape
         return arr.transpose(0, 2, 1, 3).reshape(d * r, d * r)
 
-    def choi_spectra(self) -> dict[tuple[int, int], float]:
-        """Smallest Choi eigenvalue for every stored block pair."""
-        out = {}
-        for (i, c), _ in self.images.items():
-            ch = self.choi_block(i, c)
-            out[(i, c)] = float(np.linalg.eigvalsh((ch + ch.conj().T) / 2).min())
-        return out
-
     def min_choi_eigenvalue(self) -> float:
-        spectra = self.choi_spectra()
-        return min(spectra.values(), default=0.0)
+        """Smallest Choi eigenvalue over the stored block pairs, 0 when none is stored."""
+        chois = [self.choi_block(i, c) for i, c in self.images]
+        lows = [float(np.linalg.eigvalsh((ch + ch.conj().T) / 2).min()) for ch in chois]
+        return min(lows, default=0.0)
 
     def is_completely_positive(self, tol: float = CP_TOL) -> bool:
         return self.min_choi_eigenvalue() >= -tol and self.adjoint_symmetry_defect() <= 1e-8
@@ -158,17 +183,9 @@ def choi_blocks(phi: CPMap, tol: float = CP_TOL) -> tuple[list[np.ndarray], bool
     blocks = []
     worst = 0.0
     for i in range(phi.domain.num_blocks):
-        per_pair = [phi.choi_block(i, c) for c in range(phi.codomain.num_blocks)]
-        total = sum(b.shape[0] for b in per_pair)
-        big = np.zeros((total, total), complex)
-        off = 0
-        for b in per_pair:
-            n = b.shape[0]
-            big[off : off + n, off : off + n] = b
-            off += n
+        big = block_diag(*[phi.choi_block(i, c) for c in range(phi.codomain.num_blocks)])
         blocks.append(big)
-        if total:
-            worst = min(worst, float(np.linalg.eigvalsh((big + big.conj().T) / 2).min()))
+        worst = min(worst, float(np.linalg.eigvalsh((big + big.conj().T) / 2).min()))
     return blocks, worst >= -tol, worst
 
 
@@ -208,10 +225,8 @@ def unitize(phi: CPMap, tol: float = CP_TOL) -> CPMap:
     images = {(i, c): arr.copy() for (i, c), arr in phi.images.items()}
     defect = AlgebraElement.identity(phi.codomain) - phi.apply_one()
     m = phi.domain.num_blocks
-    for c in range(phi.codomain.num_blocks):
-        block = defect.blocks[c]
-        if np.any(block):
-            images[(m, c)] = block.reshape(1, 1, *block.shape)
+    # the constructor drops the zero blocks
+    images.update({(m, c): b.reshape(1, 1, *b.shape) for c, b in enumerate(defect.blocks)})
     out = CPMap(new_domain, phi.codomain, images, phi.codomain_space, phi.codomain_matdim)
     if not out.is_completely_positive():
         raise AssertionError("unitization broke complete positivity")
@@ -239,30 +254,11 @@ class StinespringDilation:
     def rep_dimension(self) -> int:
         return sum(d * m for d, m in zip(self.domain.block_sizes, self.multiplicities))
 
-    def _offsets(self) -> list[int]:
-        offs = [0]
-        for d, m in zip(self.domain.block_sizes, self.multiplicities):
-            offs.append(offs[-1] + d * m)
-        return offs
-
     def pi_unit(self, i: int, j: int, k: int) -> np.ndarray:
-        n = self.rep_dimension
-        out = np.zeros((n, n), complex)
-        offs = self._offsets()
-        d = self.domain.block_sizes[i]
-        m = self.multiplicities[i]
-        unit = np.zeros((d, d))
-        unit[j, k] = 1.0
-        out[offs[i] : offs[i + 1], offs[i] : offs[i + 1]] = np.kron(unit, np.eye(m))
-        return out
+        return self.pi(matrix_unit(self.domain, i, j, k))
 
     def pi(self, x: AlgebraElement) -> np.ndarray:
-        n = self.rep_dimension
-        out = np.zeros((n, n), complex)
-        offs = self._offsets()
-        for i, (d, m) in enumerate(zip(self.domain.block_sizes, self.multiplicities)):
-            out[offs[i] : offs[i + 1], offs[i] : offs[i + 1]] = np.kron(x.blocks[i], np.eye(m))
-        return out
+        return block_diag(*[np.kron(b, np.eye(m)) for b, m in zip(x.blocks, self.multiplicities)])
 
     def reconstruct(self, x: AlgebraElement) -> np.ndarray:
         return self.V.conj().T @ self.pi(x) @ self.V
@@ -298,8 +294,7 @@ def stinespring(phi: CPMap, tol: float = CP_TOL) -> StinespringDilation:
         for col, a in enumerate(keep):
             kraus = (np.sqrt(w[a]) * vecs[:, a]).reshape(d, n).T  # N x d, phi = sum K x K^*
             # V block row (j, col) carries K^*[j, :]
-            for j in range(d):
-                vi[j * m + col, :] = kraus[:, j].conj()
+            vi.reshape(d, m, n)[:, col, :] = kraus.T.conj()
         v_parts.append(vi)
     V = np.vstack(v_parts) if v_parts else np.zeros((0, n), complex)
     dil = StinespringDilation(phi.domain, n, tuple(mults), V)
@@ -421,6 +416,36 @@ def strict_order_abelian_brute(phi: CPMap, tol: float = ORTH_TOL) -> int:
 # order-zero certification
 # ---------------------------------------------------------------------------
 
+def unit_stacks(phi: CPMap, i: int) -> list[np.ndarray]:
+    """phi(e^{(i)}_{jk}) for all (j, k), stacked like codomain elements:
+    ``[g][n, j, k]`` is block n of size group g."""
+    d = phi.domain.block_sizes[i]
+    units = [phi.unit_image(i, j, k).stacks for j in range(d) for k in range(d)]
+    return [np.stack(u, axis=1).reshape(len(u[0]), d, d, *u[0].shape[1:]) for u in zip(*units)]
+
+
+def _norms(stacks: list[np.ndarray]) -> np.ndarray:
+    """Operator norms of codomain elements stacked as in :func:`unit_stacks`."""
+    return np.max([np.linalg.svd(s, compute_uv=False).max(axis=(0, -1)) for s in stacks], axis=0)
+
+
+def unit_product_defects(
+    a: list[np.ndarray], b: list[np.ndarray], j: int, k: int, same_block: bool
+) -> np.ndarray:
+    """||a(e_jk) b(e_lm) - [same_block and k == l] a(e_jm)|| for every (l, m).
+
+    ``a`` and ``b`` are the unit images of two domain blocks, stacked as in
+    :func:`unit_stacks`; zero everywhere for a homomorphism.
+    """
+    out = []
+    for x, y in zip(a, b):
+        got = x[:, j, k, None, None] @ y
+        if same_block:
+            got[:, k] -= x[:, j]
+        out.append(got)
+    return _norms(out)
+
+
 @dataclass
 class OrderZeroCertificate:
     ok: bool
@@ -465,8 +490,6 @@ def certify_order_zero(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificat
                     f"blocks {i},{j}: ||phi(1_{i}) phi(1_{j})|| = {cross:.3e} > tol"
                 )
 
-    from .algebra import apply_function
-
     supports = []
     sigmas = []
     recon_defect = 0.0
@@ -476,18 +499,20 @@ def certify_order_zero(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificat
         supports.append(supp)
         s_half = apply_function(h, inverse_sqrt_on_support())
 
-        units = [[phi.unit_image(i, j, k) for k in range(d)] for j in range(d)]
+        # stacked like the codomain: units[g][n, j, k] is block n of group g of phi(e_jk)
+        units = unit_stacks(phi, i)
+        hg = [x[:, None, None] for x in h.stacks]
+        comm = _norms([hx @ u - u @ hx for hx, u in zip(hg, units)])
+        diag = [u[:, range(d), range(d)] for u in units]
+        prod = _norms([e[:, :, None] @ e[:, None, :] for e in diag])
         for j in range(d):
             for k in range(d):
-                comm = (h @ units[j][k] - units[j][k] @ h).norm()
-                if comm > tol:
-                    witnesses.append(f"block {i}: ||[h, phi(e_{j}{k})]|| = {comm:.3e} > tol")
-                if j != k:
-                    prod = (units[j][j] @ units[k][k]).norm()
-                    if prod > tol:
-                        witnesses.append(
-                            f"block {i}: ||phi(e_{j}{j}) phi(e_{k}{k})|| = {prod:.3e} > tol"
-                        )
+                if comm[j, k] > tol:
+                    witnesses.append(f"block {i}: ||[h, phi(e_{j}{k})]|| = {comm[j, k]:.3e} > tol")
+                if j != k and prod[j, k] > tol:
+                    witnesses.append(
+                        f"block {i}: ||phi(e_{j}{j}) phi(e_{k}{k})|| = {prod[j, k]:.3e} > tol"
+                    )
 
         sub_domain = FiniteDimAlgebra((d,), max_block=d)
         sig_arr = {}
@@ -498,28 +523,23 @@ def certify_order_zero(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificat
         sigma = CPMap(sub_domain, phi.codomain, sig_arr, phi.codomain_space, phi.codomain_matdim)
         sigmas.append(sigma)
 
-        sig_units = [[sigma.unit_image(0, j, k) for k in range(d)] for j in range(d)]
-        zero = AlgebraElement.zeros(phi.codomain)
+        sig = unit_stacks(sigma, 0)
         for j in range(d):
             for k in range(d):
-                for l in range(d):
-                    for mm in range(d):
-                        expect = sig_units[j][mm] if k == l else zero
-                        defect = (sig_units[j][k] @ sig_units[l][mm] - expect).norm()
-                        if defect > max(tol, 1e-7):
-                            witnesses.append(
-                                f"block {i}: sigma multiplicativity defect {defect:.3e} "
-                                f"at units ({j}{k})({l}{mm})"
-                            )
+                defect = unit_product_defects(sig, sig, j, k, True)
+                for l, mm in np.argwhere(defect > max(tol, 1e-7)).tolist():
+                    witnesses.append(
+                        f"block {i}: sigma multiplicativity defect {defect[l, mm]:.3e} "
+                        f"at units ({j}{k})({l}{mm})"
+                    )
         unit_defect = (sigma.apply_one() - supp).norm()
         if unit_defect > max(tol, 1e-7):
             witnesses.append(
                 f"block {i}: sigma(1) differs from the support projection by {unit_defect:.3e}"
             )
-        for j in range(d):
-            for k in range(d):
-                recon_defect = max(recon_defect, (units[j][k] - h @ sig_units[j][k]).norm())
-                recon_defect = max(recon_defect, (units[j][k] - sig_units[j][k] @ h).norm())
+        recon = [u - hx @ x for hx, u, x in zip(hg, units, sig)]
+        recon += [u - x @ hx for hx, u, x in zip(hg, units, sig)]
+        recon_defect = max(recon_defect, float(_norms(recon).max()))
     if recon_defect > max(tol, 1e-7):
         witnesses.append(f"reconstruction defect {recon_defect:.3e} > tol")
 
@@ -575,12 +595,15 @@ def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * ph
 
 
-def _min_pairwise_product(images: list[AlgebraElement]) -> float:
-    worst = np.inf
+def _worst_pair(images: list[AlgebraElement]) -> tuple[int, int, float]:
+    """The first pair of images with the smallest product norm, and that norm."""
+    worst = (0, 1, np.inf)
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
-            worst = min(worst, (images[i] @ images[j]).norm())
-    return float(worst) if len(images) > 1 else np.inf
+            v = (images[i] @ images[j]).norm()
+            if v < worst[2]:
+                worst = (i, j, v)
+    return worst
 
 
 def witness_elementary_set(
@@ -622,7 +645,7 @@ def witness_elementary_set(
             for t in range(take):
                 projs.append(projection_from_vector(phi.domain, b, frames[b][:, t]))
         images = [phi.apply(p) for p in projs]
-        return projs, _min_pairwise_product(images)
+        return projs, _worst_pair(images)[2]
 
     best_projs: list[AlgebraElement] = []
     best_val = -np.inf
@@ -642,16 +665,6 @@ def witness_elementary_set(
             best_projs, best_val = projs, val
 
     # corner refinement: rotate the worst pair inside its two-dimensional corner
-    def worst_pair(projs: list[AlgebraElement]) -> tuple[int, int, float]:
-        images = [phi.apply(p) for p in projs]
-        wi, wj, wv = 0, 1, np.inf
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                v = (images[i] @ images[j]).norm()
-                if v < wv:
-                    wi, wj, wv = i, j, v
-        return wi, wj, wv
-
     def block_and_vector(p: AlgebraElement) -> tuple[int, np.ndarray]:
         for b, blk in enumerate(p.blocks):
             if np.abs(blk).max() > 1e-9:
@@ -660,7 +673,7 @@ def witness_elementary_set(
         raise RuntimeError("zero projection in candidate set")
 
     while samples < budget and best_val <= tol and len(best_projs) >= 2:
-        i, j, _ = worst_pair(best_projs)
+        i, j, _ = _worst_pair([phi.apply(p) for p in best_projs])
         bi, vi = block_and_vector(best_projs[i])
         bj, vj = block_and_vector(best_projs[j])
         if bi != bj:
@@ -678,7 +691,7 @@ def witness_elementary_set(
         cand[i] = projection_from_vector(phi.domain, bi, va)
         cand[j] = projection_from_vector(phi.domain, bi, vb)
         images = [phi.apply(p) for p in cand]
-        val = _min_pairwise_product(images)
+        val = _worst_pair(images)[2]
         samples += 1
         if val > best_val:
             best_projs, best_val = cand, val
@@ -741,20 +754,19 @@ def tensor_with_identity(phi: CPMap, r: int) -> CPMap:
         return CPMap(
             phi.domain, phi.codomain, dict(phi.images), phi.codomain_space, phi.codomain_matdim
         )
-    new_domain = FiniteDimAlgebra(tuple(d * r for d in phi.domain.block_sizes))
-    new_codomain = FiniteDimAlgebra(tuple(n * r for n in phi.codomain.block_sizes))
+    dom_sizes = tuple(d * r for d in phi.domain.block_sizes)
+    cod_sizes = tuple(n * r for n in phi.codomain.block_sizes)
+    new_domain = FiniteDimAlgebra(dom_sizes, max_block=max(dom_sizes))
+    new_codomain = FiniteDimAlgebra(cod_sizes, max_block=max(cod_sizes))
     images = {}
     for (i, c), arr in phi.images.items():
         d, _, n, _ = arr.shape
-        out = np.zeros((d * r, d * r, n * r, n * r), complex)
+        # e_jk (x) e_ab maps to phi(e_jk) (x) e_ab
+        out = np.zeros((d, r, d, r, n, r, n, r), complex)
         for a in range(r):
             for b in range(r):
-                unit = np.zeros((r, r))
-                unit[a, b] = 1.0
-                for j in range(d):
-                    for k in range(d):
-                        out[j * r + a, k * r + b] = np.kron(arr[j, k], unit)
-        images[(i, c)] = out
+                out[:, a, :, b, :, a, :, b] = arr
+        images[(i, c)] = out.reshape(d * r, d * r, n * r, n * r)
     return CPMap(
         new_domain,
         new_codomain,
@@ -787,7 +799,7 @@ def tensor_strict_order_exact(
     es.validate()
     if len(clique) > 1:
         images = [tensored.apply(p) for p in witness_members]
-        low = _min_pairwise_product(images)
+        low = _worst_pair(images)[2]
         if low <= tol:
             raise AssertionError("tensored witness lost its pairwise products")
     return order, es

@@ -122,21 +122,23 @@ def cpmap_to_json(phi: CPMap) -> dict:
         codomain = {"matrix": phi.codomain.block_sizes[0]}
     else:
         codomain = {"algebra": algebra_to_json(phi.codomain)}
-    units = []
-    for i, d in enumerate(phi.domain.block_sizes):
-        for j in range(d):
-            for k in range(d):
-                img = phi.unit_image(i, j, k)
-                if img.norm() <= 0.0:
-                    continue
-                units.append(
-                    {"block": i, "row": j, "col": k, "value": element_to_json(img)}
-                )
     return {
         "domain": algebra_to_json(phi.domain),
         "codomain": codomain,
-        "unit_images": units,
+        "unit_images": unit_records(phi),
     }
+
+
+def unit_records(phi: CPMap) -> list[dict]:
+    """One record per matrix unit whose stored images are not all zero."""
+    live: dict[int, np.ndarray] = {}
+    for (i, _), arr in phi.images.items():
+        live[i] = live.get(i, False) | np.any(arr, axis=(2, 3))
+    return [
+        {"block": int(i), "row": j, "col": k, "value": element_to_json(phi.unit_image(i, j, k))}
+        for i in sorted(live)
+        for j, k in np.argwhere(live[i]).tolist()
+    ]
 
 
 def cpmap_from_json(data: Any, max_block: int = 64) -> CPMap:
@@ -207,9 +209,4 @@ def approximation_from_json(data: Any, max_block: int = 64) -> CPApproximation:
     matdim = phi.codomain_matdim
     points = data.get("points")
     eval_pts = [int(p) for p in points] if points is not None else None
-    weights = None
-    if matdim == 1 and F.is_abelian() and eval_pts is not None:
-        weights = np.zeros((F.num_blocks, space.npts))
-        for (l, x), arr in phi.images.items():
-            weights[l, x] = arr[0, 0, 0, 0].real
-    return CPApproximation(space, matdim, F, psi, phi, eval_pts, weights)
+    return CPApproximation(space, matdim, F, psi, phi, eval_pts)

@@ -10,7 +10,7 @@ completely positive approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +19,8 @@ from .algebra import (
     FiniteDimAlgebra,
     apply_function,
     eigh_canonical,
-    indicator_above,
     inverse_sqrt_on_support,
+    spectrum,
     validate,
 )
 from .cpmaps import (
@@ -28,6 +28,8 @@ from .cpmaps import (
     OrderZeroCertificate,
     certify_order_zero,
     compress,
+    unit_product_defects,
+    unit_stacks,
 )
 
 
@@ -58,10 +60,6 @@ class OrderZeroDecomposition:
     reconstruction_defect: float
     certificate: OrderZeroCertificate
 
-    def reconstruct_unit(self, i: int, j: int, k: int) -> AlgebraElement:
-        blk = self.blocks[i]
-        return blk.h @ blk.sigma.unit_image(0, j, k)
-
 
 def _distinct_positive(values: np.ndarray, tol: float) -> tuple[float, ...]:
     vals = sorted(float(v) for v in values if v > tol)
@@ -88,17 +86,11 @@ def decompose_order_zero(phi: CPMap, tol: float = 1e-9) -> OrderZeroDecompositio
         h = cert.h_blocks[i]
         sigma = cert.sigma_maps[i]
         supp = cert.support_projections[i]
-        w = np.concatenate(
-            [np.linalg.eigvalsh((b + b.conj().T) / 2) for b in h.blocks]
-        )
-        support_vals = _distinct_positive(w, 1e-7)
+        support_vals = _distinct_positive(spectrum(h, tol=np.inf), 1e-7)
         if support_vals and support_vals[-1] > 1.0 + 1e-7:
             raise ValueError(f"block {i}: eigenvalue {support_vals[-1]:.6g} above 1")
-        for j in range(d):
-            for k in range(d):
-                target = phi.unit_image(i, j, k)
-                rec = h @ sigma.unit_image(0, j, k)
-                worst = max(worst, (target - rec).norm())
+        recon = [phi.unit_image(i, j, k) - h @ sigma.unit_image(0, j, k) for j, k in np.ndindex(d, d)]
+        worst = max([worst] + [x.norm() for x in recon])
         blocks.append(BlockDecomposition(support_vals, h, sigma, supp))
     if worst > tol:
         raise ValueError(
@@ -121,24 +113,14 @@ class ProjectionCaseVerdict:
 
 def _hom_defect(phi: CPMap) -> float:
     """Worst multiplicativity defect of a map on pairs of matrix units."""
-    worst = 0.0
-    zero = AlgebraElement.zeros(phi.codomain)
-    units: dict[int, list[list[AlgebraElement]]] = {}
-    for i, d in enumerate(phi.domain.block_sizes):
-        units[i] = [[phi.unit_image(i, j, k) for k in range(d)] for j in range(d)]
-    for i, d in enumerate(phi.domain.block_sizes):
-        for i2, d2 in enumerate(phi.domain.block_sizes):
-            for j in range(d):
-                for k in range(d):
-                    for l in range(d2):
-                        for m in range(d2):
-                            prod = units[i][j][k] @ units[i2][l][m]
-                            if i == i2 and k == l:
-                                expect = units[i][j][m]
-                            else:
-                                expect = zero
-                            worst = max(worst, (prod - expect).norm())
-    return worst
+    units = [unit_stacks(phi, i) for i in range(phi.domain.num_blocks)]
+    return max(
+        float(unit_product_defects(units[i], units[i2], j, k, i == i2).max())
+        for i, d in enumerate(phi.domain.block_sizes)
+        for i2 in range(len(units))
+        for j in range(d)
+        for k in range(d)
+    )
 
 
 def check_projection_case(phi: CPMap, tol: float = 1e-9) -> ProjectionCaseVerdict:
@@ -178,8 +160,8 @@ def _cb_upper_bound(phi_a: CPMap, phi_b: CPMap) -> float:
     and negative Choi eigenspaces; each part's norm is the norm of its value
     at the unit.
     """
-    pos = AlgebraElement.zeros(phi_a.codomain)
-    neg = AlgebraElement.zeros(phi_a.codomain)
+    pos = [np.zeros((r, r), complex) for r in phi_a.codomain.block_sizes]
+    neg = [np.zeros((r, r), complex) for r in phi_a.codomain.block_sizes]
     for i, d in enumerate(phi_a.domain.block_sizes):
         for c in range(phi_a.codomain.num_blocks):
             diff = phi_a.image_array(i, c) - phi_b.image_array(i, c)
@@ -193,9 +175,9 @@ def _cb_upper_bound(phi_a: CPMap, phi_b: CPMap) -> float:
             arr_pos = cp_pos.reshape(d, r, d, r).transpose(0, 2, 1, 3)
             arr_neg = cp_neg.reshape(d, r, d, r).transpose(0, 2, 1, 3)
             for j in range(d):
-                pos.blocks[c] = pos.blocks[c] + arr_pos[j, j]
-                neg.blocks[c] = neg.blocks[c] + arr_neg[j, j]
-    return pos.norm() + neg.norm()
+                pos[c] = pos[c] + arr_pos[j, j]
+                neg[c] = neg[c] + arr_neg[j, j]
+    return AlgebraElement(phi_a.codomain, pos).norm() + AlgebraElement(phi_a.codomain, neg).norm()
 
 
 def _norm_probe_family(domain: FiniteDimAlgebra, seed: int = 7, count: int = 50) -> list[AlgebraElement]:
@@ -294,14 +276,8 @@ def dist_to_hom_image(a: AlgebraElement, phi_prime: CPMap) -> float:
         return a.norm()
     B = np.stack(basis, axis=1)
     coeff, *_ = np.linalg.lstsq(B, target, rcond=None)
-    best_vec = B @ coeff
-    shapes = [b.shape for b in a.blocks]
-    best_blocks = []
-    off = 0
-    for shp in shapes:
-        n = shp[0] * shp[1]
-        best_blocks.append(best_vec[off : off + n].reshape(shp))
-        off += n
+    ends = np.cumsum([r * r for r in a.algebra.block_sizes])[:-1]
+    best_blocks = [v.reshape(r, r) for v, r in zip(np.split(B @ coeff, ends), a.algebra.block_sizes)]
     best = AlgebraElement(a.algebra, best_blocks)
     return (a - best).norm()
 

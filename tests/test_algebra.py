@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cprank import (
     AlgebraElement,
+    CPMap,
     FiniteDimAlgebra,
     GapHypothesisError,
     apply_function,
@@ -12,11 +15,12 @@ from cprank import (
     indicator_above,
     inverse_above_gap,
     inverse_sqrt_on_support,
+    soft_indicator,
     spectrum,
     support_projection,
     validate,
 )
-from cprank.algebra import block_spectra
+from cprank.algebra import RANK_TOL, block_spectra
 
 from conftest import rand_complex, rand_hermitian, rand_psd, rand_unitary
 
@@ -187,3 +191,145 @@ class TestNormAndValidate:
         assert not validate(diag_elem(1.5), "contraction").ok
         assert not validate(diag_elem(-0.1, 0.2), "positive").ok
         assert validate(diag_elem(0.0, 0.2), "positive").ok
+
+
+# ---------------------------------------------------------------------------
+# stacked storage against per-block numpy references
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def ref_eigh_canonical(mat):
+    """Matrix-by-matrix eigh with the documented phase rule, column by column."""
+    w, v = np.linalg.eigh(mat)
+    for i in range(v.shape[1]):
+        col = v[:, i]
+        nz = np.flatnonzero(np.abs(col) > 1e-12 * max(1.0, np.abs(col).max()))
+        if nz.size:
+            c = col[nz[0]]
+            v[:, i] = col * (c.conjugate() / abs(c))
+    return w, v
+
+
+def sym(b):
+    return (b + b.conj().T) / 2
+
+
+@st.composite
+def mixed_algebras(draw):
+    """An algebra with repeated block sizes 1-4, and a seeded generator."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=7))
+    return FiniteDimAlgebra(sizes), np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+def blocks_of(alg, rng, kind="complex"):
+    """Random blocks.  Hermitian and positive ones may almost decouple the
+    first basis vector: LAPACK returns eigenvectors with a real first entry,
+    and only when that entry is negligible does the phase rule act on a
+    complex one."""
+    out = []
+    for r in alg.block_sizes:
+        if kind == "complex":
+            out.append(rand_complex(rng, (r, r)))
+            continue
+        if kind == "hermitian":
+            b = rand_hermitian(rng, r)
+        else:
+            g = rand_complex(rng, (r, int(rng.integers(0, r + 1))))
+            b = g @ g.conj().T
+        if rng.random() < 0.5:
+            b[0, 1:] *= 1e-14
+            b[1:, 0] *= 1e-14
+        out.append(b)
+    return out
+
+
+def same_blocks(elem, ref):
+    return len(elem.blocks) == len(ref) and all(np.array_equal(a, b) for a, b in zip(elem.blocks, ref))
+
+
+class TestStackedMatchesPerBlock:
+    @PROPERTY
+    @given(mixed_algebras())
+    def test_arithmetic_and_norm(self, case):
+        alg, rng = case
+        xb, yb = blocks_of(alg, rng), blocks_of(alg, rng)
+        x, y = AlgebraElement(alg, xb), AlgebraElement(alg, yb)
+        assert same_blocks(x, xb)
+        assert x.norm() == max(float(np.linalg.norm(b, 2)) for b in xb)
+        assert same_blocks(x @ y, [a @ b for a, b in zip(xb, yb)])
+        assert same_blocks(x + y, [a + b for a, b in zip(xb, yb)])
+        assert same_blocks(x.adjoint(), [a.conj().T for a in xb])
+
+    @PROPERTY
+    @given(mixed_algebras())
+    def test_spectra_and_functional_calculus(self, case):
+        alg, rng = case
+        hb = blocks_of(alg, rng, "hermitian")
+        h = AlgebraElement(alg, hb)
+        spectra = block_spectra(h)
+        assert len(spectra) == alg.num_blocks
+        assert all(np.array_equal(w, np.linalg.eigvalsh(sym(b))) for w, b in zip(spectra, hb))
+        spec = soft_indicator(0.1, 0.3)
+        ref = []
+        for b in hb:
+            w, v = ref_eigh_canonical(sym(b))
+            fw = np.interp(np.clip(w, spec.knots[0], spec.knots[-1]), spec.knots, spec.values)
+            ref.append((v * fw) @ v.conj().T)
+        assert same_blocks(apply_function(h, spec), ref)
+
+    @PROPERTY
+    @given(mixed_algebras())
+    def test_support_projection(self, case):
+        alg, rng = case
+        pb = blocks_of(alg, rng, "positive")
+        ref = []
+        for b in pb:
+            w, v = ref_eigh_canonical(sym(b))
+            ref.append((v * (w > RANK_TOL).astype(float)) @ v.conj().T)
+        assert same_blocks(support_projection(AlgebraElement(alg, pb)), ref)
+
+    @PROPERTY
+    @given(mixed_algebras(), mixed_algebras())
+    def test_cpmap_apply(self, dom_case, cod_case):
+        dom, rng = dom_case
+        cod, _ = cod_case
+        pairs = [(i, c) for i in range(dom.num_blocks) for c in range(cod.num_blocks)]
+        images = {}
+        for p in rng.permutation(len(pairs)):
+            i, c = pairs[p]
+            if rng.random() < 0.6:
+                d, r = dom.block_sizes[i], cod.block_sizes[c]
+                images[(i, c)] = rand_complex(rng, (d, d, r, r))
+        phi = CPMap(dom, cod, images)
+        xb = blocks_of(dom, rng)
+        ref = [np.zeros((r, r), complex) for r in cod.block_sizes]
+        for (i, c), arr in images.items():
+            ref[c] = ref[c] + np.einsum("jk,jkab->ab", xb[i], arr)
+        assert same_blocks(phi.apply(AlgebraElement(dom, xb)), ref)
+        i = int(rng.integers(dom.num_blocks))
+        j, k = rng.integers(dom.block_sizes[i], size=2)
+        ref = [np.zeros((r, r), complex) for r in cod.block_sizes]
+        for (bi, c), arr in images.items():
+            if bi == i:
+                ref[c] = ref[c] + arr[j, k]
+        assert same_blocks(phi.unit_image(i, j, k), ref)
+
+    def test_violation_names_first_block(self):
+        # the size-2 blocks are stored together, ahead of the size-1 block;
+        # the error still names block 1, the first offending block
+        alg = FiniteDimAlgebra((2, 1, 2))
+        h = AlgebraElement(alg, [np.diag([0.0, 1.0]), [[0.5]], np.diag([0.45, 1.0])])
+        with pytest.raises(GapHypothesisError, match="eigenvalue 0.5 "):
+            apply_function(h, indicator_above(0.5, gap=0.2))
+        with pytest.raises(ValueError, match="eigenvalue -5.000e-01"):
+            support_projection(AlgebraElement(alg, [np.eye(2), [[-0.5]], -np.eye(2)]))
+
+    def test_blocks_are_read_only_views(self):
+        alg = FiniteDimAlgebra((1, 2, 1))
+        x = AlgebraElement(alg, [[[1.0]], np.eye(2), [[3.0]]])
+        assert len(alg.group_sizes) == 2 and x.stacks[0].shape == (2, 1, 1)
+        with pytest.raises(ValueError):
+            x.blocks[2][0, 0] = 0.0
+

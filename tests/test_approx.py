@@ -115,7 +115,6 @@ class TestBuilder:
             approx.phi.codomain_space,
             approx.phi.codomain_matdim,
         )
-        approx.weights = approx.weights * 2.0
         rep = verify_cp_approx(approx, [xs], 0.3)
         assert not rep.phi_contractive
 

@@ -348,6 +348,11 @@ class TestOrderZeroCertification:
         for p in res.found.projections:
             assert abs(np.trace(p.blocks[0]).real - 1.0) <= 1e-9
 
+    def test_zero_map_on_m20_certifies(self):
+        cert = certify_order_zero(CPMap(FiniteDimAlgebra((20,)), FiniteDimAlgebra((2,)), {}))
+        assert cert.ok
+        assert cert.witnesses == []
+
 
 class TestStrictOrderBounds:
     def test_abelian_exact(self):
@@ -443,3 +448,11 @@ class TestTensoring:
         phi = rand_order_zero(rng, [2], 2)
         out = tensor_with_identity(phi, 2)
         assert certify_order_zero(out).ok
+
+    def test_block_above_default_cap(self):
+        # inflating by r = 65 is legal when the inflated algebras take their
+        # largest block as cap
+        phi = CPMap(FiniteDimAlgebra((1,)), FiniteDimAlgebra((1,)), {})
+        out = tensor_with_identity(phi, 65)
+        assert out.domain.block_sizes == (65,)
+        assert out.codomain.block_sizes == (65,)
