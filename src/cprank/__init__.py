@@ -46,7 +46,7 @@ from .approx import (
     tensor_approx,
     verify_cp_approx,
 )
-from .cliques import max_clique, max_clique_brute
+from .cliques import max_clique
 from .covers import (
     Cover,
     FiniteMetricSpace,

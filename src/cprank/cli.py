@@ -61,7 +61,7 @@ def _load(path: str) -> Any:
 
 
 def _emit(obj: Any, out_path: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = jsonio.dumps(obj) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

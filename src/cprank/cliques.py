@@ -22,8 +22,6 @@ MaxSAT-style, bound: Li & Quan, MaxCLQ 2010; San Segundo et al., BBMCX
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
 
@@ -136,14 +134,3 @@ def max_clique(adj: np.ndarray) -> list[int]:
 
     expand((1 << n) - 1)
     return sorted(perm[i] for i in best)
-
-
-def max_clique_brute(adj: np.ndarray) -> int:
-    """Exhaustive oracle, for graphs of at most ~16 vertices (tests only)."""
-    adj = np.asarray(adj, dtype=bool)
-    n = adj.shape[0]
-    for size in range(n, 0, -1):
-        for sub in combinations(range(n), size):
-            if all(adj[a, b] for a, b in combinations(sub, 2)):
-                return size
-    return 0

@@ -165,23 +165,6 @@ def cover_order(cover: Cover) -> int:
     return max((mask.bit_count() for mask in through), default=0) - 1
 
 
-def cover_order_brute(cover: Cover) -> int:
-    """Subset-enumeration oracle (tests, at most ~12 members)."""
-    best = 0
-    masks = cover.masks()
-    k = len(masks)
-    for size in range(1, k + 1):
-        for sub in combinations(range(k), size):
-            inter = masks[sub[0]]
-            for i in sub[1:]:
-                inter &= masks[i]
-                if not inter:
-                    break
-            if inter:
-                best = max(best, size)
-    return best - 1
-
-
 def intersection_graph(cover: Cover) -> np.ndarray:
     """Boolean adjacency of the members, an edge where two members meet.
 
@@ -207,18 +190,6 @@ def intersection_graph(cover: Cover) -> np.ndarray:
 def cover_strict_order(cover: Cover) -> int:
     """Clique number of the intersection graph, minus one (exact)."""
     return max(len(max_clique(intersection_graph(cover))) - 1, 0)
-
-
-def cover_strict_order_brute(cover: Cover) -> int:
-    """Oracle: largest subfamily with no disjoint pair, minus one."""
-    masks = cover.masks()
-    k = len(masks)
-    best = 1 if k else 0
-    for size in range(2, k + 1):
-        for sub in combinations(range(k), size):
-            if all(masks[a] & masks[b] for a, b in combinations(sub, 2)):
-                best = max(best, size)
-    return max(best - 1, 0)
 
 
 def refines(fine: Cover, coarse: Cover) -> tuple[bool, list[int | None]]:

@@ -108,7 +108,7 @@ class CPMap:
 
     def unit_image(self, i: int, j: int, k: int) -> AlgebraElement:
         """Image of the matrix unit e^{(i)}_{jk} as a codomain element."""
-        return self.apply(matrix_unit(self.domain, i, j, k))
+        return AlgebraElement.from_stacks(self.codomain, unit_stacks(self, i, (j, k)))
 
     def apply(self, x: AlgebraElement) -> AlgebraElement:
         """phi(x): one einsum per group of same-shape pairs, then each pair's term
@@ -396,32 +396,22 @@ def strict_order_abelian(phi: CPMap, tol: float = ORTH_TOL) -> int:
     return max(len(max_clique(_generator_graph(phi, tol))) - 1, 0)
 
 
-def strict_order_abelian_brute(phi: CPMap, tol: float = ORTH_TOL) -> int:
-    """Subset-enumeration oracle for abelian strict order (tests, s <= 12)."""
-    from itertools import combinations
-
-    if not phi.domain.is_abelian():
-        raise ValueError("domain is not abelian")
-    s = phi.domain.num_blocks
-    gens = [phi.unit_image(i, 0, 0) for i in range(s)]
-    best = 1 if s else 0
-    for size in range(2, s + 1):
-        for sub in combinations(range(s), size):
-            if all((gens[a] @ gens[b]).norm() > tol for a, b in combinations(sub, 2)):
-                best = max(best, size)
-    return max(best - 1, 0)
-
-
 # ---------------------------------------------------------------------------
 # order-zero certification
 # ---------------------------------------------------------------------------
 
-def unit_stacks(phi: CPMap, i: int) -> list[np.ndarray]:
-    """phi(e^{(i)}_{jk}) for all (j, k), stacked like codomain elements:
-    ``[g][n, j, k]`` is block n of size group g."""
-    d = phi.domain.block_sizes[i]
-    units = [phi.unit_image(i, j, k).stacks for j in range(d) for k in range(d)]
-    return [np.stack(u, axis=1).reshape(len(u[0]), d, d, *u[0].shape[1:]) for u in zip(*units)]
+def unit_stacks(phi: CPMap, i: int, at: tuple = np.s_[:, :]) -> list[np.ndarray]:
+    """phi(e^{(i)}_{jk}) for the (j, k) that ``at`` selects, stacked like codomain
+    elements: ``[g][n, j, k]`` is block n of size group g.  Each entry is ``0.0 + x``
+    for a stored x, the bits :meth:`CPMap.apply` gives a matrix unit on finite images."""
+    cod = phi.codomain
+    lead = np.zeros((phi.domain.block_sizes[i],) * 2)[at].shape
+    stacks = [np.zeros((len(b),) + lead + (r, r), complex) for r, b in zip(cod.group_sizes, cod.group_blocks)]
+    for (i2, c), arr in phi.images.items():
+        if i2 == i:
+            g, s = cod.block_slots[c]
+            stacks[g][s] += arr[at]
+    return stacks
 
 
 def _norms(stacks: list[np.ndarray]) -> np.ndarray:

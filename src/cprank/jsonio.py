@@ -2,12 +2,14 @@
 
 Complex entries are ``[re, im]`` pairs; block-diagonal elements are lists of
 such matrices; maps carry one record per nonzero matrix-unit image.  Parsing
-is strict: unknown shapes raise :class:`SchemaError` so the CLI can exit with
-the schema code.
+is strict: unknown shapes, indices outside the domain and entries that are not
+finite numbers raise :class:`SchemaError` so the CLI can exit with the schema
+code.  Output text is :func:`dumps`, byte for byte ``json``'s indented form.
 """
 
 from __future__ import annotations
 
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -15,31 +17,68 @@ import numpy as np
 from .algebra import AlgebraElement, FiniteDimAlgebra
 from .approx import CPApproximation, function_algebra
 from .covers import Cover, FiniteMetricSpace, SimplicialComplex
-from .cpmaps import CPMap
+from .cpmaps import CPMap, unit_stacks
 
 
 class SchemaError(ValueError):
     """Input JSON does not match the documented schema."""
 
 
-def _complex_to_json(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def dumps(obj: Any) -> str:
+    """Exactly ``json.dumps(obj, sort_keys=True, indent=2)``, its TypeError
+    included.  With ``indent`` set, ``json`` encodes in pure Python one token
+    at a time; this joins per container, and a list of one scalar type at once."""
+    return _encode(obj, "\n")
 
 
-def _complex_from_json(v: Any) -> complex:
-    if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise SchemaError(f"complex entry must be [re, im], got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+_SCALARS = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
+_NAMES = {None: "null", True: "true", False: "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _encode(o: Any, nl: str) -> str:
+    """``o`` as ``json`` writes it on a line that starts with ``nl``."""
+    inner = nl + "  "
+    if isinstance(o, (list, tuple)):
+        kinds = set(map(type, o))
+        scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        text = ("," + inner).join(map(scalar, o)) if scalar else ""
+        if not scalar or scalar is float.__repr__ and "n" in text:  # nan and inf
+            text = ("," + inner).join([_encode(v, inner) for v in o])
+        return "[" + inner + text + nl + "]" if o else "[]"
+    if isinstance(o, dict):
+        text = ("," + inner).join([_key(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())])
+        return "{" + inner + text + nl + "}" if o else "{}"
+    if o is None or o is True or o is False:
+        return _NAMES[o]
+    for kind, write in _SCALARS.items():
+        if isinstance(o, kind):  # subclasses too, np.float64 among them
+            text = write(o)
+            return _NAMES.get(text, text)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _key(k: Any) -> str:
+    if isinstance(k, (str, int, float)) or k is None:
+        return encode_basestring_ascii(k if isinstance(k, str) else _encode(k, ""))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    return [[_complex_to_json(z) for z in row] for row in np.asarray(m, dtype=complex)]
+    """Nested ``[re, im]`` lists of a complex array of any shape."""
+    a = np.ascontiguousarray(m, dtype=complex)
+    return a.view(float).reshape(a.shape + (2,)).tolist()
 
 
-def matrix_from_json(data: Any) -> np.ndarray:
-    if not isinstance(data, list) or not data:
-        raise SchemaError("matrix must be a nonempty list of rows")
-    return np.array([[_complex_from_json(v) for v in row] for row in data], dtype=complex)
+def matrix_from_json(data: Any, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex array of ``shape`` from nested ``[re, im]`` lists, parsed by one
+    ``np.array``; ``view`` keeps every bit, the sign of zero included."""
+    try:
+        a = np.array(data)
+    except ValueError as exc:
+        raise SchemaError(f"ragged matrix entries: {exc}") from exc
+    if a.shape != shape + (2,) or a.dtype.kind not in "iuf" or not np.isfinite(a).all():
+        raise SchemaError(f"need {shape} finite [re, im] numbers, got shape {a.shape} of {a.dtype}")
+    return np.ascontiguousarray(a, dtype=float).view(complex).reshape(shape)
 
 
 def algebra_to_json(a: FiniteDimAlgebra) -> dict:
@@ -59,10 +98,14 @@ def element_to_json(a: AlgebraElement) -> dict:
 
 def element_from_json(algebra: FiniteDimAlgebra, data: Any) -> AlgebraElement:
     try:
-        blocks = [matrix_from_json(b) for b in data["blocks"]]
+        blocks = data["blocks"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"element needs blocks: {exc}") from exc
-    return AlgebraElement(algebra, blocks)
+    if not isinstance(blocks, list) or len(blocks) != algebra.num_blocks:
+        raise SchemaError(f"element needs a list of {algebra.num_blocks} blocks")
+    groups = zip(algebra.group_sizes, algebra.group_blocks)
+    stacks = [matrix_from_json([blocks[b] for b in idx], (len(idx), r, r)) for r, idx in groups]
+    return AlgebraElement.from_stacks(algebra, stacks)
 
 
 def space_to_json(space: FiniteMetricSpace) -> dict:
@@ -134,8 +177,10 @@ def unit_records(phi: CPMap) -> list[dict]:
     live: dict[int, np.ndarray] = {}
     for (i, _), arr in phi.images.items():
         live[i] = live.get(i, False) | np.any(arr, axis=(2, 3))
+    units = {i: [matrix_to_json(s.transpose(1, 2, 0, 3, 4)) for s in unit_stacks(phi, i)] for i in live}
+    slots = phi.codomain.block_slots
     return [
-        {"block": int(i), "row": j, "col": k, "value": element_to_json(phi.unit_image(i, j, k))}
+        {"block": int(i), "row": j, "col": k, "value": {"blocks": [units[i][g][j][k][n] for g, n in slots]}}
         for i in sorted(live)
         for j, k in np.argwhere(live[i]).tolist()
     ]
@@ -163,23 +208,26 @@ def cpmap_from_json(data: Any, max_block: int = 64) -> CPMap:
     else:
         raise SchemaError("codomain must give matrix, space, or algebra")
 
+    if not isinstance(units, list):
+        raise SchemaError("unit_images must be a list of records")
+    sizes = domain.block_sizes
     images: dict[tuple[int, int], np.ndarray] = {}
     for rec in units:
         try:
             i, j, k = int(rec["block"]), int(rec["row"]), int(rec["col"])
             value = rec["value"]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"unit image needs block,row,col,value: {exc}") from exc
-        if i >= domain.num_blocks or j >= domain.block_sizes[i] or k >= domain.block_sizes[i]:
+        if not (0 <= i < len(sizes) and 0 <= j < sizes[i] and 0 <= k < sizes[i]):
             raise SchemaError(f"unit index ({i},{j},{k}) outside the domain")
-        elem = element_from_json(codomain, value)
-        d = domain.block_sizes[i]
-        for c, blk in enumerate(elem.blocks):
-            if not np.any(blk):
-                continue
-            r = codomain.block_sizes[c]
-            arr = images.setdefault((i, c), np.zeros((d, d, r, r), complex))
-            arr[j, k] += blk
+        stacks = element_from_json(codomain, value).stacks
+        live = np.empty(codomain.num_blocks, bool)
+        for s, idx in zip(stacks, codomain.group_blocks):
+            live[idx] = np.any(s, axis=(1, 2))
+        for c in np.flatnonzero(live).tolist():
+            g, n = codomain.block_slots[c]
+            arr = images.setdefault((i, c), np.zeros((sizes[i],) * 2 + stacks[g].shape[1:], complex))
+            arr[j, k] += stacks[g][n]
     return CPMap(domain, codomain, images, codomain_space=space, codomain_matdim=matdim)
 
 

@@ -82,15 +82,16 @@ def decompose_order_zero(phi: CPMap, tol: float = 1e-9) -> OrderZeroDecompositio
         raise ValueError("map is not order zero: " + "; ".join(cert.witnesses[:4]))
     blocks = []
     worst = 0.0
-    for i, d in enumerate(phi.domain.block_sizes):
+    for i in range(phi.domain.num_blocks):
         h = cert.h_blocks[i]
         sigma = cert.sigma_maps[i]
         supp = cert.support_projections[i]
         support_vals = _distinct_positive(spectrum(h, tol=np.inf), 1e-7)
         if support_vals and support_vals[-1] > 1.0 + 1e-7:
             raise ValueError(f"block {i}: eigenvalue {support_vals[-1]:.6g} above 1")
-        recon = [phi.unit_image(i, j, k) - h @ sigma.unit_image(0, j, k) for j, k in np.ndindex(d, d)]
-        worst = max([worst] + [x.norm() for x in recon])
+        units = zip(unit_stacks(phi, i), h.stacks, unit_stacks(sigma, 0))
+        recon = [u - hg[:, None, None] @ s for u, hg, s in units]
+        worst = max([worst] + [float(np.linalg.svd(x, compute_uv=False).max()) for x in recon])
         blocks.append(BlockDecomposition(support_vals, h, sigma, supp))
     if worst > tol:
         raise ValueError(

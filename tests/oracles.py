@@ -1,0 +1,145 @@
+"""Brute-force and per-entry references that the fast kernels are tested against.
+
+Each function here is the plain version of a kernel in ``cprank``: subset
+enumeration for clique numbers, cover orders and abelian strict order; the
+entry-by-entry reader of a map's unit records; and the image of a matrix
+unit computed by ``CPMap.apply``.  They are plain rather than fast, and serve
+only as oracles.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+from typing import Any
+
+import numpy as np
+
+from cprank import AlgebraElement, CPMap, Cover, FiniteDimAlgebra, function_algebra
+from cprank.algebra import matrix_unit
+from cprank.cpmaps import ORTH_TOL
+from cprank.jsonio import SchemaError, algebra_from_json, space_from_json
+
+
+def max_clique_brute(adj: np.ndarray) -> int:
+    """Exhaustive oracle, for graphs of at most ~16 vertices (tests only)."""
+    adj = np.asarray(adj, dtype=bool)
+    n = adj.shape[0]
+    for size in range(n, 0, -1):
+        for sub in combinations(range(n), size):
+            if all(adj[a, b] for a, b in combinations(sub, 2)):
+                return size
+    return 0
+
+
+def cover_order_brute(cover: Cover) -> int:
+    """Subset-enumeration oracle (tests, at most ~12 members)."""
+    best = 0
+    masks = cover.masks()
+    k = len(masks)
+    for size in range(1, k + 1):
+        for sub in combinations(range(k), size):
+            inter = masks[sub[0]]
+            for i in sub[1:]:
+                inter &= masks[i]
+                if not inter:
+                    break
+            if inter:
+                best = max(best, size)
+    return best - 1
+
+
+def cover_strict_order_brute(cover: Cover) -> int:
+    """Oracle: largest subfamily with no disjoint pair, minus one."""
+    masks = cover.masks()
+    k = len(masks)
+    best = 1 if k else 0
+    for size in range(2, k + 1):
+        for sub in combinations(range(k), size):
+            if all(masks[a] & masks[b] for a, b in combinations(sub, 2)):
+                best = max(best, size)
+    return max(best - 1, 0)
+
+
+def strict_order_abelian_brute(phi: CPMap, tol: float = ORTH_TOL) -> int:
+    """Subset-enumeration oracle for abelian strict order (tests, s <= 12)."""
+    from itertools import combinations
+
+    if not phi.domain.is_abelian():
+        raise ValueError("domain is not abelian")
+    s = phi.domain.num_blocks
+    gens = [phi.unit_image(i, 0, 0) for i in range(s)]
+    best = 1 if s else 0
+    for size in range(2, s + 1):
+        for sub in combinations(range(s), size):
+            if all((gens[a] @ gens[b]).norm() > tol for a, b in combinations(sub, 2)):
+                best = max(best, size)
+    return max(best - 1, 0)
+
+
+def unit_image_apply(phi: CPMap, i: int, j: int, k: int) -> AlgebraElement:
+    """Image of the matrix unit e^{(i)}_{jk}, by applying the map to it."""
+    return phi.apply(matrix_unit(phi.domain, i, j, k))
+
+
+def _complex_from_json(v: Any) -> complex:
+    if not (isinstance(v, (list, tuple)) and len(v) == 2):
+        raise SchemaError(f"complex entry must be [re, im], got {v!r}")
+    return complex(float(v[0]), float(v[1]))
+
+
+def _matrix_from_json(data: Any) -> np.ndarray:
+    if not isinstance(data, list) or not data:
+        raise SchemaError("matrix must be a nonempty list of rows")
+    return np.array([[_complex_from_json(v) for v in row] for row in data], dtype=complex)
+
+
+def element_from_json_per_entry(algebra: FiniteDimAlgebra, data: Any) -> AlgebraElement:
+    """An element of ``algebra`` from its JSON blocks, read one entry at a time."""
+    try:
+        blocks = [_matrix_from_json(b) for b in data["blocks"]]
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(f"element needs blocks: {exc}") from exc
+    return AlgebraElement(algebra, blocks)
+
+
+def cpmap_from_json_per_entry(data: Any, max_block: int = 64) -> CPMap:
+    """The map of a JSON record list, read one matrix entry at a time."""
+    if not isinstance(data, dict):
+        raise SchemaError("map must be an object")
+    try:
+        domain = algebra_from_json(data["domain"], max_block)
+        codomain_spec = data["codomain"]
+        units = data["unit_images"]
+    except KeyError as exc:
+        raise SchemaError(f"map needs domain, codomain, unit_images: missing {exc}") from exc
+    space = None
+    matdim = 1
+    if "matrix" in codomain_spec:
+        codomain = FiniteDimAlgebra((int(codomain_spec["matrix"]),), max_block=max_block)
+    elif "space" in codomain_spec:
+        space = space_from_json(codomain_spec["space"])
+        matdim = int(codomain_spec.get("matdim", 1))
+        codomain = function_algebra(space, matdim)
+    elif "algebra" in codomain_spec:
+        codomain = algebra_from_json(codomain_spec["algebra"], max_block)
+    else:
+        raise SchemaError("codomain must give matrix, space, or algebra")
+
+    images: dict[tuple[int, int], np.ndarray] = {}
+    for rec in units:
+        try:
+            i, j, k = int(rec["block"]), int(rec["row"]), int(rec["col"])
+            value = rec["value"]
+        except (KeyError, TypeError) as exc:
+            raise SchemaError(f"unit image needs block,row,col,value: {exc}") from exc
+        if i >= domain.num_blocks or j >= domain.block_sizes[i] or k >= domain.block_sizes[i]:
+            raise SchemaError(f"unit index ({i},{j},{k}) outside the domain")
+        elem = element_from_json_per_entry(codomain, value)
+        d = domain.block_sizes[i]
+        for c, blk in enumerate(elem.blocks):
+            if not np.any(blk):
+                continue
+            r = codomain.block_sizes[c]
+            arr = images.setdefault((i, c), np.zeros((d, d, r, r), complex))
+            arr[j, k] += blk
+    return CPMap(domain, codomain, images, codomain_space=space, codomain_matdim=matdim)

@@ -48,8 +48,6 @@ from cprank import (
     witness_elementary_set,
 )
 from cprank.cli import main
-from cprank.covers import cover_order_brute, cover_strict_order_brute
-from cprank.cpmaps import strict_order_abelian_brute
 
 from conftest import (
     identity_map,
@@ -65,6 +63,7 @@ from conftest import (
     three_arcs_cover,
     two_cluster_hermitian,
 )
+from oracles import cover_order_brute, cover_strict_order_brute, strict_order_abelian_brute
 
 
 def report(num: int, name: str, started: float, budget: float | None) -> None:

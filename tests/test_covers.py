@@ -23,9 +23,9 @@ from cprank import (
     strict_refinement,
     torus_grid,
 )
-from cprank.covers import cover_order_brute, cover_strict_order_brute
 
 from conftest import interval_chain_cover, three_arcs_cover
+from oracles import cover_order_brute, cover_strict_order_brute
 
 
 def random_cover(rng, npts, members):

@@ -21,7 +21,6 @@ from cprank import (
     unitize,
     witness_elementary_set,
 )
-from cprank.cpmaps import strict_order_abelian_brute
 
 from conftest import (
     identity_map,
@@ -31,6 +30,7 @@ from conftest import (
     rand_order_zero,
     rand_unitary,
 )
+from oracles import strict_order_abelian_brute
 
 
 def transpose_map(n: int) -> CPMap:

@@ -23,11 +23,16 @@ from cprank import (
     tensor_strict_order_exact,
     torus_grid,
 )
-from cprank.cliques import max_clique, max_clique_brute
-from cprank.covers import cover_order_brute, cover_strict_order_brute, intersection_graph
-from cprank.cpmaps import strict_order_abelian_brute
+from cprank.cliques import max_clique
+from cprank.covers import intersection_graph
 
 from conftest import rand_unitary
+from oracles import (
+    cover_order_brute,
+    cover_strict_order_brute,
+    max_clique_brute,
+    strict_order_abelian_brute,
+)
 
 
 def random_graph(rng, n, density):

@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cprank import (
     AlgebraElement,
+    CPMap,
     FiniteDimAlgebra,
     build_cp_approx,
     circle_grid,
@@ -14,6 +17,7 @@ from cprank import (
 )
 from cprank import cli, jsonio
 from cprank.cli import main
+from cprank.cpmaps import unit_stacks
 
 from conftest import (
     interval_chain_cover,
@@ -22,6 +26,7 @@ from conftest import (
     rand_order_zero,
     three_arcs_cover,
 )
+from oracles import cpmap_from_json_per_entry, element_from_json_per_entry, unit_image_apply
 
 
 class TestRoundTrips:
@@ -241,3 +246,148 @@ class TestCLI:
         _, out1 = run_cli(tmp_path, "d1", payload, "--seed", "5", "approx", "build")
         _, out2 = run_cli(tmp_path, "d2", payload, "--seed", "5", "approx", "build")
         assert out1 == out2
+
+
+# A map's unit records are malformed when they are not a list, an index leaves
+# the domain, the blocks do not match the codomain, or an entry is not a finite
+# number.
+MALFORMED = {
+    "not_a_list": lambda m: m.update(unit_images=5),
+    "row_negative": lambda m: m["unit_images"][0].update(row=-1),
+    "block_negative": lambda m: m["unit_images"][0].update(block=-1),
+    "block_count": lambda m: m["unit_images"][0]["value"]["blocks"].append([[[0.0, 0.0]]]),
+    "block_shape": lambda m: m["unit_images"][0]["value"]["blocks"][0].pop(),
+    "ragged_rows": lambda m: m["unit_images"][0]["value"]["blocks"][0][0].pop(),
+    "overflow": lambda m: m["unit_images"][0]["value"]["blocks"][0][0][0].__setitem__(0, "OVERFLOW"),
+    "nan": lambda m: m["unit_images"][0]["value"]["blocks"][0][0][0].__setitem__(1, float("nan")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_unit_record_exits_2(tmp_path, case, capsys):
+    phi = rand_cp_contraction(np.random.default_rng(85), [2, 1], 2)
+    payload = {"map": jsonio.cpmap_to_json(phi)}
+    MALFORMED[case](payload["map"])
+    inp = tmp_path / "bad.json"
+    inp.write_text(json.dumps(payload).replace('"OVERFLOW"', "1e400"))
+    assert main(["cpmap", "choi", "--in", str(inp)]) == 2
+    assert "schema error" in capsys.readouterr().err
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# exact zeros of both signs, extremes and plain values; blocks and units are
+# often zero as a whole, as in the mostly-zero images of C(X)
+ENTRIES = [0.0, -0.0, 1.0, -2.5, 0.1, 5e-324, 1e-300, 3e300]
+
+
+@st.composite
+def algebras_and_rng(draw):
+    """A domain of 1-3 blocks, a codomain of 1-5 blocks with repeated sizes,
+    both of sizes 1-3, and a seeded generator."""
+    dom = FiniteDimAlgebra(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    cod = FiniteDimAlgebra(draw(st.lists(st.integers(1, 3), min_size=1, max_size=5)))
+    return dom, cod, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+def sparse_complex(rng, shape):
+    parts = [np.where(rng.random(shape) < 0.5, rng.choice(ENTRIES, shape), rng.normal(size=shape)) for _ in "ri"]
+    out = parts[0] + 1j * parts[1]
+    out.real, out.imag = parts  # 1j * x would turn -0.0 into 0.0
+    return np.where(rng.random(shape[:-2] + (1, 1)) < 0.6, out, rng.choice([0.0, -0.0]))
+
+
+def random_map(dom, cod, rng):
+    images = {}
+    for i in rng.permutation(dom.num_blocks):
+        for c in rng.permutation(cod.num_blocks):
+            d, r = dom.block_sizes[i], cod.block_sizes[c]
+            images[(int(i), int(c))] = sparse_complex(rng, (d, d, r, r))
+    return CPMap(dom, cod, images)
+
+
+def same_bits(stacks, ref):
+    return len(stacks) == len(ref) and all(a.tobytes() == b.tobytes() for a, b in zip(stacks, ref))
+
+
+class TestDifferential:
+    @PROPERTY
+    @given(algebras_and_rng())
+    def test_reader_matches_per_entry_reader(self, case):
+        dom, cod, rng = case
+        records = []
+        for _ in range(int(rng.integers(0, 9))):
+            if records and rng.random() < 0.25:
+                records.append(records[int(rng.integers(len(records)))])
+                continue
+            i = int(rng.integers(dom.num_blocks))
+            j, k = rng.integers(dom.block_sizes[i], size=2).tolist()
+            blocks = sparse_complex(rng, (cod.num_blocks, 3, 3))
+            value = [jsonio.matrix_to_json(b[:r, :r]) for b, r in zip(blocks, cod.block_sizes)]
+            records.append({"block": i, "row": j, "col": k, "value": {"blocks": value}})
+        codomain = {"algebra": {"block_sizes": list(cod.block_sizes)}}
+        data = json.loads(json.dumps({"domain": {"block_sizes": list(dom.block_sizes)}, "codomain": codomain, "unit_images": records}))
+        got, ref = jsonio.cpmap_from_json(data), cpmap_from_json_per_entry(data)
+        assert list(got.images) == list(ref.images)
+        assert same_bits(list(got.images.values()), list(ref.images.values()))
+        for rec in data["unit_images"]:
+            ref = element_from_json_per_entry(cod, rec["value"])
+            assert same_bits(jsonio.element_from_json(cod, rec["value"]).stacks, ref.stacks)
+
+    @PROPERTY
+    @given(algebras_and_rng())
+    def test_unit_images_match_apply(self, case):
+        phi = random_map(*case)
+        ref_records = []
+        for i, d in enumerate(phi.domain.block_sizes):
+            stacks = unit_stacks(phi, i)
+            for j, k in np.ndindex(d, d):
+                ref = unit_image_apply(phi, i, j, k)
+                assert same_bits(phi.unit_image(i, j, k).stacks, ref.stacks)
+                assert same_bits([s[:, j, k] for s in stacks], ref.stacks)
+                if any(np.any(s) for s in ref.stacks):
+                    blocks = [[[[float(z.real), float(z.imag)] for z in row] for row in b] for b in ref.blocks]
+                    ref_records.append({"block": i, "row": j, "col": k, "value": {"blocks": blocks}})
+        assert json.dumps(jsonio.unit_records(phi)) == json.dumps(ref_records)
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, float("nan"), float("inf"), float("-inf")]),
+    st.floats().map(np.float64),
+    st.text(),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(st.floats(), max_size=6),
+        st.lists(st.integers(), max_size=6),
+        st.lists(st.text(), max_size=6),
+        st.dictionaries(st.text(), inner, max_size=6),
+        st.dictionaries(st.integers(), inner, max_size=4),
+        st.dictionaries(st.floats(allow_nan=False), inner, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+class TestDumps:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(json_values)
+    def test_matches_json_dumps(self, value):
+        assert jsonio.dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [{"a": np.int64(1)}, [1.0, np.bool_(True)], {(1, 2): 0}, {"x": 1, 2: 0}, {"s": {1, 2}}],
+    )
+    def test_same_type_error(self, value):
+        with pytest.raises(TypeError) as ref:
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError) as got:
+            jsonio.dumps(value)
+        assert str(got.value) == str(ref.value)
