@@ -25,6 +25,7 @@ from .covers import (
     mask_indices,
     member_diameter,
     net_ball_cover,
+    oscillation_scale,
     partition_of_unity,
     point_member_masks,
     refines,
@@ -149,14 +150,10 @@ def _prune_to_exclusive(
     A point is a member's own when that member is the only one through it.
     Returns the kept members and labels with each member's lowest own point.
     """
-    seen: set[frozenset[int]] = set()
-    mem: list[frozenset[int]] = []
-    lab: list[str] = []
+    first: dict[frozenset[int], str] = {}
     for m, l in zip(members, labels):
-        if m not in seen:
-            seen.add(m)
-            mem.append(m)
-            lab.append(l)
+        first.setdefault(m, l)
+    mem, lab = list(first), list(first.values())
     while True:
         own: dict[int, int] = {}
         for p, mask in point_member_masks(mem).items():
@@ -196,18 +193,12 @@ def build_cp_approx(
 
     osc_bound = (2.0 / 3.0) * eps
     if base_radius is None:
-        n = space.npts
-        osc = np.zeros((n, n))
-        for f in funcs:
-            np.maximum(osc, np.abs(f[:, None] - f[None, :]), out=osc)
-        bad = osc >= osc_bound
-        np.fill_diagonal(bad, False)
-        if not bad.any():
+        dmin = oscillation_scale(space, funcs, osc_bound)
+        if dmin is None:
             radius = space.diameter() + 1.0
+        elif dmin <= 0:
+            raise ValueError("duplicate points carry conflicting values")
         else:
-            dmin = float(space.metric[bad].min())
-            if dmin <= 0:
-                raise ValueError("duplicate points carry conflicting values")
             radius = dmin / 2.0
     else:
         radius = base_radius
@@ -394,7 +385,9 @@ def extraction_targets(space: FiniteMetricSpace, U: Cover, n: int) -> Extraction
     constants.verify_identities()
     fpou = partition_of_unity(space, U)
     level = 1.0 / len(U.members)
-    delta = fpou.modulus_of_continuity(space, level)
+    delta = oscillation_scale(space, fpou.weights, level)
+    if delta is None:
+        delta = space.diameter() + 1.0
     diam_bound = delta / (3.0 * (n + 1))
     radius = 0.49 * diam_bound
     V = net_ball_cover(space, radius)
@@ -583,10 +576,7 @@ def extract_cover(
     for j in range(m_blocks):
         A = A_sets[j]
         for i, cls in enumerate(classes[j]):
-            vt: set[int] = set()
-            for l in cls:
-                vt |= targets.V.members[l] & A
-            V_tilde[(j, i)] = frozenset(vt)
+            vt = V_tilde[(j, i)] = frozenset().union(*(targets.V.members[l] for l in cls)) & A
             h = eta_check(f"class ({j},{i})", cls)
             blk = psi.apply(function_element(space, h)).blocks[j]
             w, vecs = eigh_canonical((blk + blk.conj().T) / 2)
@@ -684,10 +674,7 @@ def extract_cover(
             keys.append((j, i))
 
     W = Cover(members, labels)
-    covered: set[int] = set()
-    for m in W.members:
-        covered |= m
-    missing = set(range(space.npts)) - covered
+    missing = set(range(space.npts)).difference(*W.members)
     checks.append(NamedCheck("covering", float(len(missing)), 0.0, not missing))
     if missing:
         raise StepFailure("covering", f"points {sorted(missing)[:6]} lie in no W member")

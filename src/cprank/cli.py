@@ -76,12 +76,20 @@ def _need(data: dict, key: str) -> Any:
 
 
 def _functions_from(data: Any) -> list[np.ndarray]:
-    if not isinstance(data, list):
+    if not isinstance(data, list) or not all(isinstance(f, list) for f in data):
         raise SchemaError("functions must be a list of value vectors")
     out = []
     for f in data:
-        out.append(np.array([complex(v[0], v[1]) if isinstance(v, list) else float(v) for v in f]))
+        vals = [complex(*map(_finite, v)) if isinstance(v, list) and len(v) == 2 else _finite(v) for v in f]
+        out.append(np.array(vals))
     return out
+
+
+def _finite(v: Any) -> float:
+    """A function value or one of its parts: a JSON number in the float range."""
+    if type(v) in (int, float) and abs(v) <= sys.float_info.max:  # NaN fails too
+        return float(v)
+    raise SchemaError(f"function values must be finite numbers or [re, im] pairs, got {v!r}")
 
 
 # ---------------------------------------------------------------------------

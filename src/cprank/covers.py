@@ -5,13 +5,15 @@ point-index sets.  The order of a cover counts overlaps at points, the strict
 order counts pairwise-intersecting subfamilies (a clique number), and the
 refinement construction pushes any cover below its order through the
 barycentric subdivision of its nerve, realized combinatorially by weight
-level sets.
+level sets: one argsort of the partition of unity gives every point its chain
+of nerve faces, each a mask of members.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -124,19 +126,7 @@ class Cover:
         return len(self.members)
 
     def is_covering(self, npts: int) -> bool:
-        seen: set[int] = set()
-        for m in self.members:
-            seen |= m
-        return seen >= set(range(npts))
-
-    def masks(self) -> list[int]:
-        out = []
-        for m in self.members:
-            mask = 0
-            for p in m:
-                mask |= 1 << p
-            out.append(mask)
-        return out
+        return not set(range(npts)).difference(*self.members)
 
 
 def point_member_masks(members: list[frozenset[int]]) -> dict[int, int]:
@@ -221,16 +211,12 @@ def ball_cover(
         raise ValueError("radius must be positive")
     if centers is None:
         centers = list(range(space.npts))
-    members: list[frozenset[int]] = []
-    labels: list[str] = []
-    seen: set[frozenset[int]] = set()
+    balls: dict[frozenset[int], str] = {}  # each ball labelled by its first center
     for c in centers:
         ball = frozenset(np.flatnonzero(space.metric[c] < radius).tolist())
-        if ball and ball not in seen:
-            seen.add(ball)
-            members.append(ball)
-            labels.append(f"B({c},{radius:g})")
-    return Cover(members, labels)
+        if ball:
+            balls.setdefault(ball, f"B({c},{radius:g})")
+    return Cover(list(balls), list(balls.values()))
 
 
 def greedy_net(space: FiniteMetricSpace, spacing: float) -> list[int]:
@@ -253,11 +239,8 @@ def net_ball_cover(space: FiniteMetricSpace, radius: float) -> Cover:
 
 
 def member_diameter(space: FiniteMetricSpace, member: frozenset[int]) -> float:
-    pts = sorted(member)
-    if len(pts) < 2:
-        return 0.0
-    sub = space.metric[np.ix_(pts, pts)]
-    return float(sub.max())
+    pts = list(member)
+    return float(space.metric[np.ix_(pts, pts)].max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +263,7 @@ class SimplicialComplex:
 
     @property
     def vertices(self) -> set[int]:
-        out: set[int] = set()
-        for f in self.faces:
-            out |= f
-        return out
+        return set().union(*self.faces)
 
     def dimension(self) -> int:
         return max((len(f) - 1 for f in self.faces), default=-1)
@@ -342,17 +322,20 @@ class PartitionOfUnity:
     cover: Cover
     weights: np.ndarray  # member x point, columns sum to one on covered points
 
-    def modulus_of_continuity(self, space: FiniteMetricSpace, level: float) -> float:
-        """Largest distance below which every weight varies by less than ``level``."""
-        n = self.weights.shape[1]
-        osc = np.zeros((n, n))
-        for row in self.weights:  # member by member keeps memory linear in n^2
-            np.maximum(osc, np.abs(row[:, None] - row[None, :]), out=osc)
-        bad = osc >= level
-        np.fill_diagonal(bad, False)
-        if not bad.any():
-            return space.diameter() + 1.0
-        return float(space.metric[bad].min())
+
+def oscillation_scale(space: FiniteMetricSpace, rows: Iterable[np.ndarray], level: float) -> float | None:
+    """Smallest distance between two points at which some row differs by at
+    least ``level``, or None when no row does.
+
+    Rows are folded in one at a time, so memory stays at n^2 whatever their number.
+    """
+    n = space.npts
+    osc = np.zeros((n, n))
+    for row in rows:
+        np.maximum(osc, np.abs(row[:, None] - row[None, :]), out=osc)
+    bad = osc >= level
+    np.fill_diagonal(bad, False)
+    return float(space.metric[bad].min()) if bad.any() else None
 
 
 def partition_of_unity(space: FiniteMetricSpace, cover: Cover) -> PartitionOfUnity:
@@ -363,16 +346,17 @@ def partition_of_unity(space: FiniteMetricSpace, cover: Cover) -> PartitionOfUni
     normalized; a point no member sees positively is reported as uncovered.
     """
     n = space.npts
-    k = len(cover.members)
-    raw = np.zeros((k, n))
-    allpts = set(range(n))
+    raw = np.zeros((len(cover.members), n))
     for idx, m in enumerate(cover.members):
-        comp = sorted(allpts - m)
-        if not comp:
+        if m and (min(m) < 0 or max(m) >= n):
+            raise ValueError(f"member {idx} has a point outside 0..{n - 1}")
+        inside = np.fromiter(m, dtype=np.intp, count=len(m))
+        if inside.size == n:
             raw[idx, :] = 1.0
             continue
-        inside = sorted(m)
-        raw[idx, inside] = space.metric[np.ix_(inside, comp)].min(axis=1)
+        to_complement = space.metric[inside]
+        to_complement[:, inside] = np.inf
+        raw[idx, inside] = to_complement.min(axis=1)
     sums = raw.sum(axis=0)
     uncovered = np.flatnonzero(sums <= 0)
     if uncovered.size:
@@ -380,20 +364,30 @@ def partition_of_unity(space: FiniteMetricSpace, cover: Cover) -> PartitionOfUni
     return PartitionOfUnity(cover, raw / sums)
 
 
-def _level_sets(column: np.ndarray, tol: float = 1e-12) -> list[frozenset[int]]:
-    """Nested supports of a weight vector at its distinct positive values."""
-    pos = np.flatnonzero(column > tol)
-    if pos.size == 0:
-        return []
-    vals = sorted({float(column[p]) for p in pos}, reverse=True)
-    merged: list[float] = []
-    for v in vals:
-        if not merged or merged[-1] - v > tol:
-            merged.append(v)
-    out = []
-    for v in merged:
-        out.append(frozenset(np.flatnonzero(column >= v - tol).tolist()))
-    return out
+def _level_faces(weights: np.ndarray, tol: float = 1e-12) -> dict[int, list[int]]:
+    """Points by member mask of each face in their chain of weight level sets.
+
+    A point's faces are prefixes of its column in descending order: each
+    distinct weight above ``tol`` opens a level unless it lies within ``tol``
+    of the level's representative, and the face of representative ``v`` holds
+    every member of weight at least ``v - tol``.
+    """
+    order = np.argsort(-weights, axis=0, kind="stable")
+    depth = int((weights > 0).sum(axis=0).max(initial=0))  # faces lie in the positive support
+    ranked = np.take_along_axis(weights, order[:depth], axis=0)
+    faces: dict[int, list[int]] = {}
+    for x, (vals, members) in enumerate(zip(ranked.T.tolist(), order[:depth].T.tolist())):
+        mask, top, rep = 0, 0, None
+        for v in vals:
+            if v <= tol:
+                break
+            if rep is None or rep - v > tol:
+                rep = v
+                while top < depth and vals[top] >= v - tol:
+                    mask |= 1 << members[top]
+                    top += 1
+                faces.setdefault(mask, []).append(x)
+    return faces
 
 
 def strict_refinement(space: FiniteMetricSpace, cover: Cover) -> Cover:
@@ -407,14 +401,10 @@ def strict_refinement(space: FiniteMetricSpace, cover: Cover) -> Cover:
     """
     if not cover.is_covering(space.npts):
         raise ValueError("cover does not cover the space")
-    pou = partition_of_unity(space, cover)
-    member_sets: dict[frozenset[int], set[int]] = {}
-    for x in range(space.npts):
-        for s in _level_sets(pou.weights[:, x]):
-            member_sets.setdefault(s, set()).add(x)
-    faces = sorted(member_sets, key=lambda f: (len(f), sorted(f)))
-    members = [frozenset(member_sets[f]) for f in faces]
-    labels = ["{" + ",".join(map(str, sorted(f))) + "}" for f in faces]
+    faces = _level_faces(partition_of_unity(space, cover).weights)
+    keyed = sorted((mask.bit_count(), mask_indices(mask), mask) for mask in faces)
+    members = [faces[mask] for _, _, mask in keyed]
+    labels = ["{" + ",".join(map(str, vertices)) + "}" for _, vertices, _ in keyed]
     out = Cover(members, labels)
 
     if not out.is_covering(space.npts):

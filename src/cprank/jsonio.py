@@ -140,11 +140,15 @@ def cover_to_json(cover: Cover) -> dict:
 
 
 def cover_from_json(data: Any) -> Cover:
-    if not isinstance(data, dict) or "members" not in data:
-        raise SchemaError("cover needs members")
-    members = [frozenset(int(p) for p in m) for m in data["members"]]
+    if not isinstance(data, dict) or not isinstance(data.get("members"), list):
+        raise SchemaError("cover needs a list of members")
+    members = data["members"]
+    if not all(isinstance(m, list) and all(type(p) is int and p >= 0 for p in m) for m in members):
+        raise SchemaError("each cover member must be a list of non-negative integer points")
     labels = data.get("labels")
-    return Cover(members, list(labels) if labels is not None else None)
+    if labels is not None and not isinstance(labels, list):
+        raise SchemaError("cover labels must be a list")
+    return Cover(members, labels)
 
 
 def complex_to_json_sc(k: SimplicialComplex) -> dict:
@@ -195,6 +199,8 @@ def cpmap_from_json(data: Any, max_block: int = 64) -> CPMap:
         units = data["unit_images"]
     except KeyError as exc:
         raise SchemaError(f"map needs domain, codomain, unit_images: missing {exc}") from exc
+    if not isinstance(codomain_spec, dict):
+        raise SchemaError("codomain must be an object")
     space = None
     matdim = 1
     if "matrix" in codomain_spec:

@@ -2,9 +2,10 @@
 
 Each function here is the plain version of a kernel in ``cprank``: subset
 enumeration for clique numbers, cover orders and abelian strict order; the
-entry-by-entry reader of a map's unit records; and the image of a matrix
-unit computed by ``CPMap.apply``.  They are plain rather than fast, and serve
-only as oracles.
+set-based partition of unity and level-set faces of the strict refinement;
+the pairwise oscillation scale; the entry-by-entry reader of a map's unit
+records; and the image of a matrix unit computed by ``CPMap.apply``.  They
+are plain rather than fast, and serve only as oracles.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from typing import Any
 
 import numpy as np
 
-from cprank import AlgebraElement, CPMap, Cover, FiniteDimAlgebra, function_algebra
+from cprank import AlgebraElement, CPMap, Cover, FiniteDimAlgebra, FiniteMetricSpace, function_algebra
 from cprank.algebra import matrix_unit
+from cprank.covers import PartitionOfUnity
 from cprank.cpmaps import ORTH_TOL
 from cprank.jsonio import SchemaError, algebra_from_json, space_from_json
 
@@ -34,7 +36,7 @@ def max_clique_brute(adj: np.ndarray) -> int:
 def cover_order_brute(cover: Cover) -> int:
     """Subset-enumeration oracle (tests, at most ~12 members)."""
     best = 0
-    masks = cover.masks()
+    masks = [sum(1 << p for p in m) for m in cover.members]
     k = len(masks)
     for size in range(1, k + 1):
         for sub in combinations(range(k), size):
@@ -50,7 +52,7 @@ def cover_order_brute(cover: Cover) -> int:
 
 def cover_strict_order_brute(cover: Cover) -> int:
     """Oracle: largest subfamily with no disjoint pair, minus one."""
-    masks = cover.masks()
+    masks = [sum(1 << p for p in m) for m in cover.members]
     k = len(masks)
     best = 1 if k else 0
     for size in range(2, k + 1):
@@ -58,6 +60,64 @@ def cover_strict_order_brute(cover: Cover) -> int:
             if all(masks[a] & masks[b] for a, b in combinations(sub, 2)):
                 best = max(best, size)
     return max(best - 1, 0)
+
+
+def partition_of_unity_by_sets(space: FiniteMetricSpace, cover: Cover) -> PartitionOfUnity:
+    """Distance-to-complement weights over sorted point sets, normalized pointwise."""
+    n = space.npts
+    k = len(cover.members)
+    raw = np.zeros((k, n))
+    allpts = set(range(n))
+    for idx, m in enumerate(cover.members):
+        comp = sorted(allpts - m)
+        if not comp:
+            raw[idx, :] = 1.0
+            continue
+        inside = sorted(m)
+        raw[idx, inside] = space.metric[np.ix_(inside, comp)].min(axis=1)
+    sums = raw.sum(axis=0)
+    uncovered = np.flatnonzero(sums <= 0)
+    if uncovered.size:
+        raise ValueError(f"point {int(uncovered[0])} is not covered (or only degenerately)")
+    return PartitionOfUnity(cover, raw / sums)
+
+
+def level_sets(column: np.ndarray, tol: float = 1e-12) -> list[frozenset[int]]:
+    """Nested supports of a weight vector at its distinct positive values."""
+    pos = np.flatnonzero(column > tol)
+    if pos.size == 0:
+        return []
+    vals = sorted({float(column[p]) for p in pos}, reverse=True)
+    merged: list[float] = []
+    for v in vals:
+        if not merged or merged[-1] - v > tol:
+            merged.append(v)
+    out = []
+    for v in merged:
+        out.append(frozenset(np.flatnonzero(column >= v - tol).tolist()))
+    return out
+
+
+def level_set_refinement(weights: np.ndarray) -> Cover:
+    """The strict refinement's members and labels, one point's level sets at a time."""
+    member_sets: dict[frozenset[int], set[int]] = {}
+    for x in range(weights.shape[1]):
+        for s in level_sets(weights[:, x]):
+            member_sets.setdefault(s, set()).add(x)
+    faces = sorted(member_sets, key=lambda f: (len(f), sorted(f)))
+    members = [frozenset(member_sets[f]) for f in faces]
+    labels = ["{" + ",".join(map(str, sorted(f))) + "}" for f in faces]
+    return Cover(members, labels)
+
+
+def oscillation_scale_pairs(space: FiniteMetricSpace, rows, level: float) -> float | None:
+    """Smallest distance over point pairs where some row differs by at least ``level``."""
+    best = None
+    for x, y in combinations(range(space.npts), 2):
+        if any(abs(row[x] - row[y]) >= level for row in rows):
+            d = float(space.metric[x, y])
+            best = d if best is None else min(best, d)
+    return best
 
 
 def strict_order_abelian_brute(phi: CPMap, tol: float = ORTH_TOL) -> int:

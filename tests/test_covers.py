@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cprank import (
     Cover,
@@ -23,9 +25,16 @@ from cprank import (
     strict_refinement,
     torus_grid,
 )
+from cprank.covers import oscillation_scale
 
 from conftest import interval_chain_cover, three_arcs_cover
-from oracles import cover_order_brute, cover_strict_order_brute
+from oracles import (
+    cover_order_brute,
+    cover_strict_order_brute,
+    level_set_refinement,
+    oscillation_scale_pairs,
+    partition_of_unity_by_sets,
+)
 
 
 def random_cover(rng, npts, members):
@@ -181,6 +190,12 @@ class TestPartitionOfUnity:
         with pytest.raises(ValueError, match="not covered"):
             partition_of_unity(sp, Cover([frozenset({0, 1})]))
 
+    @pytest.mark.parametrize("point", [-1, 5])
+    def test_point_outside_space_rejected(self, point):
+        cover = Cover([frozenset(range(5)), frozenset({0, point})])
+        with pytest.raises(ValueError, match="outside"):
+            partition_of_unity(interval_grid(5), cover)
+
 
 class TestStrictRefinement:
     def test_interval_chain(self):
@@ -292,3 +307,57 @@ class TestSpaces:
         assert sp.metric[0, 7] == pytest.approx(1.0)
         t = torus_grid(4, 4)
         assert t.metric[0, 3] == pytest.approx(0.25)
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def metric_covers(draw):
+    """A finite model of 1-9 points and a cover of it by 1-6 members.
+
+    Distances sit on a few levels plus multiples of 5e-13, so weights of one
+    point tie within the 1e-12 level-set tolerance, in chains longer than it,
+    and distinct points can be at distance zero.  One member may be the whole
+    space.
+    """
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = rng.choice([0.0, 1.0, 2.0], size=(n, n), p=[0.1, 0.8, 0.1])
+    dist = np.triu(levels + 5e-13 * rng.integers(0, 10, size=(n, n)), 1)
+    inside = rng.random((k, n)) < draw(st.sampled_from([0.3, 0.6, 0.9]))
+    inside[rng.integers(0, k, size=n), np.arange(n)] = True  # every point in some member
+    if draw(st.booleans()):
+        inside[rng.integers(0, k)] = True
+    return FiniteMetricSpace(dist + dist.T), Cover([frozenset(np.flatnonzero(r).tolist()) for r in inside])
+
+
+@PROPERTY
+@given(metric_covers())
+def test_refinement_matches_level_set_oracle(case):
+    space, cover = case
+    try:
+        want = partition_of_unity_by_sets(space, cover).weights
+    except ValueError:  # a point at distance zero from every complement
+        for kernel in (partition_of_unity, strict_refinement):
+            with pytest.raises(ValueError, match="not covered"):
+                kernel(space, cover)
+        return
+    assert partition_of_unity(space, cover).weights.tobytes() == want.tobytes()
+    got, ref = strict_refinement(space, cover), level_set_refinement(want)
+    assert got.members == ref.members
+    assert got.labels == ref.labels
+
+
+@PROPERTY
+@given(st.integers(1, 8), st.integers(0, 4), st.integers(0, 2**32 - 1), st.booleans())
+def test_oscillation_scale_matches_pairs(n, k, seed, complex_rows):
+    rng = np.random.default_rng(seed)
+    dist = np.triu(rng.choice([0.0, 0.25, 1.0, 1.5], size=(n, n)), 1)
+    space = FiniteMetricSpace(dist + dist.T)
+    rows = rng.choice([0.0, 0.5, 1.0, -0.5], size=(k, n))  # differences hit the level exactly
+    if complex_rows:
+        rows = rows + 1j * rng.choice([0.0, 0.5], size=(k, n))
+    level = float(rng.choice([0.5, 1.0, 2.0]))
+    assert oscillation_scale(space, rows, level) == oscillation_scale_pairs(space, rows, level)

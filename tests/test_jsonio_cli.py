@@ -274,6 +274,47 @@ def test_malformed_unit_record_exits_2(tmp_path, case, capsys):
     assert "schema error" in capsys.readouterr().err
 
 
+# Readers of covers, maps and function values given the wrong types, and a
+# cover point outside its space: (command, payload, exit code).  "OVERFLOW"
+# is written as 1e400, which JSON reads as an infinite float.
+SPACE3 = {"metric": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]}
+MAP1 = {"domain": {"block_sizes": [1]}, "codomain": {"matrix": 1}, "unit_images": []}
+BAD_INPUT = {
+    "members_not_list": (("cover", "order"), {"cover": {"members": 5}}, 2),
+    "member_not_list": (("cover", "order"), {"cover": {"members": [[0], 5]}}, 2),
+    "labels_not_list": (("cover", "order"), {"cover": {"members": [[0], [1]], "labels": "ab"}}, 2),
+    "point_string": (("cover", "order"), {"cover": {"members": [[0, "a"]]}}, 2),
+    "point_fraction": (("cover", "order"), {"cover": {"members": [[0.7]]}}, 2),
+    "point_negative": (("cover", "order"), {"cover": {"members": [[-1, 0]]}}, 2),
+    "point_bool": (("cover", "order"), {"cover": {"members": [[True]]}}, 2),
+    "point_outside_space": (("cover", "refine"), {"space": SPACE3, "cover": {"members": [[0, 5], [1, 2]]}}, 3),
+    "point_beyond_int64": (("cover", "refine"), {"space": SPACE3, "cover": {"members": [[0, 1, 2], [10**30]]}}, 3),
+    "codomain_not_object": (("cpmap", "choi"), {"map": {**MAP1, "codomain": 5}}, 2),
+    "codomain_string": (("cpmap", "choi"), {"map": {**MAP1, "codomain": "matrix"}}, 2),
+    "function_not_list": (("approx", "build"), {"space": SPACE3, "functions": [5], "epsilon": 0.5}, 2),
+    "value_string": (("approx", "build"), {"space": SPACE3, "functions": [[1.0, "x", 0.0]], "epsilon": 0.5}, 2),
+    "pair_string": (("approx", "build"), {"space": SPACE3, "functions": [[[1.0, "x"], 0.0, 0.0]], "epsilon": 0.5}, 2),
+    "value_overflow": (("approx", "build"), {"space": SPACE3, "functions": [[1.0, "OVERFLOW", 0.0]], "epsilon": 0.5}, 2),
+    "value_huge_int": (("approx", "build"), {"space": SPACE3, "functions": [[1.0, 10**400, 0.0]], "epsilon": 0.5}, 2),
+    "pair_overflow": (("approx", "build"), {"space": SPACE3, "functions": [[[0.0, "OVERFLOW"], 0.0, 0.0]], "epsilon": 0.5}, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_bad_input_exit_code(tmp_path, case):
+    command, payload, code = BAD_INPUT[case]
+    inp = tmp_path / "bad.json"
+    inp.write_text(json.dumps(payload).replace('"OVERFLOW"', "1e400"))
+    assert main([*command, "--in", str(inp)]) == code
+
+
+def test_function_values_keep_their_bits():
+    data = [[0.0, -0.0, 1, 5e-324], [[-0.0, 0.0], [1, -2.5], [0.0, -0.0]], [1.0, [0.5, -0.0], -0.0], []]
+    for f, got in zip(data, cli._functions_from(data)):
+        want = np.array([complex(v[0], v[1]) if isinstance(v, list) else float(v) for v in f])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 # exact zeros of both signs, extremes and plain values; blocks and units are
 # often zero as a whole, as in the mostly-zero images of C(X)
