@@ -70,9 +70,9 @@ class FiniteDimAlgebra:
     def is_abelian(self) -> bool:
         return all(r == 1 for r in self.block_sizes)
 
-    def zero_stacks(self) -> list[np.ndarray]:
-        """Fresh zero arrays, one ``(count, r, r)`` per size group."""
-        return [np.zeros((len(b), r, r), complex) for r, b in zip(self.group_sizes, self.group_blocks)]
+    def zero_stacks(self, lead: tuple[int, ...] = ()) -> list[np.ndarray]:
+        """Fresh zero arrays, one ``(count, *lead, r, r)`` per size group."""
+        return [np.zeros((len(b),) + lead + (r, r), complex) for r, b in zip(self.group_sizes, self.group_blocks)]
 
 
 class AlgebraElement:
@@ -80,7 +80,8 @@ class AlgebraElement:
 
     ``stacks`` holds one read-only ``(count, r, r)`` array per size group of
     the algebra; ``blocks`` is the sequence of per-block views in block order.
-    Blocks are copied on construction.
+    Blocks are copied on construction.  Stacks ``(count, *lead, r, r)`` hold a
+    batch of elements: arithmetic and :meth:`CPMap.apply` act on each.
     """
 
     __slots__ = ("algebra", "stacks")

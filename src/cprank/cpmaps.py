@@ -111,16 +111,16 @@ class CPMap:
         return AlgebraElement.from_stacks(self.codomain, unit_stacks(self, i, (j, k)))
 
     def apply(self, x: AlgebraElement) -> AlgebraElement:
-        """phi(x): one einsum per group of same-shape pairs, then each pair's term
-        added into its codomain block in dictionary order, as a pair-by-pair
-        sum would."""
+        """phi(x), elementwise on a batch: one einsum per group of same-shape pairs,
+        then each pair's term added into its codomain block in dictionary order,
+        as a pair-by-pair sum would."""
         if x.algebra.block_sizes != self.domain.block_sizes:
             raise ValueError("element does not live in the domain")
-        stacks = self.codomain.zero_stacks()
+        stacks = self.codomain.zero_stacks(x.stacks[0].shape[1:-2])
         for gc, slots, parts in self._layout():
             terms = np.empty((len(slots),) + stacks[gc].shape[1:], complex)
             for gd, dom_slots, at, arrays in parts:
-                terms[at] = np.einsum("njk,njkab->nab", x.stacks[gd][dom_slots], arrays)
+                terms[at] = np.einsum("n...jk,njkab->n...ab", x.stacks[gd][dom_slots], arrays)
             np.add.at(stacks[gc], slots, terms)
         return AlgebraElement.from_stacks(self.codomain, stacks)
 
@@ -414,15 +414,26 @@ def unit_stacks(phi: CPMap, i: int, at: tuple = np.s_[:, :]) -> list[np.ndarray]
     return stacks
 
 
-def _norms(stacks: list[np.ndarray]) -> np.ndarray:
-    """Operator norms of codomain elements stacked as in :func:`unit_stacks`."""
-    return np.max([np.linalg.svd(s, compute_uv=False).max(axis=(0, -1)) for s in stacks], axis=0)
+def _norms(stacks: list[np.ndarray], floor: float = 0.0) -> np.ndarray:
+    """Operator norms of codomain elements stacked as in :func:`unit_stacks`, exact above
+    ``floor`` and at most ``floor`` elsewhere: ``||A|| <= ||A||_F``, so a block with
+    ``||A||_F <= floor * (1 - 1e-8)`` skips its SVD; under 1e-150, where squares underflow, zeros do."""
+    out = []
+    for s in stacks:
+        fro = np.linalg.norm(s, axis=(-2, -1))
+        big = fro > floor * (1 - 1e-8) if floor > 1e-150 else np.any(s, axis=(-2, -1))
+        if big.all():
+            out.append(np.linalg.svd(s, compute_uv=False).max(axis=(0, -1)))
+        else:
+            fro[big] = np.linalg.svd(s[big], compute_uv=False).max(axis=-1)
+            out.append(fro.max(axis=0))
+    return np.max(out, axis=0)
 
 
 def unit_product_defects(
-    a: list[np.ndarray], b: list[np.ndarray], j: int, k: int, same_block: bool
+    a: list[np.ndarray], b: list[np.ndarray], j: int, k: int, same_block: bool, floor: float = 0.0
 ) -> np.ndarray:
-    """||a(e_jk) b(e_lm) - [same_block and k == l] a(e_jm)|| for every (l, m).
+    """||a(e_jk) b(e_lm) - [same_block and k == l] a(e_jm)|| for every (l, m), screened as in _norms.
 
     ``a`` and ``b`` are the unit images of two domain blocks, stacked as in
     :func:`unit_stacks`; zero everywhere for a homomorphism.
@@ -433,7 +444,7 @@ def unit_product_defects(
         if same_block:
             got[:, k] -= x[:, j]
         out.append(got)
-    return _norms(out)
+    return _norms(out, floor)
 
 
 @dataclass
@@ -492,9 +503,9 @@ def certify_order_zero(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificat
         # stacked like the codomain: units[g][n, j, k] is block n of group g of phi(e_jk)
         units = unit_stacks(phi, i)
         hg = [x[:, None, None] for x in h.stacks]
-        comm = _norms([hx @ u - u @ hx for hx, u in zip(hg, units)])
+        comm = _norms([hx @ u - u @ hx for hx, u in zip(hg, units)], tol)
         diag = [u[:, range(d), range(d)] for u in units]
-        prod = _norms([e[:, :, None] @ e[:, None, :] for e in diag])
+        prod = _norms([e[:, :, None] @ e[:, None, :] for e in diag], tol)
         for j in range(d):
             for k in range(d):
                 if comm[j, k] > tol:
@@ -516,7 +527,7 @@ def certify_order_zero(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificat
         sig = unit_stacks(sigma, 0)
         for j in range(d):
             for k in range(d):
-                defect = unit_product_defects(sig, sig, j, k, True)
+                defect = unit_product_defects(sig, sig, j, k, True, max(tol, 1e-7))
                 for l, mm in np.argwhere(defect > max(tol, 1e-7)).tolist():
                     witnesses.append(
                         f"block {i}: sigma multiplicativity defect {defect[l, mm]:.3e} "
@@ -529,7 +540,7 @@ def certify_order_zero(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificat
             )
         recon = [u - hx @ x for hx, u, x in zip(hg, units, sig)]
         recon += [u - x @ hx for hx, u, x in zip(hg, units, sig)]
-        recon_defect = max(recon_defect, float(_norms(recon).max()))
+        recon_defect = max(recon_defect, float(_norms(recon, recon_defect).max()))
     if recon_defect > max(tol, 1e-7):
         witnesses.append(f"reconstruction defect {recon_defect:.3e} > tol")
 

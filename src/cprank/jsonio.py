@@ -120,16 +120,17 @@ def space_to_json(space: FiniteMetricSpace) -> dict:
 def space_from_json(data: Any) -> FiniteMetricSpace:
     if not isinstance(data, dict):
         raise SchemaError("space must be an object")
-    if data.get("metric") == "euclidean":
-        if "coords" not in data:
-            raise SchemaError("euclidean space needs coords")
-        return FiniteMetricSpace.from_coords(np.asarray(data["coords"], dtype=float))
-    if "metric" in data:
-        try:
-            return FiniteMetricSpace(np.asarray(data["metric"], dtype=float))
-        except ValueError as exc:
-            raise SchemaError(f"bad metric: {exc}") from exc
-    raise SchemaError("space needs a metric matrix or euclidean coords")
+    euclidean = data.get("metric") == "euclidean"
+    key = "coords" if euclidean else "metric"
+    if key not in data:
+        raise SchemaError("space needs a metric matrix or euclidean coords")
+    try:
+        values = np.asarray(data[key], dtype=float)
+        if np.isfinite(values).all():
+            return FiniteMetricSpace.from_coords(values) if euclidean else FiniteMetricSpace(values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"bad {key}: {exc}") from exc
+    raise SchemaError(f"bad {key}: entries must be finite")
 
 
 def cover_to_json(cover: Cover) -> dict:
@@ -146,8 +147,8 @@ def cover_from_json(data: Any) -> Cover:
     if not all(isinstance(m, list) and all(type(p) is int and p >= 0 for p in m) for m in members):
         raise SchemaError("each cover member must be a list of non-negative integer points")
     labels = data.get("labels")
-    if labels is not None and not isinstance(labels, list):
-        raise SchemaError("cover labels must be a list")
+    if labels is not None and not (isinstance(labels, list) and len(labels) == len(members)):
+        raise SchemaError("cover labels must be a list with one label per member")
     return Cover(members, labels)
 
 
@@ -204,10 +205,10 @@ def cpmap_from_json(data: Any, max_block: int = 64) -> CPMap:
     space = None
     matdim = 1
     if "matrix" in codomain_spec:
-        codomain = FiniteDimAlgebra((int(codomain_spec["matrix"]),), max_block=max_block)
+        codomain = FiniteDimAlgebra((_size(codomain_spec, "matrix"),), max_block=max_block)
     elif "space" in codomain_spec:
         space = space_from_json(codomain_spec["space"])
-        matdim = int(codomain_spec.get("matdim", 1))
+        matdim = _size(codomain_spec, "matdim")
         codomain = function_algebra(space, matdim)
     elif "algebra" in codomain_spec:
         codomain = algebra_from_json(codomain_spec["algebra"], max_block)
@@ -235,6 +236,13 @@ def cpmap_from_json(data: Any, max_block: int = 64) -> CPMap:
             arr = images.setdefault((i, c), np.zeros((sizes[i],) * 2 + stacks[g].shape[1:], complex))
             arr[j, k] += stacks[g][n]
     return CPMap(domain, codomain, images, codomain_space=space, codomain_matdim=matdim)
+
+
+def _size(codomain_spec: dict, key: str) -> int:
+    value = codomain_spec.get(key, 1)
+    if type(value) is not int or value < 1:
+        raise SchemaError(f"codomain {key} must be an integer >= 1, got {value!r}")
+    return value
 
 
 def approximation_to_json(approx: CPApproximation) -> dict:

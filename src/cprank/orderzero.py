@@ -11,6 +11,7 @@ completely positive approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .algebra import (
 from .cpmaps import (
     CPMap,
     OrderZeroCertificate,
+    _norms,
     certify_order_zero,
     compress,
     unit_product_defects,
@@ -91,7 +93,7 @@ def decompose_order_zero(phi: CPMap, tol: float = 1e-9) -> OrderZeroDecompositio
             raise ValueError(f"block {i}: eigenvalue {support_vals[-1]:.6g} above 1")
         units = zip(unit_stacks(phi, i), h.stacks, unit_stacks(sigma, 0))
         recon = [u - hg[:, None, None] @ s for u, hg, s in units]
-        worst = max([worst] + [float(np.linalg.svd(x, compute_uv=False).max()) for x in recon])
+        worst = max(worst, float(_norms(recon, worst).max()))
         blocks.append(BlockDecomposition(support_vals, h, sigma, supp))
     if worst > tol:
         raise ValueError(
@@ -115,13 +117,11 @@ class ProjectionCaseVerdict:
 def _hom_defect(phi: CPMap) -> float:
     """Worst multiplicativity defect of a map on pairs of matrix units."""
     units = [unit_stacks(phi, i) for i in range(phi.domain.num_blocks)]
-    return max(
-        float(unit_product_defects(units[i], units[i2], j, k, i == i2).max())
-        for i, d in enumerate(phi.domain.block_sizes)
-        for i2 in range(len(units))
-        for j in range(d)
-        for k in range(d)
-    )
+    worst = 0.0
+    for i, d in enumerate(phi.domain.block_sizes):
+        for i2, j, k in product(range(len(units)), range(d), range(d)):
+            worst = max(worst, float(unit_product_defects(units[i], units[i2], j, k, i == i2, worst).max()))
+    return worst
 
 
 def check_projection_case(phi: CPMap, tol: float = 1e-9) -> ProjectionCaseVerdict:
@@ -181,42 +181,40 @@ def _cb_upper_bound(phi_a: CPMap, phi_b: CPMap) -> float:
     return AlgebraElement(phi_a.codomain, pos).norm() + AlgebraElement(phi_a.codomain, neg).norm()
 
 
-def _norm_probe_family(domain: FiniteDimAlgebra, seed: int = 7, count: int = 50) -> list[AlgebraElement]:
-    probes = [AlgebraElement.identity(domain)]
-    for i, d in enumerate(domain.block_sizes):
+def _norm_probe_family(domain: FiniteDimAlgebra, seed: int = 7, count: int = 50) -> AlgebraElement:
+    """The unit, the hermitian matrix units of every block, and ``count`` random
+    elements scaled to norm one, as one batch of elements."""
+    first = 1 + domain.total_dim
+    probes = domain.zero_stacks((first + count,))
+    # per random element and block: d*d real parts, then d*d imaginary parts
+    draws = np.random.default_rng(seed).normal(size=(count, 2 * domain.total_dim))
+    at, start = 1, 0
+    for (g, n), d in zip(domain.block_slots, domain.block_sizes):
+        z = probes[g][n]
+        z[0] = np.eye(d)
         for j in range(d):
             for k in range(j, d):
-                m = np.zeros((d, d), complex)
                 if j == k:
-                    m[j, j] = 1.0
+                    z[at, j, j] = 1.0
                 else:
-                    m[j, k] = m[k, j] = 0.5
-                probes.append(AlgebraElement.from_block(domain, i, m))
-                if j != k:
-                    m2 = np.zeros((d, d), complex)
-                    m2[j, k] = -0.5j
-                    m2[k, j] = 0.5j
-                    probes.append(AlgebraElement.from_block(domain, i, m2))
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        blocks = []
-        for d in domain.block_sizes:
-            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            blocks.append(g)
-        x = AlgebraElement(domain, blocks)
-        n = x.norm()
-        if n > 0:
-            x = (1.0 / n) * x
-        probes.append(x)
-    return probes
+                    z[at, j, k] = z[at, k, j] = 0.5
+                    z[at + 1, j, k], z[at + 1, k, j] = -0.5j, 0.5j
+                    at += 1
+                at += 1
+        re, im = draws[:, start : start + 2 * d * d].reshape(count, 2, d, d).swapaxes(0, 1)
+        z[first:] = re + 1j * im
+        start += 2 * d * d
+    norms = _norms([z[:, first:] for z in probes])
+    for z in probes:
+        z[:, first:] *= (1.0 / np.where(norms > 0, norms, 1.0))[:, None, None]
+    return AlgebraElement.from_stacks(domain, probes)
 
 
 def map_norm_lower_bound(phi_a: CPMap, phi_b: CPMap, seed: int = 7) -> float:
     """Certified lower bound for ||phi_a - phi_b|| from a fixed probe family."""
-    worst = 0.0
-    for x in _norm_probe_family(phi_a.domain, seed=seed):
-        worst = max(worst, (phi_a.apply(x) - phi_b.apply(x)).norm())
-    return worst
+    probes = _norm_probe_family(phi_a.domain, seed=seed)
+    diff = phi_a.apply(probes) - phi_b.apply(probes)
+    return float(_norms(diff.stacks).max())
 
 
 def perturb_to_hom(phi: CPMap, gamma: float, tol: float = 1e-9) -> PerturbationReport:

@@ -133,6 +133,24 @@ def rand_order_zero(
     return phi
 
 
+def near_order_zero(rng: np.random.Generator, block_sizes: list[int], copies: int, noise: float) -> CPMap:
+    """(1 - noise) phi + noise psi: phi the direct sum of ``copies`` random order-zero
+    maps into equal codomain blocks, psi a random c.p. contraction into the first.
+
+    With ``noise`` zero the map is order zero; small noise puts the order-zero
+    defects near the certification thresholds.
+    """
+    parts = [rand_order_zero(rng, block_sizes, int(rng.integers(1, 3))) for _ in range(copies)]
+    cod = FiniteDimAlgebra([p.codomain.block_sizes[0] for p in parts])
+    psi = rand_cp_contraction(rng, block_sizes, cod.block_sizes[0])
+    images = {}
+    for c, p in enumerate(parts):
+        for i in range(len(block_sizes)):
+            arr = (1 - noise) * p.images[(i, 0)]
+            images[(i, c)] = arr + noise * psi.images[(i, 0)] if c == 0 and noise else arr
+    return CPMap(parts[0].domain, cod, images)
+
+
 def rand_rescale_to_contraction(phi: CPMap) -> CPMap:
     nrm = phi.apply_one().norm()
     if nrm <= 1.0:

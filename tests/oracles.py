@@ -4,7 +4,8 @@ Each function here is the plain version of a kernel in ``cprank``: subset
 enumeration for clique numbers, cover orders and abelian strict order; the
 set-based partition of unity and level-set faces of the strict refinement;
 the pairwise oscillation scale; the entry-by-entry reader of a map's unit
-records; and the image of a matrix unit computed by ``CPMap.apply``.  They
+records; the image of a matrix unit computed by ``CPMap.apply``; and the
+order-zero defects with an SVD for every block, one element at a time.  They
 are plain rather than fast, and serve only as oracles.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 from cprank import AlgebraElement, CPMap, Cover, FiniteDimAlgebra, FiniteMetricSpace, function_algebra
 from cprank.algebra import matrix_unit
 from cprank.covers import PartitionOfUnity
-from cprank.cpmaps import ORTH_TOL
+from cprank.cpmaps import ORTH_TOL, unit_stacks
 from cprank.jsonio import SchemaError, algebra_from_json, space_from_json
 
 
@@ -203,3 +204,77 @@ def cpmap_from_json_per_entry(data: Any, max_block: int = 64) -> CPMap:
             arr = images.setdefault((i, c), np.zeros((d, d, r, r), complex))
             arr[j, k] += blk
     return CPMap(domain, codomain, images, codomain_space=space, codomain_matdim=matdim)
+
+
+def norms_unscreened(stacks: list[np.ndarray], floor: float = 0.0) -> np.ndarray:
+    """Operator norms of stacked codomain elements, one SVD per block; ``floor`` is ignored."""
+    return np.max([np.linalg.svd(s, compute_uv=False).max(axis=(0, -1)) for s in stacks], axis=0)
+
+
+def apply_one_element(phi: CPMap, x: AlgebraElement) -> AlgebraElement:
+    """phi(x) for a single element: one einsum per group of same-shape pairs, then
+    each pair's term added into its codomain block in dictionary order."""
+    stacks = phi.codomain.zero_stacks()
+    for gc, slots, parts in phi._layout():
+        terms = np.empty((len(slots),) + stacks[gc].shape[1:], complex)
+        for gd, dom_slots, at, arrays in parts:
+            terms[at] = np.einsum("njk,njkab->nab", x.stacks[gd][dom_slots], arrays)
+        np.add.at(stacks[gc], slots, terms)
+    return AlgebraElement.from_stacks(phi.codomain, stacks)
+
+
+def hom_defect_per_unit(phi: CPMap) -> float:
+    """Worst ||phi(e_jk) phi(e_lm) - [same block, k == l] phi(e_jm)|| over unit pairs."""
+    units = [unit_stacks(phi, i) for i in range(phi.domain.num_blocks)]
+    worst = []
+    for i, d in enumerate(phi.domain.block_sizes):
+        for i2 in range(len(units)):
+            for j in range(d):
+                for k in range(d):
+                    out = []
+                    for x, y in zip(units[i], units[i2]):
+                        got = x[:, j, k, None, None] @ y
+                        if i == i2:
+                            got[:, k] -= x[:, j]
+                        out.append(got)
+                    worst.append(float(norms_unscreened(out).max()))
+    return max(worst)
+
+
+def norm_probe_list(domain: FiniteDimAlgebra, seed: int = 7, count: int = 50) -> list[AlgebraElement]:
+    """The unit, the hermitian matrix units and ``count`` random norm-one elements."""
+    probes = [AlgebraElement.identity(domain)]
+    for i, d in enumerate(domain.block_sizes):
+        for j in range(d):
+            for k in range(j, d):
+                m = np.zeros((d, d), complex)
+                if j == k:
+                    m[j, j] = 1.0
+                else:
+                    m[j, k] = m[k, j] = 0.5
+                probes.append(AlgebraElement.from_block(domain, i, m))
+                if j != k:
+                    m2 = np.zeros((d, d), complex)
+                    m2[j, k] = -0.5j
+                    m2[k, j] = 0.5j
+                    probes.append(AlgebraElement.from_block(domain, i, m2))
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        blocks = []
+        for d in domain.block_sizes:
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            blocks.append(g)
+        x = AlgebraElement(domain, blocks)
+        n = x.norm()
+        if n > 0:
+            x = (1.0 / n) * x
+        probes.append(x)
+    return probes
+
+
+def map_norm_lower_bound_per_probe(phi_a: CPMap, phi_b: CPMap, seed: int = 7) -> float:
+    """Largest ||phi_a(x) - phi_b(x)|| over the probe family, one probe at a time."""
+    worst = 0.0
+    for x in norm_probe_list(phi_a.domain, seed=seed):
+        worst = max(worst, (apply_one_element(phi_a, x) - apply_one_element(phi_b, x)).norm())
+    return worst

@@ -1,7 +1,11 @@
 """Choi verification, dilation, Schwarz estimates, and strict order."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cprank import (
     AlgebraElement,
@@ -21,16 +25,18 @@ from cprank import (
     unitize,
     witness_elementary_set,
 )
+from cprank import cpmaps
 
 from conftest import (
     identity_map,
+    near_order_zero,
     rand_complex,
     rand_cp_contraction,
     rand_hermitian,
     rand_order_zero,
     rand_unitary,
 )
-from oracles import strict_order_abelian_brute
+from oracles import apply_one_element, norms_unscreened, strict_order_abelian_brute
 
 
 def transpose_map(n: int) -> CPMap:
@@ -456,3 +462,79 @@ class TestTensoring:
         out = tensor_with_identity(phi, 65)
         assert out.domain.block_sizes == (65,)
         assert out.codomain.block_sizes == (65,)
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def screened_stacks(draw):
+    """Stacks of 1-3 size groups over a (2, 3) lead, holding zero blocks, plain blocks
+    of three scales and rank-one blocks whose norm is the floor to within 1e-12."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    floor = draw(st.sampled_from([0.0, 1e-300, 1e-160, 1e-9, 1e-7, 0.3, 2.0]))
+    stacks = []
+    for r in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)):
+        shape = (int(rng.integers(1, 4)), 2, 3)
+        plain = rand_complex(rng, shape + (r, r)) * rng.choice([1.0, 1e-8, 1e-170], shape + (1, 1))
+        one = rand_complex(rng, shape + (r, 1)) @ rand_complex(rng, shape + (1, r))
+        # rank one: the operator norm is the Frobenius norm
+        one /= np.linalg.norm(one, axis=(-2, -1), keepdims=True)
+        one *= floor * (1 + rng.uniform(-1e-12, 1e-12, shape + (1, 1)))
+        kind = rng.integers(0, 3, shape + (1, 1))
+        stacks.append(np.where(kind == 0, 0.0, np.where(kind == 1, plain, one)))
+    return stacks, floor
+
+
+class TestScreenedNorms:
+    @PROPERTY
+    @given(screened_stacks())
+    def test_exact_above_the_floor(self, case):
+        stacks, floor = case
+        want = norms_unscreened(stacks)
+        got = cpmaps._norms(stacks, floor)
+        above = want > floor
+        assert got[above].tobytes() == want[above].tobytes()
+        assert np.all(got[~above] <= floor)
+        if floor == 0:
+            assert got.tobytes() == want.tobytes()
+
+    @PROPERTY
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_batched_apply_matches_each_element(self, dom_sizes, cod_sizes, batch, seed):
+        rng = np.random.default_rng(seed)
+        dom, cod = FiniteDimAlgebra(dom_sizes), FiniteDimAlgebra(cod_sizes)
+        images = {}
+        for i in rng.permutation(dom.num_blocks).tolist():
+            for c in rng.permutation(cod.num_blocks).tolist():
+                d, r = dom.block_sizes[i], cod.block_sizes[c]
+                images[(i, c)] = rand_complex(rng, (d, d, r, r)) * rng.choice([0.0, -0.0, 1.0], (d, d, 1, 1))
+        phi = CPMap(dom, cod, images)
+        xs = [rand_complex(rng, (len(b), batch, r, r)) for r, b in zip(dom.group_sizes, dom.group_blocks)]
+        got = phi.apply(AlgebraElement.from_stacks(dom, xs))
+        for p in range(batch):
+            x = AlgebraElement.from_stacks(dom, [s[:, p].copy() for s in xs])
+            for want in (phi.apply(x), apply_one_element(phi, x)):
+                assert [g[:, p].tobytes() for g in got.stacks] == [w.tobytes() for w in want.stacks]
+
+    @PROPERTY
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=2),
+        st.integers(1, 2),
+        st.sampled_from([0.0, 1e-10, 1e-8, 1e-7, 1e-6, 1e-3, 0.5]),
+        st.sampled_from([cpmaps.ORTH_TOL, 1e-6, 1e-10, 0.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_certificate_matches_unscreened(self, sizes, copies, noise, tol, seed):
+        phi = near_order_zero(np.random.default_rng(seed), sizes, copies, noise)
+        with mock.patch.object(cpmaps, "_norms", norms_unscreened):
+            want = certify_order_zero(phi, tol)
+        got = certify_order_zero(phi, tol)
+        assert (got.ok, got.witnesses) == (want.ok, want.witnesses)
+        assert got.reconstruction_defect == want.reconstruction_defect
+

@@ -274,12 +274,28 @@ def test_malformed_unit_record_exits_2(tmp_path, case, capsys):
     assert "schema error" in capsys.readouterr().err
 
 
-# Readers of covers, maps and function values given the wrong types, and a
-# cover point outside its space: (command, payload, exit code).  "OVERFLOW"
-# is written as 1e400, which JSON reads as an infinite float.
+# Readers of spaces, covers, maps and function values given the wrong types or
+# non-finite numbers, and a cover point outside its space: (command, payload,
+# exit code).  "OVERFLOW" is written as 1e400, which JSON reads as an infinite
+# float; json writes inf and nan as Infinity and NaN, which it reads back.
 SPACE3 = {"metric": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]}
 MAP1 = {"domain": {"block_sizes": [1]}, "codomain": {"matrix": 1}, "unit_images": []}
+INF, NAN = float("inf"), float("nan")
+CHAIN3 = {"members": [[0, 2], [1, 2]]}
 BAD_INPUT = {
+    "metric_infinite": (("cover", "refine"), {"space": {"metric": [[0, INF, 1], [INF, 0, 1], [1, 1, 0]]}, "cover": CHAIN3}, 2),
+    "metric_nan": (("cover", "refine"), {"space": {"metric": [[0, NAN, 1], [NAN, 0, 1], [1, 1, 0]]}, "cover": CHAIN3}, 2),
+    "coords_infinite": (("cover", "refine"), {"space": {"metric": "euclidean", "coords": [[0.0], [INF], [1.0]]}, "cover": CHAIN3}, 2),
+    "coords_nan": (("cover", "refine"), {"space": {"metric": "euclidean", "coords": [[0.0], [NAN], [1.0]]}, "cover": CHAIN3}, 2),
+    "coords_string": (("cover", "refine"), {"space": {"metric": "euclidean", "coords": [[0.0], ["x"], [1.0]]}, "cover": CHAIN3}, 2),
+    "labels_too_few": (("cover", "order"), {"cover": {"members": [[0], [1]], "labels": ["a"]}}, 2),
+    "labels_too_many": (("cover", "nerve"), {"cover": {"members": [[0], [1]], "labels": ["a", "b", "c"]}}, 2),
+    "matrix_size_string": (("cpmap", "choi"), {"map": {**MAP1, "codomain": {"matrix": "x"}}}, 2),
+    "matrix_size_fraction": (("cpmap", "choi"), {"map": {**MAP1, "codomain": {"matrix": 2.5}}}, 2),
+    "matrix_size_bool": (("cpmap", "choi"), {"map": {**MAP1, "codomain": {"matrix": True}}}, 2),
+    "matdim_string": (("cpmap", "choi"), {"map": {**MAP1, "codomain": {"space": SPACE3, "matdim": "x"}}}, 2),
+    "matdim_fraction": (("cpmap", "choi"), {"map": {**MAP1, "codomain": {"space": SPACE3, "matdim": 2.5}}}, 2),
+    "matdim_bool": (("cpmap", "choi"), {"map": {**MAP1, "codomain": {"space": SPACE3, "matdim": True}}}, 2),
     "members_not_list": (("cover", "order"), {"cover": {"members": 5}}, 2),
     "member_not_list": (("cover", "order"), {"cover": {"members": [[0], 5]}}, 2),
     "labels_not_list": (("cover", "order"), {"cover": {"members": [[0], [1]], "labels": "ab"}}, 2),

@@ -1,7 +1,11 @@
 """Order-zero structure: decomposition, perturbation, and the local AF step."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cprank import (
     AlgebraElement,
@@ -14,9 +18,11 @@ from cprank import (
     dist_to_hom_image,
     perturb_to_hom,
 )
-from cprank.orderzero import HypothesisFailure
+from cprank import orderzero
+from cprank.orderzero import HypothesisFailure, _hom_defect, map_norm_lower_bound
 
-from conftest import identity_map, rand_complex, rand_order_zero, rand_unitary
+from conftest import identity_map, near_order_zero, rand_complex, rand_cp_contraction, rand_order_zero, rand_unitary
+from oracles import hom_defect_per_unit, map_norm_lower_bound_per_probe, norms_unscreened
 
 
 def tensor_diag_map(diag, r=2):
@@ -265,3 +271,46 @@ class TestAFLocalStep:
         u_bad = AlgebraElement(F, [np.diag([0.0, 1.0, 1.0, 1.0]).astype(complex)])
         with pytest.raises(HypothesisFailure, match=r"\(iii\)"):
             af_local_step([a], approx, u_bad, eps=0.01)
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+NEAR_ORDER_ZERO = (
+    st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    st.integers(1, 2),
+    st.sampled_from([0.0, 1e-10, 1e-8, 1e-6, 0.5]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+class TestScreenedDefects:
+    """The screened and batched defects against one SVD per block, one element at a time."""
+
+    @PROPERTY
+    @given(*NEAR_ORDER_ZERO)
+    def test_hom_defect(self, sizes, copies, noise, seed):
+        phi = near_order_zero(np.random.default_rng(seed), sizes, copies, noise)
+        assert _hom_defect(phi) == hom_defect_per_unit(phi)
+        snapped = perturb_to_hom(rand_order_zero(np.random.default_rng(seed), sizes, 1, (0.9, 1.0)), 0.2)
+        assert _hom_defect(snapped.phi_prime) == hom_defect_per_unit(snapped.phi_prime)
+
+    @PROPERTY
+    @given(*NEAR_ORDER_ZERO, st.integers(0, 9))
+    def test_map_norm_lower_bound(self, sizes, copies, noise, seed, probe_seed):
+        rng = np.random.default_rng(seed)
+        phi = near_order_zero(rng, sizes, copies, noise)
+        other = near_order_zero(rng, sizes, copies, noise)
+        if other.codomain.block_sizes != phi.codomain.block_sizes:
+            other = rand_cp_contraction(rng, sizes, phi.codomain.block_sizes[0])
+            other = CPMap(phi.domain, phi.codomain, other.images)
+        for a, b in ((phi, other), (phi, phi)):
+            assert map_norm_lower_bound(a, b, probe_seed) == map_norm_lower_bound_per_probe(a, b, probe_seed)
+
+    @PROPERTY
+    @given(*NEAR_ORDER_ZERO[:2], st.integers(0, 2**32 - 1))
+    def test_decomposition_reconstruction(self, sizes, copies, seed):
+        phi = near_order_zero(np.random.default_rng(seed), sizes, copies, 0.0)
+        got = decompose_order_zero(phi)
+        with mock.patch.object(orderzero, "_norms", norms_unscreened):
+            want = decompose_order_zero(phi)
+        assert got.reconstruction_defect == want.reconstruction_defect
+
