@@ -86,8 +86,17 @@ def _refutation(
     return None
 
 
-def max_clique(adj: np.ndarray) -> list[int]:
-    """Return one maximum clique of the graph as a sorted vertex list."""
+def max_clique(adj: np.ndarray, floor: int = 0) -> list[int]:
+    """Return one maximum clique of the graph as a sorted vertex list, or []
+    when no clique has more than ``floor`` vertices.  A floor prunes from the
+    start as an incumbent of that size would, so a search that only has to
+    refute cliques above a bound takes it as ``floor``.
+
+    The search is depth-first over an explicit stack of frames, one per node
+    on the current path: its candidate set, colour classes, locked classes,
+    and the colour and class members still to branch on.  So it needs no
+    Python recursion, however large the clique.
+    """
     adj = np.asarray(adj, dtype=bool)
     n = adj.shape[0]
     if n == 0:
@@ -99,38 +108,52 @@ def max_clique(adj: np.ndarray) -> list[int]:
     perm = sorted(range(n), key=lambda v: (-degs[v], v))
     pmask = _to_masks(adj[np.ix_(perm, perm)])
 
-    best: list[int] = []
-    current: list[int] = []
-
-    def expand(cand: int) -> None:
-        nonlocal best
-        if not cand:
-            if len(current) > len(best):
-                best = current.copy()
-            return
+    def frame(cand: int) -> list:
         classes = _color_classes(cand, pmask)
-        locked: set[int] = set()
-        # highest colours first, within a class highest vertex first
-        for colour in range(len(classes), 0, -1):
-            cls = classes[colour - 1]
-            while cls:
-                v = cls.bit_length() - 1
-                cls ^= 1 << v
-                # a clique that beats best takes kmin vertices of cand, one
-                # from each of kmin distinct classes
-                kmin = len(best) - len(current) + 1
-                if colour < kmin:
-                    return
-                free = [i for i in range(kmin - 1) if i not in locked]
-                touched = _refutation(pmask[v], classes, free, pmask)
-                if touched is not None:
-                    # v stays a candidate for the branches still to come
-                    locked.update(touched)
-                    continue
-                current.append(v)
-                expand(cand & pmask[v])
-                current.pop()
-                cand ^= 1 << v
+        return [cand, classes, set(), len(classes), classes[-1]]
 
-    expand((1 << n) - 1)
+    best: list[int] = []
+    size = floor  # a clique is kept only when it has more vertices than this
+    current: list[int] = []
+    stack = [frame((1 << n) - 1)]
+    while stack:
+        top = stack[-1]
+        cand, classes, locked, colour, cls = top
+        # highest colours first, within a class highest vertex first
+        while True:
+            if not cls:
+                colour -= 1
+                if colour == 0:
+                    break
+                cls = classes[colour - 1]
+                continue
+            v = cls.bit_length() - 1
+            cls ^= 1 << v
+            # a clique that beats size takes kmin vertices of cand, one from
+            # each of kmin distinct classes
+            kmin = size - len(current) + 1
+            if colour < kmin:
+                colour = 0
+                break
+            free = [i for i in range(kmin - 1) if i not in locked]
+            touched = _refutation(pmask[v], classes, free, pmask)
+            if touched is None:
+                break
+            # v stays a candidate for the branches still to come
+            locked.update(touched)
+        if colour == 0:  # this node is done: back to its parent
+            stack.pop()
+            if stack:
+                stack[-1][0] ^= 1 << current.pop()
+            continue
+        top[3], top[4] = colour, cls
+        current.append(v)
+        child = cand & pmask[v]
+        if child:
+            stack.append(frame(child))
+            continue
+        if len(current) > size:
+            best = current.copy()
+            size = len(best)
+        top[0] ^= 1 << current.pop()
     return sorted(perm[i] for i in best)

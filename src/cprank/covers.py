@@ -412,6 +412,7 @@ def strict_refinement(space: FiniteMetricSpace, cover: Cover) -> Cover:
     ok, _ = refines(out, cover)
     if not ok:
         raise AssertionError("refinement does not refine the input")
-    if cover_strict_order(out) > cover_order(cover):
+    # strict order above the order means a clique of more than order + 1 members
+    if max_clique(intersection_graph(out), floor=cover_order(cover) + 1):
         raise AssertionError("refinement exceeded the order bound")
     return out

@@ -27,7 +27,8 @@ class SchemaError(ValueError):
 def dumps(obj: Any) -> str:
     """Exactly ``json.dumps(obj, sort_keys=True, indent=2)``, its TypeError
     included.  With ``indent`` set, ``json`` encodes in pure Python one token
-    at a time; this joins per container, and a list of one scalar type at once."""
+    at a time; this joins per container, a list of one scalar type at once,
+    and a :func:`matrix_to_json` list in one join over its array."""
     return _encode(obj, "\n")
 
 
@@ -38,6 +39,8 @@ _NAMES = {None: "null", True: "true", False: "false", "nan": "NaN", "inf": "Infi
 def _encode(o: Any, nl: str) -> str:
     """``o`` as ``json`` writes it on a line that starts with ``nl``."""
     inner = nl + "  "
+    if type(o) is _Floats and (text := _write_floats(o.array, nl)):
+        return text
     if isinstance(o, (list, tuple)):
         kinds = set(map(type, o))
         scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
@@ -57,16 +60,54 @@ def _encode(o: Any, nl: str) -> str:
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
+def _write_floats(a: np.ndarray, nl: str) -> str | None:
+    """``a.tolist()`` as ``json`` writes it on a line that starts with ``nl``:
+    one ``float.__repr__`` per entry and one join, the text after each entry
+    read off the shape.  None when a dimension is empty or an entry is not
+    finite."""
+    if not a.size:
+        return None
+    depth = a.ndim
+    pad = [nl + "  " * u for u in range(depth + 1)]  # line starts by list depth
+    # after an entry that ends t innermost lists: close them, comma, reopen them
+    closes = ["".join(pad[u] + "]" for u in range(depth - 1, depth - 1 - t, -1)) for t in range(depth + 1)]
+    seps = [closes[t] + "," + "".join(pad[u] + "[" for u in range(depth - t, depth)) + pad[depth] for t in range(depth)]
+    after = [""]
+    for t, n in enumerate(reversed(a.shape)):
+        after = (after[:-1] + [seps[t]]) * n
+    after[-1] = closes[depth]
+    parts = [""] * (2 * len(after))
+    parts[0::2] = map(float.__repr__, a.ravel().tolist())
+    parts[1::2] = after
+    text = "".join(parts)
+    if "n" in text:  # nan and inf
+        return None
+    return "".join("[" + pad[u] for u in range(1, depth + 1)) + text
+
+
 def _key(k: Any) -> str:
     if isinstance(k, (str, int, float)) or k is None:
         return encode_basestring_ascii(k if isinstance(k, str) else _encode(k, ""))
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
+class _Floats(list):
+    """Nested lists of a float array's entries that keep the array, so that
+    :func:`dumps` writes them in one join.  Equal to ``array.tolist()``, and
+    read and written as such by ``json`` and the readers here; not to be
+    edited, since :func:`dumps` writes the array."""
+
+    __slots__ = ("array",)
+
+
 def matrix_to_json(m: np.ndarray) -> list:
-    """Nested ``[re, im]`` lists of a complex array of any shape."""
-    a = np.ascontiguousarray(m, dtype=complex)
-    return a.view(float).reshape(a.shape + (2,)).tolist()
+    """Nested ``[re, im]`` lists of a complex array of any shape, holding a
+    copy of the array for :func:`dumps`."""
+    a = np.array(m, dtype=complex, order="C", ndmin=1)
+    floats = a.view(float).reshape(a.shape + (2,))
+    out = _Floats(floats.tolist())
+    out.array = floats
+    return out
 
 
 def matrix_from_json(data: Any, shape: tuple[int, ...]) -> np.ndarray:
@@ -87,13 +128,24 @@ def algebra_to_json(a: FiniteDimAlgebra) -> dict:
 
 def algebra_from_json(data: Any, max_block: int = 64) -> FiniteDimAlgebra:
     try:
-        return FiniteDimAlgebra(data["block_sizes"], max_block=max_block)
+        sizes = data["block_sizes"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"algebra needs block_sizes: {exc}") from exc
+    if not isinstance(sizes, list) or not all(type(r) is int and r >= 1 for r in sizes):
+        raise SchemaError(f"block_sizes must be a list of integers >= 1, got {sizes!r}")
+    return FiniteDimAlgebra(sizes, max_block=max_block)
 
 
 def element_to_json(a: AlgebraElement) -> dict:
-    return {"blocks": [matrix_to_json(b) for b in a.blocks]}
+    return {"blocks": _blocks_to_json(a.stacks, a.algebra.block_slots)}
+
+
+def _blocks_to_json(stacks: list[np.ndarray], slots: tuple) -> list:
+    """The block list of an element stacked by size group: the whole stack as
+    one list when there is one size group, one list per block otherwise."""
+    if len(stacks) == 1:
+        return matrix_to_json(stacks[0])
+    return [matrix_to_json(stacks[g][n]) for g, n in slots]
 
 
 def element_from_json(algebra: FiniteDimAlgebra, data: Any) -> AlgebraElement:
@@ -182,10 +234,10 @@ def unit_records(phi: CPMap) -> list[dict]:
     live: dict[int, np.ndarray] = {}
     for (i, _), arr in phi.images.items():
         live[i] = live.get(i, False) | np.any(arr, axis=(2, 3))
-    units = {i: [matrix_to_json(s.transpose(1, 2, 0, 3, 4)) for s in unit_stacks(phi, i)] for i in live}
+    units = {i: unit_stacks(phi, i) for i in live}
     slots = phi.codomain.block_slots
     return [
-        {"block": int(i), "row": j, "col": k, "value": {"blocks": [units[i][g][j][k][n] for g, n in slots]}}
+        {"block": int(i), "row": j, "col": k, "value": {"blocks": _blocks_to_json([s[:, j, k] for s in units[i]], slots)}}
         for i in sorted(live)
         for j, k in np.argwhere(live[i]).tolist()
     ]

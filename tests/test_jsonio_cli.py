@@ -170,6 +170,13 @@ class TestCLI:
         code, _ = run_cli(tmp_path, "x4", payload, "approx", "extract-cover")
         assert code == 4
 
+    def test_strict_order_of_1100_members_through_one_point(self, tmp_path):
+        code, out = run_cli(tmp_path, "star", {"cover": {"members": [[0]] * 1100}}, "cover", "strict-order")
+        assert code == 0
+        result = json.loads(out)
+        assert result["strict_order"] == 1099
+        assert result["clique"] == list(range(1100))
+
     def test_failed_self_check_exits_4(self, tmp_path, monkeypatch, capsys):
         def broken(space, cover):
             raise AssertionError("refinement lost points")
@@ -296,6 +303,10 @@ BAD_INPUT = {
     "matdim_string": (("cpmap", "choi"), {"map": {**MAP1, "codomain": {"space": SPACE3, "matdim": "x"}}}, 2),
     "matdim_fraction": (("cpmap", "choi"), {"map": {**MAP1, "codomain": {"space": SPACE3, "matdim": 2.5}}}, 2),
     "matdim_bool": (("cpmap", "choi"), {"map": {**MAP1, "codomain": {"space": SPACE3, "matdim": True}}}, 2),
+    "block_sizes_fraction": (("cpmap", "choi"), {"map": {**MAP1, "domain": {"block_sizes": [2.5]}}}, 2),
+    "block_sizes_bool": (("cpmap", "choi"), {"map": {**MAP1, "domain": {"block_sizes": [True]}}}, 2),
+    "block_sizes_string": (("cpmap", "choi"), {"map": {**MAP1, "domain": {"block_sizes": ["x"]}}}, 2),
+    "block_sizes_zero": (("cpmap", "choi"), {"map": {**MAP1, "domain": {"block_sizes": [0]}}}, 2),
     "members_not_list": (("cover", "order"), {"cover": {"members": 5}}, 2),
     "member_not_list": (("cover", "order"), {"cover": {"members": [[0], 5]}}, 2),
     "labels_not_list": (("cover", "order"), {"cover": {"members": [[0], [1]], "labels": "ab"}}, 2),
@@ -407,6 +418,27 @@ class TestDifferential:
         assert json.dumps(jsonio.unit_records(phi)) == json.dumps(ref_records)
 
 
+    @pytest.mark.parametrize("sizes", [(1, 1, 1, 1), (2, 3, 2, 1, 3)])
+    def test_unit_records_match_list_slices(self, sizes):
+        # one size group: each record's blocks are one list over the stack;
+        # several: one list per block.  Either way, the parent's list form.
+        rng = np.random.default_rng(len(sizes))
+        phi = random_map(FiniteDimAlgebra((2, 1)), FiniteDimAlgebra(sizes), rng)
+        records = jsonio.unit_records(phi)
+        ref_records = []
+        for i, d in enumerate(phi.domain.block_sizes):
+            units = [np.ascontiguousarray(s.transpose(1, 2, 0, 3, 4)) for s in unit_stacks(phi, i)]
+            units = [u.view(float).reshape(u.shape + (2,)).tolist() for u in units]
+            for j, k in np.ndindex(d, d):
+                blocks = [units[g][j][k][n] for g, n in phi.codomain.block_slots]
+                if np.any(np.concatenate([np.ravel(blk) for blk in blocks])):
+                    ref_records.append({"block": i, "row": j, "col": k, "value": {"blocks": blocks}})
+        assert records == ref_records
+        assert len(records) > 0
+        for rec, ref in zip(records, ref_records):
+            assert jsonio.dumps(rec) == json.dumps(ref, sort_keys=True, indent=2)
+
+
 json_scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -432,10 +464,30 @@ json_values = st.recursive(
 )
 
 
+# float entries json writes in every form: signed zero, subnormal, the
+# exponent switch at 1e16 and 1e-5, integral values, nan and both infinities
+MATRIX_FLOATS = [0.0, -0.0, 5e-324, 1e16, 1e-5, 1e22, 1.0, -3.0, 0.1, 2.5e-7, float("nan"), float("inf"), -float("inf")]
+matrix_lists = st.lists(st.integers(0, 4), min_size=1, max_size=5).flatmap(
+    lambda shape: st.lists(st.sampled_from(MATRIX_FLOATS), min_size=2 * int(np.prod(shape)), max_size=2 * int(np.prod(shape))).map(
+        lambda floats: jsonio.matrix_to_json(np.array(floats).view(complex).reshape(shape))
+    )
+)
+json_with_matrices = st.recursive(
+    matrix_lists | json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
 class TestDumps:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(json_values)
     def test_matches_json_dumps(self, value):
+        assert jsonio.dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(json_with_matrices)
+    def test_matrix_lists_match_json_dumps(self, value):
         assert jsonio.dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize(
