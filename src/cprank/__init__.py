@@ -41,8 +41,6 @@ from .approx import (
     extract_cover,
     extraction_targets,
     function_algebra,
-    function_element,
-    element_values,
     tensor_approx,
     verify_cp_approx,
 )
@@ -64,6 +62,7 @@ from .covers import (
     nerve,
     net_ball_cover,
     partition_of_unity,
+    refine_with_strict_order,
     refines,
     strict_refinement,
     torus_grid,

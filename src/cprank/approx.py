@@ -28,6 +28,7 @@ from .covers import (
     oscillation_scale,
     partition_of_unity,
     point_member_masks,
+    refine_with_strict_order,
     refines,
     strict_refinement,
 )
@@ -72,19 +73,28 @@ def _equal_blocks(count: int, r: int) -> FiniteDimAlgebra:
     return FiniteDimAlgebra((r,) * count)
 
 
-def function_element(space: FiniteMetricSpace, values: np.ndarray, matdim: int = 1) -> AlgebraElement:
+def _function_rows(space: FiniteMetricSpace, values, matdim: int) -> np.ndarray:
+    """A batch of functions as one complex ``(B, npts)`` or ``(B, npts, m, m)`` array."""
     vals = np.asarray(values, dtype=complex)
-    if matdim == 1:
-        vals = vals.reshape(space.npts, 1, 1)
-    if vals.shape != (space.npts, matdim, matdim):
-        raise ValueError(f"values have shape {vals.shape}, expected ({space.npts},{matdim},{matdim})")
-    return AlgebraElement.from_stacks(function_algebra(space, matdim), [vals.copy()])
+    tail = (space.npts,) if matdim == 1 else (space.npts, matdim, matdim)
+    if vals.shape[1:] != tail:
+        raise ValueError(f"functions have shape {vals.shape}, expected (count,) + {tail}")
+    return vals
 
 
-def element_values(elem: AlgebraElement) -> np.ndarray:
-    """Flatten a function-algebra element back to pointwise values."""
-    (vals,) = elem.stacks  # one block size, one block per point
-    return vals[:, 0, 0] if vals.shape[1] == 1 else vals
+def _function_batch(space: FiniteMetricSpace, values, matdim: int) -> AlgebraElement:
+    """A batch of functions as one element of the function algebra, its point
+    slots first and the batch after them, as :meth:`CPMap.apply` takes it."""
+    vals = _function_rows(space, values, matdim)
+    stack = vals.reshape(vals.shape[:2] + (matdim, matdim)).swapaxes(0, 1).copy()
+    return AlgebraElement.from_stacks(function_algebra(space, matdim), [stack])
+
+
+def _batch_values(elem: AlgebraElement) -> np.ndarray:
+    """Pointwise values of a batch of function-algebra elements, one row each."""
+    (vals,) = elem.stacks
+    rows = vals.swapaxes(0, 1)
+    return rows[:, :, 0, 0] if rows.shape[-1] == 1 else rows
 
 
 # ---------------------------------------------------------------------------
@@ -126,20 +136,31 @@ class CPApproximation:
         """phi as scalar weight functions, one row per block of an abelian F."""
         if self.matdim != 1 or not self.F.is_abelian():
             return None
-        return np.array([_values_of(self.phi, l, np.eye(1)) for l in range(self.F.num_blocks)])
+        rows = _values_of(self.phi, [(l, np.eye(1)) for l in range(self.F.num_blocks)])
+        return np.ascontiguousarray(_real(rows))
 
     def compose_values(self, values: np.ndarray) -> np.ndarray:
-        """Pointwise values of phi(psi(f))."""
-        elem = function_element(self.space, values, self.matdim)
-        return element_values(self.phi.apply(self.psi.apply(elem)))
+        """Pointwise values of phi(psi(f)) for a batch of functions, stacked as
+        ``(B, npts)`` or ``(B, npts, m, m)``."""
+        return self._through_F(values)[1]
+
+    def _through_F(self, values: np.ndarray) -> tuple[AlgebraElement, np.ndarray]:
+        """psi of a batch of functions, and the pointwise values of phi of it:
+        one psi and one phi apply for the whole batch."""
+        image = self.psi.apply(_function_batch(self.space, values, self.matdim))
+        return image, _batch_values(self.phi.apply(image))
+
+    def errors_on(self, funcs) -> list[float]:
+        """sup-norm errors ||phi psi (f) - f||, one per function of the batch."""
+        vals = _function_rows(self.space, funcs, self.matdim)
+        diff = self.compose_values(vals) - vals
+        if self.matdim == 1:
+            return np.abs(diff).max(axis=1).tolist()
+        return np.linalg.svd(diff, compute_uv=False).max(axis=(1, 2)).tolist()
 
     def error_on(self, values: np.ndarray) -> float:
-        """sup-norm error ||phi psi (f) - f||."""
-        vals = np.asarray(values, dtype=complex)
-        out = self.compose_values(vals)
-        if self.matdim == 1:
-            return float(np.abs(out - vals.reshape(-1)).max())
-        return float(np.linalg.svd(out - vals, compute_uv=False).max())
+        """sup-norm error ||phi psi (f) - f|| of one function."""
+        return self.errors_on([values])[0]
 
 
 def _prune_to_exclusive(
@@ -226,7 +247,7 @@ def build_cp_approx(
     phi = CPMap(F, function_algebra(space), phi_images, codomain_space=space, codomain_matdim=1)
 
     approx = CPApproximation(space, 1, F, psi, phi, exclusive)
-    errors = [approx.error_on(f) for f in funcs]
+    errors = approx.errors_on(funcs)
     if base_radius is None and any(e > eps for e in errors):
         raise AssertionError(f"builder exceeded its tolerance: errors {errors}")
 
@@ -260,7 +281,7 @@ class VerifyReport:
 
 def verify_cp_approx(approx: CPApproximation, a_list: list[np.ndarray], eps: float) -> VerifyReport:
     """Errors on the given functions plus the structural verdicts for psi and phi."""
-    errors = [approx.error_on(f) for f in a_list]
+    errors = approx.errors_on(a_list)
     psi_norm = approx.psi.apply_one().norm()
     phi_norm = approx.phi.apply_one().norm()
     return VerifyReport(
@@ -429,9 +450,19 @@ class ExtractionReport:
         return [c for c in self.checks if c.step == step]
 
 
-def _values_of(phi: CPMap, block: int, mat: np.ndarray) -> np.ndarray:
-    """Pointwise (scalar) values of phi applied to one domain block element."""
-    vals = element_values(phi.apply_to_block(block, mat))
+def _values_of(phi: CPMap, elems: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """Pointwise values of phi on single-block domain elements ``(block,
+    matrix)``, one row each, from one apply over the batch.  The values are
+    complex; :func:`_real` checks a row is real where it is used."""
+    stacks = phi.domain.zero_stacks((len(elems),))
+    for b, (block, mat) in enumerate(elems):
+        g, s = phi.domain.block_slots[block]
+        stacks[g][s, b] = mat
+    return _batch_values(phi.apply(AlgebraElement.from_stacks(phi.domain, stacks)))
+
+
+def _real(vals: np.ndarray) -> np.ndarray:
+    """Real parts of function values that must be real."""
     if np.abs(vals.imag).max(initial=0.0) > 1e-9:
         raise AssertionError("expected real function values")
     return vals.real
@@ -462,16 +493,12 @@ def _diam_failure_data(
             break
     through = point_member_masks(targets.V.members)
     lam_sets = [mask_indices(through[p]) for p in chosen]
-    sums = []
-    for lset in lam_sets:
-        h = targets.weights[lset].sum(axis=0) if lset else np.zeros(space.npts)
-        elem = function_element(space, h)
-        img = psi.apply(elem)
-        sums.append(float(np.linalg.norm(img.blocks[j], 2)))
+    sums = [targets.weights[lset].sum(axis=0) if lset else np.zeros(space.npts) for lset in lam_sets]
+    images = psi.apply(_function_batch(space, sums, 1)).blocks[j]
     return {
         "chain_points": chosen,
         "index_sets": lam_sets,
-        "psi_j_norms": sums,
+        "psi_j_norms": [float(np.linalg.norm(img, 2)) for img in images],
         "norm_floor": (n + 1) / (n + 2),
     }
 
@@ -529,30 +556,24 @@ def extract_cover(
 
     weights = targets.weights
     nlam = weights.shape[0]
-    all_indices = list(range(nlam))
 
-    def eta_check(name: str, lam_set: list[int]) -> np.ndarray:
-        h = weights[lam_set].sum(axis=0)
-        composed = approx.compose_values(h)
-        err = float(np.abs(composed - h).max())
+    def eta_check(name: str, err: float) -> None:
         eta_checks.append(NamedCheck("eta", err, eta, err < eta, name))
         if err >= eta:
             raise StepFailure(
                 "eta", f"approximation error {err:.6g} on {name} is not below eta = {eta:.6g}"
             )
-        return h
 
-    # individual-member errors feed the linearity certificate
-    individual = max(
-        float(np.abs(approx.compose_values(weights[l]) - weights[l]).max()) for l in range(nlam)
-    )
-    eta_check("full index set", all_indices)
+    # individual-member errors feed the linearity certificate; the full index
+    # set is checked against eta in the same batch
+    batch = np.vstack([weights, weights[list(range(nlam))].sum(axis=0)])
+    errors = np.abs(approx.compose_values(batch) - batch).max(axis=1).tolist()
+    individual = max(errors[:nlam])
+    eta_check("full index set", errors[nlam])
 
     # support sets A_j and the equivalence classes over them
     m_blocks = F.num_blocks
-    one_vals = [
-        _values_of(phi, j, np.eye(F.block_sizes[j], dtype=complex)) for j in range(m_blocks)
-    ]
+    one_vals = _real(_values_of(phi, [(j, np.eye(r, dtype=complex)) for j, r in enumerate(F.block_sizes)]))
     A_sets = [frozenset(np.flatnonzero(_above(v, C)).tolist()) for v in one_vals]
     through = point_member_masks(targets.V.members)
     classes: list[list[list[int]]] = []
@@ -570,30 +591,41 @@ def extract_cover(
                 merged = [c for c in merged if not c & joined] + [joined]
         classes.append(sorted(mask_indices(c) for c in merged))
 
-    V_tilde: dict[tuple[int, int], frozenset[int]] = {}
+    # every class at once: the eta errors of its partition sum h, the psi
+    # image of h that q is cut from, then phi(1_j - q) for (1); the classes
+    # are then walked in order, as one at a time would meet them
+    class_keys = [(j, i) for j in range(m_blocks) for i in range(len(classes[j]))]
+    sums = np.reshape(
+        [weights[classes[j][i]].sum(axis=0) for j, i in class_keys], (len(class_keys), space.npts)
+    )
+    images, composed = approx._through_F(sums)
+    psi_blocks = images.blocks
+    errors = np.abs(composed - sums).max(axis=1).tolist()
+    # q is needed only up to the first class that fails eta
+    reached = next((k for k, err in enumerate(errors) if err >= eta), len(class_keys))
     q_mats: dict[tuple[int, int], np.ndarray] = {}
-    q_norms: dict[tuple[int, int], float] = {}
-    for j in range(m_blocks):
-        A = A_sets[j]
-        for i, cls in enumerate(classes[j]):
-            vt = V_tilde[(j, i)] = frozenset().union(*(targets.V.members[l] for l in cls)) & A
-            h = eta_check(f"class ({j},{i})", cls)
-            blk = psi.apply(function_element(space, h)).blocks[j]
-            w, vecs = eigh_canonical((blk + blk.conj().T) / 2)
-            proj = (vecs * _above(w, theta).astype(float)) @ vecs.conj().T
-            q_mats[(j, i)] = proj
-            q_norms[(j, i)] = float(np.linalg.norm(blk, 2))
+    for k, (j, i) in enumerate(class_keys[:reached]):
+        blk = psi_blocks[j][k]
+        w, vecs = eigh_canonical((blk + blk.conj().T) / 2)
+        q_mats[(j, i)] = (vecs * _above(w, theta).astype(float)) @ vecs.conj().T
+    rests = _values_of(phi, [(j, np.eye(len(q), dtype=complex) - q) for (j, _), q in q_mats.items()])
 
-            # named inequality (1): phi(1_j - q)(x) < C/2 on the class support
-            rest = np.eye(F.block_sizes[j], dtype=complex) - proj
-            vals = _values_of(phi, j, rest)
-            sup = max((vals[x] for x in vt), default=0.0)
-            checks.append(NamedCheck("(1)", float(sup), C / 2.0, sup < C / 2.0, f"({j},{i})"))
-            if sup >= C / 2.0:
-                raise StepFailure(
-                    "(1)",
-                    f"phi(1_{j} - q_{j}^{({i})}) reaches {sup:.6g} >= C/2 on its class support",
-                )
+    V_tilde: dict[tuple[int, int], frozenset[int]] = {}
+    q_norms: dict[tuple[int, int], float] = {}
+    for k, (j, i) in enumerate(class_keys):
+        vt = V_tilde[(j, i)] = frozenset().union(*(targets.V.members[l] for l in classes[j][i])) & A_sets[j]
+        eta_check(f"class ({j},{i})", errors[k])
+        q_norms[(j, i)] = float(np.linalg.norm(psi_blocks[j][k], 2))
+
+        # named inequality (1): phi(1_j - q)(x) < C/2 on the class support
+        vals = _real(rests[k])
+        sup = max((vals[x] for x in vt), default=0.0)
+        checks.append(NamedCheck("(1)", float(sup), C / 2.0, sup < C / 2.0, f"({j},{i})"))
+        if sup >= C / 2.0:
+            raise StepFailure(
+                "(1)",
+                f"phi(1_{j} - q_{j}^{({i})}) reaches {sup:.6g} >= C/2 on its class support",
+            )
 
     worst_lam = max((len(cls) for j in range(m_blocks) for cls in classes[j]), default=1)
     linearity = individual * max(worst_lam, nlam)
@@ -638,13 +670,13 @@ def extract_cover(
     members: list[frozenset[int]] = []
     labels: list[str] = []
     keys: list[tuple[int, int]] = []
-    p_vals: dict[tuple[int, int], np.ndarray] = {}
-    for (j, i), p in p_mats.items():
-        vals = _values_of(phi, j, p)
-        p_vals[(j, i)] = vals
+    # phi(p) and phi(1_j - p) of every class in one batch
+    p_items = [(j, p) for (j, _), p in p_mats.items()]
+    p_vals = _values_of(phi, p_items + [(j, np.eye(len(p), dtype=complex) - p) for j, p in p_items])
+    for k, ((j, i), p) in enumerate(p_mats.items()):
+        vals = _real(p_vals[k])
         w_set = frozenset(np.flatnonzero(_above(vals, C)).tolist())
-        rest = np.eye(F.block_sizes[j], dtype=complex) - p
-        rest_vals = _values_of(phi, j, rest)
+        rest_vals = _real(p_vals[len(p_mats) + k])
         vt = V_tilde[(j, i)]
         sup = max((rest_vals[x] for x in vt), default=0.0)
         checks.append(NamedCheck("(*)", float(sup), C, sup < C, f"({j},{i})"))
@@ -749,8 +781,7 @@ def estimate_cpr_commutative(
     values = []
     for scale in scales:
         base = net_ball_cover(space, scale)
-        refined = strict_refinement(space, base)
-        so = cover_strict_order(refined)
+        _, so = refine_with_strict_order(space, base)
         builder_order = None
         builder_errors = None
         if probes:

@@ -36,8 +36,8 @@ from .covers import (
     cover_strict_order,
     intersection_graph,
     nerve,
+    refine_with_strict_order,
     refines,
-    strict_refinement,
 )
 from .cpmaps import (
     certify_order_zero,
@@ -73,6 +73,13 @@ def _need(data: dict, key: str) -> Any:
     if not isinstance(data, dict) or key not in data:
         raise SchemaError(f"input needs field {key!r}")
     return data[key]
+
+
+def _integer(data: dict, key: str, low: int) -> int:
+    value = _need(data, key)
+    if type(value) is not int or value < low:
+        raise SchemaError(f"{key} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 def _functions_from(data: Any) -> list[np.ndarray]:
@@ -112,11 +119,11 @@ def _cmd_cover(args: argparse.Namespace, data: Any) -> Any:
     if action == "refine":
         space = jsonio.space_from_json(_need(data, "space"))
         cover = jsonio.cover_from_json(_need(data, "cover"))
-        refined = strict_refinement(space, cover)
+        refined, strict = refine_with_strict_order(space, cover)
         return {
             "cover": jsonio.cover_to_json(refined),
             "order": cover_order(refined),
-            "strict_order": cover_strict_order(refined),
+            "strict_order": strict,
             "input_order": cover_order(cover),
             "input_strict_order": cover_strict_order(cover),
         }
@@ -171,7 +178,7 @@ def _cmd_approx(args: argparse.Namespace, data: Any) -> Any:
         }
     if action == "tensor":
         approx = jsonio.approximation_from_json(_need(data, "approximation"), args.max_block)
-        r = int(_need(data, "r"))
+        r = _integer(data, "r", 1)
         return jsonio.approximation_to_json(tensor_approx(approx, r))
     if action == "sum":
         first = jsonio.approximation_from_json(_need(data, "first"), args.max_block)
@@ -183,8 +190,10 @@ def _cmd_approx(args: argparse.Namespace, data: Any) -> Any:
     if action == "extract-cover":
         space = jsonio.space_from_json(_need(data, "space"))
         U = jsonio.cover_from_json(_need(data, "cover"))
-        n = int(_need(data, "n"))
+        n = _integer(data, "n", 0)
         approx = jsonio.approximation_from_json(_need(data, "approximation"), args.max_block)
+        if approx.space.npts != space.npts:
+            raise SchemaError(f"the approximation is on {approx.space.npts} points, the space has {space.npts}")
         W, rep = extract_cover(space, U, n, approx)
         return {
             "W": jsonio.cover_to_json(W),

@@ -399,6 +399,12 @@ def strict_refinement(space: FiniteMetricSpace, cover: Cover) -> Cover:
     so pairwise-intersecting subfamilies are chains in the subdivided nerve
     and their size is bounded by the order plus one.
     """
+    return refine_with_strict_order(space, cover)[0]
+
+
+def refine_with_strict_order(space: FiniteMetricSpace, cover: Cover) -> tuple[Cover, int]:
+    """:func:`strict_refinement` and the exact strict order of the refined
+    cover, found by its self-check's clique search."""
     if not cover.is_covering(space.npts):
         raise ValueError("cover does not cover the space")
     faces = _level_faces(partition_of_unity(space, cover).weights)
@@ -412,7 +418,7 @@ def strict_refinement(space: FiniteMetricSpace, cover: Cover) -> Cover:
     ok, _ = refines(out, cover)
     if not ok:
         raise AssertionError("refinement does not refine the input")
-    # strict order above the order means a clique of more than order + 1 members
-    if max_clique(intersection_graph(out), floor=cover_order(cover) + 1):
+    strict = cover_strict_order(out)
+    if strict > cover_order(cover):
         raise AssertionError("refinement exceeded the order bound")
-    return out
+    return out, strict

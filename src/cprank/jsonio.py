@@ -273,10 +273,12 @@ def cpmap_from_json(data: Any, max_block: int = 64) -> CPMap:
     images: dict[tuple[int, int], np.ndarray] = {}
     for rec in units:
         try:
-            i, j, k = int(rec["block"]), int(rec["row"]), int(rec["col"])
+            i, j, k = rec["block"], rec["row"], rec["col"]
             value = rec["value"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise SchemaError(f"unit image needs block,row,col,value: {exc}") from exc
+        if not all(type(v) is int for v in (i, j, k)):
+            raise SchemaError(f"unit index ({i!r},{j!r},{k!r}) must be integers")
         if not (0 <= i < len(sizes) and 0 <= j < sizes[i] and 0 <= k < sizes[i]):
             raise SchemaError(f"unit index ({i},{j},{k}) outside the domain")
         stacks = element_from_json(codomain, value).stacks
@@ -321,6 +323,16 @@ def approximation_from_json(data: Any, max_block: int = 64) -> CPApproximation:
         raise SchemaError("phi must map into functions over a space")
     space = phi.codomain_space
     matdim = phi.codomain_matdim
+    if not F.block_sizes == phi.domain.block_sizes == psi.codomain.block_sizes:
+        raise SchemaError(
+            f"F {list(F.block_sizes)} must be phi's domain {list(phi.domain.block_sizes)}"
+            f" and psi's codomain {list(psi.codomain.block_sizes)}"
+        )
+    if psi.domain.block_sizes != function_algebra(space, matdim).block_sizes:
+        raise SchemaError(f"psi's domain must be the {matdim}x{matdim} functions on phi's {space.npts} points")
     points = data.get("points")
-    eval_pts = [int(p) for p in points] if points is not None else None
-    return CPApproximation(space, matdim, F, psi, phi, eval_pts)
+    if points is not None and not (
+        isinstance(points, list) and all(type(p) is int and 0 <= p < space.npts for p in points)
+    ):
+        raise SchemaError(f"points must be a list of integers in 0..{space.npts - 1}, got {points!r}")
+    return CPApproximation(space, matdim, F, psi, phi, points)

@@ -4,9 +4,11 @@ Each function here is the plain version of a kernel in ``cprank``: subset
 enumeration for clique numbers, cover orders and abelian strict order; the
 set-based partition of unity and level-set faces of the strict refinement;
 the pairwise oscillation scale; the entry-by-entry reader of a map's unit
-records; the image of a matrix unit computed by ``CPMap.apply``; and the
-order-zero defects with an SVD for every block, one element at a time.  They
-are plain rather than fast, and serve only as oracles.
+records; the image of a matrix unit computed by ``CPMap.apply``; the
+order-zero defects with an SVD for every block, one element at a time; and
+a c.p. approximation evaluated one function, one block element and one
+class at a time, cover extraction included.  They are plain rather than
+fast, and serve only as oracles.
 """
 
 from __future__ import annotations
@@ -16,9 +18,28 @@ from typing import Any
 
 import numpy as np
 
-from cprank import AlgebraElement, CPMap, Cover, FiniteDimAlgebra, FiniteMetricSpace, function_algebra
-from cprank.algebra import matrix_unit
-from cprank.covers import PartitionOfUnity
+from cprank import (
+    AlgebraElement,
+    CPApproximation,
+    CPMap,
+    Cover,
+    ExtractionReport,
+    ExtractionTargets,
+    FiniteDimAlgebra,
+    FiniteMetricSpace,
+    StepFailure,
+    certify_order_zero,
+    cover_order,
+    extraction_targets,
+    function_algebra,
+    member_diameter,
+    orthogonalize_family,
+    refines,
+    strict_order_abelian,
+)
+from cprank.algebra import eigh_canonical, matrix_unit
+from cprank.approx import SNAP, NamedCheck, _above
+from cprank.covers import PartitionOfUnity, mask_indices, point_member_masks
 from cprank.cpmaps import ORTH_TOL, unit_stacks
 from cprank.jsonio import SchemaError, algebra_from_json, space_from_json
 
@@ -278,3 +299,235 @@ def map_norm_lower_bound_per_probe(phi_a: CPMap, phi_b: CPMap, seed: int = 7) ->
     for x in norm_probe_list(phi_a.domain, seed=seed):
         worst = max(worst, (apply_one_element(phi_a, x) - apply_one_element(phi_b, x)).norm())
     return worst
+
+
+def function_element(space: FiniteMetricSpace, values: np.ndarray, matdim: int = 1) -> AlgebraElement:
+    """One function on the points as an element of the function algebra."""
+    vals = np.asarray(values, dtype=complex)
+    if matdim == 1:
+        vals = vals.reshape(space.npts, 1, 1)
+    if vals.shape != (space.npts, matdim, matdim):
+        raise ValueError(f"values have shape {vals.shape}, expected ({space.npts},{matdim},{matdim})")
+    return AlgebraElement.from_stacks(function_algebra(space, matdim), [vals.copy()])
+
+
+def element_values(elem: AlgebraElement) -> np.ndarray:
+    """Flatten a function-algebra element back to pointwise values."""
+    (vals,) = elem.stacks  # one block size, one block per point
+    return vals[:, 0, 0] if vals.shape[1] == 1 else vals
+
+
+def compose_values_per_function(approx: CPApproximation, values: np.ndarray) -> np.ndarray:
+    """Pointwise values of phi(psi(f)) for one function f."""
+    elem = function_element(approx.space, values, approx.matdim)
+    return element_values(approx.phi.apply(approx.psi.apply(elem)))
+
+
+def error_on_per_function(approx: CPApproximation, values: np.ndarray) -> float:
+    """sup-norm error ||phi psi (f) - f|| of one function."""
+    vals = np.asarray(values, dtype=complex)
+    out = compose_values_per_function(approx, vals)
+    if approx.matdim == 1:
+        return float(np.abs(out - vals.reshape(-1)).max())
+    return float(np.linalg.svd(out - vals, compute_uv=False).max())
+
+
+def values_of_per_block(phi: CPMap, block: int, mat: np.ndarray) -> np.ndarray:
+    """Pointwise values of phi applied to one domain block element."""
+    return element_values(phi.apply_to_block(block, mat))
+
+
+def _real_values_of(phi: CPMap, block: int, mat: np.ndarray) -> np.ndarray:
+    vals = values_of_per_block(phi, block, mat)
+    if np.abs(vals.imag).max(initial=0.0) > 1e-9:
+        raise AssertionError("expected real function values")
+    return vals.real
+
+
+def _diam_failure_data_per_set(space, targets, psi, j, pts, delta, n) -> dict:
+    sep = 2.0 * delta / (3.0 * (n + 1))
+    chosen: list[int] = []
+    for p in pts:
+        if all(space.metric[p, c] >= sep for c in chosen):
+            chosen.append(p)
+        if len(chosen) == n + 2:
+            break
+    through = point_member_masks(targets.V.members)
+    lam_sets = [mask_indices(through[p]) for p in chosen]
+    sums = []
+    for lset in lam_sets:
+        h = targets.weights[lset].sum(axis=0) if lset else np.zeros(space.npts)
+        img = psi.apply(function_element(space, h))
+        sums.append(float(np.linalg.norm(img.blocks[j], 2)))
+    return {"chain_points": chosen, "index_sets": lam_sets, "psi_j_norms": sums, "norm_floor": (n + 1) / (n + 2)}
+
+
+def extract_cover_per_class(
+    space: FiniteMetricSpace,
+    U: Cover,
+    n: int,
+    approx: CPApproximation,
+    targets: ExtractionTargets | None = None,
+) -> tuple[Cover, ExtractionReport]:
+    """``extract_cover`` with one psi and one phi apply per function, class and
+    block element, every check made as the walk meets it."""
+    if approx.matdim != 1:
+        raise ValueError("extraction runs over scalar function systems")
+    if targets is None:
+        targets = extraction_targets(space, U, n)
+    constants = targets.constants
+    identities = constants.verify_identities()
+    C, beta, alpha, theta, eta = (constants.C, constants.beta, constants.alpha, constants.theta, constants.eta)
+    phi, psi, F = approx.phi, approx.psi, approx.F
+    checks: list[NamedCheck] = []
+    eta_checks: list[NamedCheck] = []
+
+    for j, r in enumerate(F.block_sizes):
+        if r == 1:
+            continue
+        block_ok = certify_order_zero(phi.restrict_to_block(j)).ok or (r - 1 <= n)
+        checks.append(NamedCheck("block-order", float(r - 1), float(n), block_ok, f"block {j}"))
+        if not block_ok:
+            raise StepFailure("block-order", f"block {j} has size {r} > n+1 and is not order zero")
+    if F.is_abelian():
+        order = strict_order_abelian(phi)
+        checks.append(NamedCheck("ord-phi", float(order), float(n), order <= n))
+        if order > n:
+            raise StepFailure("ord-phi", f"strict order {order} exceeds n = {n}")
+
+    weights = targets.weights
+    nlam = weights.shape[0]
+    all_indices = list(range(nlam))
+
+    def eta_check(name: str, lam_set: list[int]) -> np.ndarray:
+        h = weights[lam_set].sum(axis=0)
+        composed = compose_values_per_function(approx, h)
+        err = float(np.abs(composed - h).max())
+        eta_checks.append(NamedCheck("eta", err, eta, err < eta, name))
+        if err >= eta:
+            raise StepFailure("eta", f"approximation error {err:.6g} on {name} is not below eta = {eta:.6g}")
+        return h
+
+    individual = max(
+        float(np.abs(compose_values_per_function(approx, weights[l]) - weights[l]).max()) for l in range(nlam)
+    )
+    eta_check("full index set", all_indices)
+
+    m_blocks = F.num_blocks
+    one_vals = [_real_values_of(phi, j, np.eye(F.block_sizes[j], dtype=complex)) for j in range(m_blocks)]
+    A_sets = [frozenset(np.flatnonzero(_above(v, C)).tolist()) for v in one_vals]
+    through = point_member_masks(targets.V.members)
+    classes: list[list[list[int]]] = []
+    for j in range(m_blocks):
+        merged: list[int] = []
+        for x in A_sets[j]:
+            joined = through.get(x, 0)
+            for c in merged:
+                if c & joined:
+                    joined |= c
+            if joined:
+                merged = [c for c in merged if not c & joined] + [joined]
+        classes.append(sorted(mask_indices(c) for c in merged))
+
+    V_tilde: dict[tuple[int, int], frozenset[int]] = {}
+    q_mats: dict[tuple[int, int], np.ndarray] = {}
+    q_norms: dict[tuple[int, int], float] = {}
+    for j in range(m_blocks):
+        A = A_sets[j]
+        for i, cls in enumerate(classes[j]):
+            vt = V_tilde[(j, i)] = frozenset().union(*(targets.V.members[l] for l in cls)) & A
+            h = eta_check(f"class ({j},{i})", cls)
+            blk = psi.apply(function_element(space, h)).blocks[j]
+            w, vecs = eigh_canonical((blk + blk.conj().T) / 2)
+            proj = (vecs * _above(w, theta).astype(float)) @ vecs.conj().T
+            q_mats[(j, i)] = proj
+            q_norms[(j, i)] = float(np.linalg.norm(blk, 2))
+            rest = np.eye(F.block_sizes[j], dtype=complex) - proj
+            vals = _real_values_of(phi, j, rest)
+            sup = max((vals[x] for x in vt), default=0.0)
+            checks.append(NamedCheck("(1)", float(sup), C / 2.0, sup < C / 2.0, f"({j},{i})"))
+            if sup >= C / 2.0:
+                raise StepFailure("(1)", f"phi(1_{j} - q_{j}^{({i})}) reaches {sup:.6g} >= C/2 on its class support")
+
+    worst_lam = max((len(cls) for j in range(m_blocks) for cls in classes[j]), default=1)
+    linearity = individual * max(worst_lam, nlam)
+
+    p_mats: dict[tuple[int, int], np.ndarray] = {}
+    p_devs: dict[tuple[int, int], float] = {}
+    nontrivial = False
+    for j in range(m_blocks):
+        idxs = [i for i in range(len(classes[j])) if np.abs(q_mats[(j, i)]).max() > 1e-12]
+        count_ok = len(idxs) <= n + 1
+        checks.append(NamedCheck("class-count", float(len(idxs)), float(n + 1), count_ok, f"block {j}"))
+        if not count_ok:
+            raise StepFailure("class-count", f"block {j} carries {len(idxs)} classes > n+1 = {n + 1}")
+        if not idxs:
+            continue
+        r = F.block_sizes[j]
+        sub = FiniteDimAlgebra((r,), max_block=r)
+        qs = [AlgebraElement(sub, [q_mats[(j, i)]]) for i in idxs]
+        sup_norm = sum(qs[1:], qs[0]).norm()
+        checks.append(NamedCheck("sum-alpha", sup_norm, alpha, sup_norm <= alpha + SNAP, f"block {j}"))
+        if sup_norm > alpha + SNAP:
+            raise StepFailure("sum-alpha", f"||sum_i q_{j}^(i)|| = {sup_norm:.8g} exceeds alpha = {alpha:.8g}")
+        fam = orthogonalize_family(qs, alpha)
+        nontrivial = nontrivial or not fam.unchanged
+        for pos, i in enumerate(idxs):
+            p = fam.projections[pos].blocks[0]
+            p_mats[(j, i)] = p
+            dev = float(np.linalg.norm(p - q_mats[(j, i)], 2))
+            p_devs[(j, i)] = dev
+            checks.append(NamedCheck("beta", dev, beta, dev <= beta + 1e-9, f"({j},{i})"))
+            if dev > beta + 1e-9:
+                raise StepFailure("beta", f"||p - q|| = {dev:.6g} exceeds beta = {beta:.6g}")
+
+    members: list[frozenset[int]] = []
+    labels: list[str] = []
+    keys: list[tuple[int, int]] = []
+    for (j, i), p in p_mats.items():
+        vals = _real_values_of(phi, j, p)
+        w_set = frozenset(np.flatnonzero(_above(vals, C)).tolist())
+        rest = np.eye(F.block_sizes[j], dtype=complex) - p
+        rest_vals = _real_values_of(phi, j, rest)
+        vt = V_tilde[(j, i)]
+        sup = max((rest_vals[x] for x in vt), default=0.0)
+        checks.append(NamedCheck("(*)", float(sup), C, sup < C, f"({j},{i})"))
+        if sup >= C:
+            raise StepFailure("(*)", f"phi(1_{j} - p_{j}^{({i})}) reaches {sup:.6g} >= C")
+        inside = w_set <= vt
+        checks.append(NamedCheck("W-inside-V", float(len(w_set - vt)), 0.0, inside, f"({j},{i})"))
+        if not inside:
+            raise StepFailure("W-inside-V", f"W_{j}^{({i})} leaves its class support at {sorted(w_set - vt)[:4]}")
+        diam = member_diameter(space, vt)
+        checks.append(NamedCheck("diam", diam, targets.delta, diam < targets.delta, f"({j},{i})"))
+        if diam >= targets.delta:
+            data = _diam_failure_data_per_set(space, targets, psi, j, sorted(vt), targets.delta, n)
+            raise StepFailure(
+                "diam", f"diam of the class support ({j},{i}) is {diam:.6g} >= delta = {targets.delta:.6g}", data
+            )
+        if w_set:
+            members.append(w_set)
+            labels.append(f"W[{j},{i}]")
+            keys.append((j, i))
+
+    W = Cover(members, labels)
+    missing = set(range(space.npts)).difference(*W.members)
+    checks.append(NamedCheck("covering", float(len(missing)), 0.0, not missing))
+    if missing:
+        raise StepFailure("covering", f"points {sorted(missing)[:6]} lie in no W member")
+    order_W = cover_order(W)
+    checks.append(NamedCheck("order", float(order_W), float(n), order_W <= n))
+    if order_W > n:
+        raise StepFailure("order", f"cover order {order_W} exceeds n = {n}")
+    _, support_witness = refines(Cover([V_tilde[key] for key in keys]), U)
+    witness: dict[tuple[int, int], int] = {}
+    for key, target in zip(keys, support_witness):
+        checks.append(NamedCheck("refines", 0.0 if target is not None else 1.0, 0.0, target is not None, str(key)))
+        if target is None:
+            raise StepFailure("refines", f"class support {key} fits in no member of U")
+        witness[key] = target
+    report = ExtractionReport(
+        constants, identities, targets.delta, checks, eta_checks, linearity, A_sets, classes,
+        V_tilde, q_norms, p_devs, nontrivial, witness, W, order_W,
+    )
+    return W, report

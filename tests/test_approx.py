@@ -1,10 +1,19 @@
 """Builder, verification, combination, and cover extraction."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cprank.approx
+import oracles
 from cprank import (
+    CPApproximation,
+    CPMap,
     Cover,
+    FiniteDimAlgebra,
     FiniteMetricSpace,
     StepFailure,
     build_cp_approx,
@@ -15,18 +24,26 @@ from cprank import (
     estimate_cpr_commutative,
     extract_cover,
     extraction_targets,
+    function_algebra,
     interval_grid,
     nerve,
+    orthogonalize_family,
     refines,
     strict_order_abelian,
     tensor_approx,
     torus_grid,
     verify_cp_approx,
 )
-from cprank.approx import ExtractionConstants
+from cprank.approx import ExtractionConstants, _real, _values_of
 from cprank.cpmaps import tensor_strict_order_exact
 
 from conftest import interval_chain_cover, matrix_path_approximation, three_arcs_cover
+from oracles import (
+    compose_values_per_function,
+    error_on_per_function,
+    extract_cover_per_class,
+    values_of_per_block,
+)
 
 
 class TestBuilder:
@@ -275,3 +292,176 @@ class TestEstimate:
         sp = interval_grid(10)
         with pytest.raises(ValueError, match="positive"):
             estimate_cpr_commutative(sp, [0.0])
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation against the per-function oracle
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# exact zeros of both signs, extremes whose triple products stay finite, and
+# plain values
+ENTRIES = [0.0, -0.0, 1.0, -2.5, 0.1, 5e-324, 1e-300, 1e100]
+
+
+def sparse_complex(rng, shape):
+    parts = [np.where(rng.random(shape) < 0.5, rng.choice(ENTRIES, shape), rng.normal(size=shape)) for _ in "ri"]
+    out = parts[0] + 1j * parts[1]
+    out.real, out.imag = parts  # 1j * x would turn -0.0 into 0.0
+    return out
+
+
+def random_images(rng, dom, cod):
+    """Mostly-zero images of every block pair, in a shuffled dictionary order."""
+    images = {}
+    for i in rng.permutation(dom.num_blocks).tolist():
+        for c in rng.permutation(cod.num_blocks).tolist():
+            if rng.random() < 0.6:
+                d, r = dom.block_sizes[i], cod.block_sizes[c]
+                images[(i, c)] = sparse_complex(rng, (d, d, r, r))
+    return images
+
+
+@st.composite
+def random_approximations(draw):
+    """A triple over 1-8 points with matdim 1 or 2 and F of 1-4 blocks of
+    sizes 1-3, psi and phi random (not c.p.), and a seeded generator."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    space = interval_grid(draw(st.integers(1, 8)))
+    m = draw(st.sampled_from([1, 2]))
+    F = FiniteDimAlgebra(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    fun = function_algebra(space, m)
+    psi = CPMap(fun, F, random_images(rng, fun, F))
+    phi = CPMap(F, fun, random_images(rng, F, fun), codomain_space=space, codomain_matdim=m)
+    return CPApproximation(space, m, F, psi, phi), rng
+
+
+class TestBatchedEvaluation:
+    @PROPERTY
+    @given(random_approximations(), st.integers(0, 5))
+    def test_compose_and_errors_match_per_function(self, case, count):
+        approx, rng = case
+        m = approx.matdim
+        funcs = sparse_complex(rng, (count, approx.space.npts) + ((m, m) if m > 1 else ()))
+        got = approx.compose_values(funcs)
+        errors = approx.errors_on(funcs)
+        assert got.shape == funcs.shape and len(errors) == count
+        for f, row, err in zip(funcs, got, errors):
+            assert row.tobytes() == compose_values_per_function(approx, f).tobytes()
+            want = error_on_per_function(approx, f)
+            assert np.float64(err).tobytes() == np.float64(want).tobytes()
+            assert np.float64(approx.error_on(f)).tobytes() == np.float64(want).tobytes()
+
+    @PROPERTY
+    @given(random_approximations(), st.integers(0, 6))
+    def test_values_of_matches_per_block(self, case, count):
+        approx, rng = case
+        sizes = approx.F.block_sizes
+        blocks = rng.integers(len(sizes), size=count).tolist()
+        elems = [(b, sparse_complex(rng, (sizes[b], sizes[b]))) for b in blocks]
+        got = _values_of(approx.phi, elems)
+        assert len(got) == count
+        for row, (b, mat) in zip(got, elems):
+            assert row.tobytes() == values_of_per_block(approx.phi, b, mat).tobytes()
+
+
+def _outcome(extract, space, U, n, approx, targets):
+    """What an extraction returns or the StepFailure it raises, in comparable form."""
+    try:
+        W, rep = extract(space, U, n, approx, targets)
+    except StepFailure as exc:
+        return ("failure", exc.step, str(exc), repr(exc.data))
+    return (W, rep.checks, rep.eta_checks, rep.q_norms, rep.p_deviations, rep.A_sets, rep.classes, rep.V_tilde)
+
+
+def _break(approx, kind, j, x):
+    """The approximation broken on block j, whose evaluation point is x, so
+    that extraction fails at that block's class.
+
+    ``eta``: block j evaluates at the point next to x, so psi(1) stays 1.
+    ``(1)``: psi halved and phi doubled on block j; phi psi is unchanged but q
+    vanishes.  ``(*)``: an extra block evaluating where j does carries -K at x
+    and j carries +K, which phi psi cannot see; with p shrunk (see
+    :func:`_shrinking`), phi(1_j - p) sees K.
+    """
+    psi, phi, F, space = approx.psi.images, approx.phi.images, approx.F, approx.space
+    if kind == "eta":
+        near = int(np.argsort(space.metric[x], kind="stable")[1])
+        psi = {(near if b == j else p, b): v for (p, b), v in psi.items()}
+    elif kind == "(1)":
+        psi = {(p, b): v * 0.5 if b == j else v for (p, b), v in psi.items()}
+        phi = {(b, p): v * 2.0 if b == j else v for (b, p), v in phi.items()}
+    elif kind == "(*)":
+        s, K = F.num_blocks, np.full((1, 1, 1, 1), 40.0 + 0j)
+        F = FiniteDimAlgebra((1,) * (s + 1))
+        psi = {**psi, **{(p, s): v for (p, b), v in psi.items() if b == j}}
+        phi = {**phi, (j, x): phi[(j, x)] + K, (s, x): -K}
+    fun = function_algebra(space)
+    return CPApproximation(space, 1, F, CPMap(fun, F, psi), CPMap(F, fun, phi, space, 1))
+
+
+def _shrinking(call, beta):
+    """``orthogonalize_family`` with the projections of its ``call``-th call,
+    counted from 1, shrunk by beta/2: within beta of q, but no projection."""
+    calls = []
+
+    def ortho(qs, alpha, *args):
+        fam = orthogonalize_family(qs, alpha, *args)
+        calls.append(None)
+        if len(calls) == call:
+            fam.projections = [q * (1 - beta / 2) for q in fam.projections]
+        return fam
+
+    return ortho
+
+
+class TestBatchedExtraction:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(["interval", "circle"]),
+        st.integers(12, 40),
+        st.integers(1, 2),
+        st.sampled_from([None, "eta", "(1)", "(*)"]),
+    )
+    def test_extract_cover_matches_per_class(self, kind, npts, n, broken):
+        if kind == "interval":
+            space = interval_grid(npts)
+            U = interval_chain_cover(space)
+        else:
+            space = circle_grid(npts)
+            U = three_arcs_cover(npts)
+        n = 2 if broken == "(*)" else n  # room in the strict order for the extra block
+        targets = extraction_targets(space, U, n)
+        funcs = targets.target_functions()
+        approx = build_cp_approx(space, funcs, eps=targets.constants.eta / (2 * len(funcs)))
+        j = approx.F.num_blocks // 2
+        if broken:
+            approx = _break(approx, broken, j, approx.evaluation_points[j])
+        outcomes = []
+        for extract, module in ((extract_cover, cprank.approx), (extract_cover_per_class, oracles)):
+            ortho = _shrinking(j + 1, targets.constants.beta) if broken == "(*)" else orthogonalize_family
+            with mock.patch.object(module, "orthogonalize_family", ortho):
+                outcomes.append(_outcome(extract, space, U, n, approx, targets))
+        got, want = outcomes
+        assert repr(got) == repr(want)
+        if broken:
+            assert got[:2] == ("failure", broken)
+            assert "(0,0)" not in got[2] and "full index set" not in got[2]
+        else:
+            assert got[1] and all(c.ok for c in got[1])
+
+    @pytest.mark.parametrize("overlap", [1e-6, 1e-3, 0.05])
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_matrix_blocks_match_per_class(self, overlap, scale):
+        space, U, approx = matrix_path_approximation(overlap)
+        approx.psi.images[(0, 0)] = approx.psi.images[(0, 0)] * scale
+        got = _outcome(extract_cover, space, U, 1, approx, None)
+        want = _outcome(extract_cover_per_class, space, U, 1, approx, None)
+        assert repr(got) == repr(want)
+
+    def test_non_real_values_are_rejected(self):
+        space, U, approx = matrix_path_approximation()
+        vals = _values_of(approx.phi, [(0, np.eye(2)), (1, 1j * np.eye(2))])
+        assert _real(vals[:1]).tobytes() == vals[:1].real.tobytes()
+        with pytest.raises(AssertionError, match="expected real function values"):
+            _real(vals[1])

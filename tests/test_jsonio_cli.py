@@ -181,7 +181,7 @@ class TestCLI:
         def broken(space, cover):
             raise AssertionError("refinement lost points")
 
-        monkeypatch.setattr(cli, "strict_refinement", broken)
+        monkeypatch.setattr(cli, "refine_with_strict_order", broken)
         payload = {
             "space": jsonio.space_to_json(circle_grid(12)),
             "cover": jsonio.cover_to_json(three_arcs_cover(12)),
@@ -262,6 +262,9 @@ MALFORMED = {
     "not_a_list": lambda m: m.update(unit_images=5),
     "row_negative": lambda m: m["unit_images"][0].update(row=-1),
     "block_negative": lambda m: m["unit_images"][0].update(block=-1),
+    "block_fraction": lambda m: m["unit_images"][0].update(block=0.7),
+    "row_bool": lambda m: m["unit_images"][0].update(row=True),
+    "col_string": lambda m: m["unit_images"][0].update(col="0"),
     "block_count": lambda m: m["unit_images"][0]["value"]["blocks"].append([[[0.0, 0.0]]]),
     "block_shape": lambda m: m["unit_images"][0]["value"]["blocks"][0].pop(),
     "ragged_rows": lambda m: m["unit_images"][0]["value"]["blocks"][0][0].pop(),
@@ -289,6 +292,21 @@ SPACE3 = {"metric": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]}
 MAP1 = {"domain": {"block_sizes": [1]}, "codomain": {"matrix": 1}, "unit_images": []}
 INF, NAN = float("inf"), float("nan")
 CHAIN3 = {"members": [[0, 2], [1, 2]]}
+# an approximation over SPACE3, and verify and extract-cover payloads around it
+APPROX3 = json.loads(json.dumps(jsonio.approximation_to_json(
+    build_cp_approx(jsonio.space_from_json(SPACE3), [np.arange(3.0)], eps=0.5)
+)))
+SPACE4 = {"metric": [[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0, 2.0], [2.0, 1.0, 0.0, 1.0], [3.0, 2.0, 1.0, 0.0]]}
+
+
+def _verify(**approx):
+    return {"approximation": {**APPROX3, **approx}, "functions": [[0.0, 1.0, 2.0]], "epsilon": 0.5}
+
+
+def _extract(**fields):
+    return {"space": SPACE3, "cover": CHAIN3, "n": 1, "approximation": APPROX3, **fields}
+
+
 BAD_INPUT = {
     "metric_infinite": (("cover", "refine"), {"space": {"metric": [[0, INF, 1], [INF, 0, 1], [1, 1, 0]]}, "cover": CHAIN3}, 2),
     "metric_nan": (("cover", "refine"), {"space": {"metric": [[0, NAN, 1], [NAN, 0, 1], [1, 1, 0]]}, "cover": CHAIN3}, 2),
@@ -324,6 +342,23 @@ BAD_INPUT = {
     "value_overflow": (("approx", "build"), {"space": SPACE3, "functions": [[1.0, "OVERFLOW", 0.0]], "epsilon": 0.5}, 2),
     "value_huge_int": (("approx", "build"), {"space": SPACE3, "functions": [[1.0, 10**400, 0.0]], "epsilon": 0.5}, 2),
     "pair_overflow": (("approx", "build"), {"space": SPACE3, "functions": [[[0.0, "OVERFLOW"], 0.0, 0.0]], "epsilon": 0.5}, 2),
+    "points_string": (("approx", "verify"), _verify(points=["1", 2, 0]), 2),
+    "points_fraction": (("approx", "verify"), _verify(points=[0, 2.9]), 2),
+    "points_bool": (("approx", "verify"), _verify(points=[True]), 2),
+    "points_outside_space": (("approx", "verify"), _verify(points=[0, 3]), 2),
+    "points_negative": (("approx", "verify"), _verify(points=[-1]), 2),
+    "points_not_list": (("approx", "verify"), _verify(points=5), 2),
+    "F_not_phi_domain": (("approx", "verify"), _verify(F={"block_sizes": [7]}), 2),
+    "F_not_psi_codomain": (("approx", "verify"), _verify(psi={**APPROX3["psi"], "codomain": {"algebra": {"block_sizes": [7]}}, "unit_images": []}), 2),
+    "psi_domain_not_functions": (("approx", "verify"), _verify(psi={**APPROX3["psi"], "domain": {"block_sizes": [1] * 4}}), 2),
+    "extract_F_mismatch": (("approx", "extract-cover"), _extract(approximation={**APPROX3, "F": {"block_sizes": [2]}}), 2),
+    "extract_space_mismatch": (("approx", "extract-cover"), _extract(space=SPACE4, cover={"members": [[0, 1, 2, 3]]}), 2),
+    "n_fraction": (("approx", "extract-cover"), _extract(n=1.9), 2),
+    "n_string": (("approx", "extract-cover"), _extract(n="x"), 2),
+    "n_bool": (("approx", "extract-cover"), _extract(n=True), 2),
+    "n_negative": (("approx", "extract-cover"), _extract(n=-1), 2),
+    "r_fraction": (("approx", "tensor"), {"approximation": APPROX3, "r": 1.9}, 2),
+    "r_zero": (("approx", "tensor"), {"approximation": APPROX3, "r": 0}, 2),
 }
 
 
