@@ -92,11 +92,16 @@ def _functions_from(data: Any) -> list[np.ndarray]:
     return out
 
 
-def _finite(v: Any) -> float:
-    """A function value or one of its parts: a JSON number in the float range."""
+def _finite(v: Any, what: str = "function values must be finite numbers or [re, im] pairs") -> float:
+    """A JSON number in the float range: a function value or one of its parts,
+    or a field such as ``epsilon``."""
     if type(v) in (int, float) and abs(v) <= sys.float_info.max:  # NaN fails too
         return float(v)
-    raise SchemaError(f"function values must be finite numbers or [re, im] pairs, got {v!r}")
+    raise SchemaError(f"{what}, got {v!r}")
+
+
+def _number(data: dict, key: str) -> float:
+    return _finite(_need(data, key), f"{key} must be a finite number")
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +162,13 @@ def _cmd_approx(args: argparse.Namespace, data: Any) -> Any:
     if action == "build":
         space = jsonio.space_from_json(_need(data, "space"))
         funcs = _functions_from(_need(data, "functions"))
-        eps = float(_need(data, "epsilon"))
+        eps = _number(data, "epsilon")
         approx = build_cp_approx(space, funcs, eps)
         return _approx_with_report(approx)
     if action == "verify":
         approx = jsonio.approximation_from_json(_need(data, "approximation"), args.max_block)
         funcs = _functions_from(_need(data, "functions"))
-        eps = float(_need(data, "epsilon"))
+        eps = _number(data, "epsilon")
         rep = verify_cp_approx(approx, funcs, eps)
         return {
             "errors": [float(e) for e in rep.errors],
@@ -221,7 +226,10 @@ def _cmd_approx(args: argparse.Namespace, data: Any) -> Any:
         }
     if action == "estimate":
         space = jsonio.space_from_json(_need(data, "space"))
-        scales = [float(s) for s in _need(data, "scales")]
+        scales = _need(data, "scales")
+        if not isinstance(scales, list):
+            raise SchemaError(f"scales must be a list of finite numbers, got {scales!r}")
+        scales = [_finite(s, "scales must be finite numbers") for s in scales]
         funcs = _functions_from(data["functions"]) if "functions" in data else None
         value, evidence = estimate_cpr_commutative(space, scales, funcs)
         return {
@@ -280,7 +288,7 @@ def _cmd_cpmap(args: argparse.Namespace, data: Any) -> Any:
         if kind == "almost-projection":
             algebra = jsonio.algebra_from_json(_need(data, "algebra"), args.max_block)
             h = jsonio.element_from_json(algebra, _need(data, "element"))
-            eps = float(_need(data, "epsilon"))
+            eps = _number(data, "epsilon")
             p, c = repair_almost_projection(h, eps)
             return {
                 "projection": jsonio.element_to_json(p),
@@ -291,7 +299,7 @@ def _cmd_cpmap(args: argparse.Namespace, data: Any) -> Any:
             }
         if kind == "order-zero-map":
             phi = jsonio.cpmap_from_json(_need(data, "map"), args.max_block)
-            gamma = float(_need(data, "gamma"))
+            gamma = _number(data, "gamma")
             rep = perturb_to_hom(phi, gamma)
             return {
                 "map": jsonio.cpmap_to_json(rep.phi_prime),
@@ -358,6 +366,7 @@ def main(argv: list[str] | None = None) -> int:
             result = _cmd_approx(args, data)
         else:
             result = _cmd_cpmap(args, data)
+        del data  # the parsed input goes before the output text is built
         result["seed"] = args.seed
         _emit(result, args.outfile)
         return EXIT_OK

@@ -86,11 +86,8 @@ def _refutation(
     return None
 
 
-def max_clique(adj: np.ndarray, floor: int = 0) -> list[int]:
-    """Return one maximum clique of the graph as a sorted vertex list, or []
-    when no clique has more than ``floor`` vertices.  A floor prunes from the
-    start as an incumbent of that size would, so a search that only has to
-    refute cliques above a bound takes it as ``floor``.
+def max_clique(adj: np.ndarray) -> list[int]:
+    """Return one maximum clique of the graph as a sorted vertex list.
 
     The search is depth-first over an explicit stack of frames, one per node
     on the current path: its candidate set, colour classes, locked classes,
@@ -113,7 +110,7 @@ def max_clique(adj: np.ndarray, floor: int = 0) -> list[int]:
         return [cand, classes, set(), len(classes), classes[-1]]
 
     best: list[int] = []
-    size = floor  # a clique is kept only when it has more vertices than this
+    size = 0  # a clique is kept only when it has more vertices than this
     current: list[int] = []
     stack = [frame((1 << n) - 1)]
     while stack:

@@ -1,10 +1,13 @@
 """JSON encodings for every data type crossing the command-line boundary.
 
-Complex entries are ``[re, im]`` pairs; block-diagonal elements are lists of
-such matrices; maps carry one record per nonzero matrix-unit image.  Parsing
-is strict: unknown shapes, indices outside the domain and entries that are not
-finite numbers raise :class:`SchemaError` so the CLI can exit with the schema
-code.  Output text is :func:`dumps`, byte for byte ``json``'s indented form.
+Complex entries are ``[re, im]`` pairs; a block-diagonal element is the list
+of its matrices, ``{"blocks": [...]}``, or the ``[block, matrix]`` pairs of
+its blocks that are not zero, blocks ascending, ``{"sparse": [...]}``; maps
+carry one record per nonzero matrix-unit image, which writers emit in the
+sparse form.  Parsing is strict: unknown shapes, indices outside the domain
+and entries that are not finite numbers raise :class:`SchemaError` so the CLI
+can exit with the schema code.  Output text is :func:`dumps`, byte for byte
+``json``'s indented form.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from .algebra import AlgebraElement, FiniteDimAlgebra
 from .approx import CPApproximation, function_algebra
 from .covers import Cover, FiniteMetricSpace, SimplicialComplex
-from .cpmaps import CPMap, unit_stacks
+from .cpmaps import CPMap
 
 
 class SchemaError(ValueError):
@@ -47,10 +50,10 @@ def _encode(o: Any, nl: str) -> str:
         text = ("," + inner).join(map(scalar, o)) if scalar else ""
         if not scalar or scalar is float.__repr__ and "n" in text:  # nan and inf
             text = ("," + inner).join([_encode(v, inner) for v in o])
-        return "[" + inner + text + nl + "]" if o else "[]"
+        return f"[{inner}{text}{nl}]" if o else "[]"  # one copy of text, where + made three
     if isinstance(o, dict):
         text = ("," + inner).join([_key(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())])
-        return "{" + inner + text + nl + "}" if o else "{}"
+        return f"{{{inner}{text}{nl}}}" if o else "{}"
     if o is None or o is True or o is False:
         return _NAMES[o]
     for kind, write in _SCALARS.items():
@@ -137,27 +140,43 @@ def algebra_from_json(data: Any, max_block: int = 64) -> FiniteDimAlgebra:
 
 
 def element_to_json(a: AlgebraElement) -> dict:
-    return {"blocks": _blocks_to_json(a.stacks, a.algebra.block_slots)}
-
-
-def _blocks_to_json(stacks: list[np.ndarray], slots: tuple) -> list:
-    """The block list of an element stacked by size group: the whole stack as
-    one list when there is one size group, one list per block otherwise."""
-    if len(stacks) == 1:
-        return matrix_to_json(stacks[0])
-    return [matrix_to_json(stacks[g][n]) for g, n in slots]
+    """The dense form: the whole stack as one list when there is one size
+    group, one list per block otherwise."""
+    if len(a.stacks) == 1:
+        return {"blocks": matrix_to_json(a.stacks[0])}
+    return {"blocks": [matrix_to_json(b) for b in a.blocks]}
 
 
 def element_from_json(algebra: FiniteDimAlgebra, data: Any) -> AlgebraElement:
-    try:
-        blocks = data["blocks"]
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"element needs blocks: {exc}") from exc
+    """An element from its dense form, every block in order, or its sparse form,
+    the blocks that are not zero as ``[block, matrix]`` pairs, blocks ascending."""
+    if not isinstance(data, dict) or ("blocks" in data) == ("sparse" in data):
+        raise SchemaError("element needs one of blocks and sparse")
+    if "sparse" in data:
+        return AlgebraElement.from_stacks(algebra, _sparse_stacks(algebra, data["sparse"]))
+    blocks = data["blocks"]
     if not isinstance(blocks, list) or len(blocks) != algebra.num_blocks:
         raise SchemaError(f"element needs a list of {algebra.num_blocks} blocks")
     groups = zip(algebra.group_sizes, algebra.group_blocks)
     stacks = [matrix_from_json([blocks[b] for b in idx], (len(idx), r, r)) for r, idx in groups]
     return AlgebraElement.from_stacks(algebra, stacks)
+
+
+def _sparse_stacks(algebra: FiniteDimAlgebra, pairs: Any) -> list[np.ndarray]:
+    """Zero stacks with the listed blocks scattered in, parsed by one
+    :func:`matrix_from_json` per size group."""
+    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 and type(p[0]) is int for p in pairs):
+        raise SchemaError("sparse must be a list of [block, matrix] pairs with integer blocks")
+    index = [b for b, _ in pairs]
+    if not all(a < b for a, b in zip([-1] + index, index + [algebra.num_blocks])):
+        raise SchemaError(f"sparse blocks must ascend strictly in 0..{algebra.num_blocks - 1}, got {index}")
+    slots = [algebra.block_slots[b] for b in index]
+    stacks = algebra.zero_stacks()
+    for g, r in enumerate(algebra.group_sizes):
+        at = [q for q, (h, _) in enumerate(slots) if h == g]
+        if at:
+            stacks[g][[slots[q][1] for q in at]] = matrix_from_json([pairs[q][1] for q in at], (len(at), r, r))
+    return stacks
 
 
 def space_to_json(space: FiniteMetricSpace) -> dict:
@@ -230,16 +249,17 @@ def cpmap_to_json(phi: CPMap) -> dict:
 
 
 def unit_records(phi: CPMap) -> list[dict]:
-    """One record per matrix unit whose stored images are not all zero."""
-    live: dict[int, np.ndarray] = {}
-    for (i, _), arr in phi.images.items():
-        live[i] = live.get(i, False) | np.any(arr, axis=(2, 3))
-    units = {i: unit_stacks(phi, i) for i in live}
-    slots = phi.codomain.block_slots
+    """One record per matrix unit whose stored images are not all zero, in the
+    sparse form: each codomain block that is not all zero, as ``0.0 + x`` for
+    the stored x, the bits :func:`cpmaps.unit_stacks` gives."""
+    units: dict[tuple[int, int, int], list] = {}
+    for i, c in sorted(phi.images):
+        arr = phi.images[i, c]
+        for j, k in np.argwhere(np.any(arr, axis=(2, 3))).tolist():
+            units.setdefault((int(i), j, k), []).append([int(c), matrix_to_json(0.0 + arr[j, k])])
     return [
-        {"block": int(i), "row": j, "col": k, "value": {"blocks": _blocks_to_json([s[:, j, k] for s in units[i]], slots)}}
-        for i in sorted(live)
-        for j, k in np.argwhere(live[i]).tolist()
+        {"block": i, "row": j, "col": k, "value": {"sparse": blocks}}
+        for (i, j, k), blocks in sorted(units.items())
     ]
 
 

@@ -4,11 +4,11 @@ Each function here is the plain version of a kernel in ``cprank``: subset
 enumeration for clique numbers, cover orders and abelian strict order; the
 set-based partition of unity and level-set faces of the strict refinement;
 the pairwise oscillation scale; the entry-by-entry reader of a map's unit
-records; the image of a matrix unit computed by ``CPMap.apply``; the
-order-zero defects with an SVD for every block, one element at a time; and
-a c.p. approximation evaluated one function, one block element and one
-class at a time, cover extraction included.  They are plain rather than
-fast, and serve only as oracles.
+records and their dense writer; the image of a matrix unit computed by
+``CPMap.apply``; the order-zero defects with an SVD for every block, one
+element at a time; and a c.p. approximation evaluated one function, one
+block element and one class at a time, cover extraction included.  They are
+plain rather than fast, and serve only as oracles.
 """
 
 from __future__ import annotations
@@ -225,6 +225,20 @@ def cpmap_from_json_per_entry(data: Any, max_block: int = 64) -> CPMap:
             arr = images.setdefault((i, c), np.zeros((d, d, r, r), complex))
             arr[j, k] += blk
     return CPMap(domain, codomain, images, codomain_space=space, codomain_matdim=matdim)
+
+
+def unit_records_dense(phi: CPMap) -> list[dict]:
+    """A map's unit records in the dense form: every codomain block of each
+    matrix unit whose image is not zero, as plain lists."""
+    records = []
+    for i, d in enumerate(phi.domain.block_sizes):
+        stacks = unit_stacks(phi, i)
+        for j, k in np.ndindex(d, d):
+            blocks = [stacks[g][n, j, k] for g, n in phi.codomain.block_slots]
+            if any(np.any(b) for b in blocks):
+                value = [b.view(float).reshape(b.shape + (2,)).tolist() for b in blocks]
+                records.append({"block": i, "row": j, "col": k, "value": {"blocks": value}})
+    return records
 
 
 def norms_unscreened(stacks: list[np.ndarray], floor: float = 0.0) -> np.ndarray:

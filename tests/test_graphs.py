@@ -78,18 +78,6 @@ class TestMaxClique:
                     expect, _ = nx.max_weight_clique(graph, weight=None)
                     assert len(clique) == len(expect)
 
-    def test_floor_against_brute_force(self):
-        # a maximum clique when one has more than floor vertices, else none
-        rng = np.random.default_rng(75)
-        for n in range(1, 15):
-            for density in (0.3, 0.7, 0.95):
-                adj = random_graph(rng, n, density)
-                size = max_clique_brute(adj)
-                for floor in range(size + 2):
-                    got = max_clique(adj, floor=floor)
-                    assert all(adj[a, b] for a, b in combinations(got, 2))
-                    assert len(got) == (size if size > floor else 0)
-
     def test_clique_of_1100_vertices(self):
         # one search frame per clique vertex, none of them a Python call frame
         assert max_clique(~np.eye(1100, dtype=bool)) == list(range(1100))

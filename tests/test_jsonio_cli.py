@@ -26,7 +26,7 @@ from conftest import (
     rand_order_zero,
     three_arcs_cover,
 )
-from oracles import cpmap_from_json_per_entry, element_from_json_per_entry, unit_image_apply
+from oracles import cpmap_from_json_per_entry, element_from_json_per_entry, unit_image_apply, unit_records_dense
 
 
 class TestRoundTrips:
@@ -257,7 +257,7 @@ class TestCLI:
 
 # A map's unit records are malformed when they are not a list, an index leaves
 # the domain, the blocks do not match the codomain, or an entry is not a finite
-# number.
+# number.  Each case edits the dense form of a valid map.
 MALFORMED = {
     "not_a_list": lambda m: m.update(unit_images=5),
     "row_negative": lambda m: m["unit_images"][0].update(row=-1),
@@ -276,7 +276,7 @@ MALFORMED = {
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_unit_record_exits_2(tmp_path, case, capsys):
     phi = rand_cp_contraction(np.random.default_rng(85), [2, 1], 2)
-    payload = {"map": jsonio.cpmap_to_json(phi)}
+    payload = {"map": {**jsonio.cpmap_to_json(phi), "unit_images": unit_records_dense(phi)}}
     MALFORMED[case](payload["map"])
     inp = tmp_path / "bad.json"
     inp.write_text(json.dumps(payload).replace('"OVERFLOW"', "1e400"))
@@ -306,6 +306,17 @@ def _verify(**approx):
 def _extract(**fields):
     return {"space": SPACE3, "cover": CHAIN3, "n": 1, "approximation": APPROX3, **fields}
 
+
+def _sparse(**value):
+    """cpmap choi on a map whose one unit record has ``value`` over the codomain
+    blocks [1, 2, 1]."""
+    record = {"block": 0, "row": 0, "col": 0, "value": value}
+    codomain = {"algebra": {"block_sizes": [1, 2, 1]}}
+    return ("cpmap", "choi"), {"map": {**MAP1, "codomain": codomain, "unit_images": [record]}}, 2
+
+
+ONE, TWO = [[[1.0, 0.0]]], [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, -0.0]]]
+ALMOST_PROJECTION = {"kind": "almost-projection", "algebra": {"block_sizes": [1]}, "element": {"blocks": [ONE]}}
 
 BAD_INPUT = {
     "metric_infinite": (("cover", "refine"), {"space": {"metric": [[0, INF, 1], [INF, 0, 1], [1, 1, 0]]}, "cover": CHAIN3}, 2),
@@ -359,6 +370,42 @@ BAD_INPUT = {
     "n_negative": (("approx", "extract-cover"), _extract(n=-1), 2),
     "r_fraction": (("approx", "tensor"), {"approximation": APPROX3, "r": 1.9}, 2),
     "r_zero": (("approx", "tensor"), {"approximation": APPROX3, "r": 0}, 2),
+    "sparse_repeated": _sparse(sparse=[[0, ONE], [0, ONE]]),
+    "sparse_out_of_range": _sparse(sparse=[[0, ONE], [3, ONE]]),
+    "sparse_huge_index": _sparse(sparse=[[10**30, ONE]]),
+    "sparse_negative": _sparse(sparse=[[-1, ONE]]),
+    "sparse_index_bool": _sparse(sparse=[[True, ONE]]),
+    "sparse_index_fraction": _sparse(sparse=[[0.5, ONE]]),
+    "sparse_index_string": _sparse(sparse=[["0", ONE]]),
+    "sparse_unsorted": _sparse(sparse=[[2, ONE], [0, ONE]]),
+    "sparse_shape": _sparse(sparse=[[1, ONE]]),
+    "sparse_shape_too_big": _sparse(sparse=[[0, TWO]]),
+    "sparse_nan": _sparse(sparse=[[1, [[[1.0, NAN], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]]),
+    "sparse_overflow": _sparse(sparse=[[0, [[["OVERFLOW", 0.0]]]]]),
+    "sparse_not_list": _sparse(sparse=5),
+    "sparse_object": _sparse(sparse={"0": ONE}),
+    "sparse_bare_index": _sparse(sparse=[0]),
+    "sparse_short_pair": _sparse(sparse=[[0]]),
+    "sparse_long_pair": _sparse(sparse=[[0, ONE, 1]]),
+    "sparse_and_blocks": _sparse(sparse=[[0, ONE]], blocks=[ONE, TWO, ONE]),
+    "neither_sparse_nor_blocks": _sparse(),
+    "element_sparse_repeated": (("cpmap", "repair"), {**ALMOST_PROJECTION, "element": {"sparse": [[0, ONE], [0, ONE]]}, "epsilon": 0.1}, 2),
+    "epsilon_string": (("approx", "build"), {"space": SPACE3, "functions": [[0.0, 1.0, 2.0]], "epsilon": "0.5"}, 2),
+    "epsilon_bool": (("approx", "build"), {"space": SPACE3, "functions": [[0.0, 1.0, 2.0]], "epsilon": True}, 2),
+    "epsilon_word": (("approx", "build"), {"space": SPACE3, "functions": [[0.0, 1.0, 2.0]], "epsilon": "x"}, 2),
+    "epsilon_overflow": (("approx", "build"), {"space": SPACE3, "functions": [[0.0, 1.0, 2.0]], "epsilon": "OVERFLOW"}, 2),
+    "epsilon_nan": (("approx", "build"), {"space": SPACE3, "functions": [[0.0, 1.0, 2.0]], "epsilon": NAN}, 2),
+    "verify_epsilon_string": (("approx", "verify"), {**_verify(), "epsilon": "0.5"}, 2),
+    "verify_epsilon_null": (("approx", "verify"), {**_verify(), "epsilon": None}, 2),
+    "repair_epsilon_string": (("cpmap", "repair"), {**ALMOST_PROJECTION, "epsilon": "0.1"}, 2),
+    "repair_epsilon_bool": (("cpmap", "repair"), {**ALMOST_PROJECTION, "epsilon": True}, 2),
+    "gamma_string": (("cpmap", "repair"), {"kind": "order-zero-map", "map": MAP1, "gamma": "0.1"}, 2),
+    "gamma_bool": (("cpmap", "repair"), {"kind": "order-zero-map", "map": MAP1, "gamma": False}, 2),
+    "gamma_list": (("cpmap", "repair"), {"kind": "order-zero-map", "map": MAP1, "gamma": [0.1]}, 2),
+    "scales_string": (("approx", "estimate"), {"space": SPACE3, "scales": ["0.1"]}, 2),
+    "scales_bool": (("approx", "estimate"), {"space": SPACE3, "scales": [0.1, True]}, 2),
+    "scales_not_list": (("approx", "estimate"), {"space": SPACE3, "scales": 0.1}, 2),
+    "scales_infinite": (("approx", "estimate"), {"space": SPACE3, "scales": [INF]}, 2),
 }
 
 
@@ -449,14 +496,15 @@ class TestDifferential:
                 assert same_bits([s[:, j, k] for s in stacks], ref.stacks)
                 if any(np.any(s) for s in ref.stacks):
                     blocks = [[[[float(z.real), float(z.imag)] for z in row] for row in b] for b in ref.blocks]
-                    ref_records.append({"block": i, "row": j, "col": k, "value": {"blocks": blocks}})
+                    sparse = [[c, blk] for c, (blk, b) in enumerate(zip(blocks, ref.blocks)) if np.any(b)]
+                    ref_records.append({"block": i, "row": j, "col": k, "value": {"sparse": sparse}})
         assert json.dumps(jsonio.unit_records(phi)) == json.dumps(ref_records)
 
 
     @pytest.mark.parametrize("sizes", [(1, 1, 1, 1), (2, 3, 2, 1, 3)])
     def test_unit_records_match_list_slices(self, sizes):
-        # one size group: each record's blocks are one list over the stack;
-        # several: one list per block.  Either way, the parent's list form.
+        # each record lists the blocks of the dense list form that are not
+        # all zero, with their indices, for one size group or several
         rng = np.random.default_rng(len(sizes))
         phi = random_map(FiniteDimAlgebra((2, 1)), FiniteDimAlgebra(sizes), rng)
         records = jsonio.unit_records(phi)
@@ -467,11 +515,52 @@ class TestDifferential:
             for j, k in np.ndindex(d, d):
                 blocks = [units[g][j][k][n] for g, n in phi.codomain.block_slots]
                 if np.any(np.concatenate([np.ravel(blk) for blk in blocks])):
-                    ref_records.append({"block": i, "row": j, "col": k, "value": {"blocks": blocks}})
+                    sparse = [[c, blk] for c, blk in enumerate(blocks) if np.any(blk)]
+                    ref_records.append({"block": i, "row": j, "col": k, "value": {"sparse": sparse}})
         assert records == ref_records
         assert len(records) > 0
         for rec, ref in zip(records, ref_records):
             assert jsonio.dumps(rec) == json.dumps(ref, sort_keys=True, indent=2)
+
+    @PROPERTY
+    @given(algebras_and_rng())
+    def test_sparse_reader_matches_per_entry_reader(self, case):
+        # listed blocks keep their bits, -0.0 and whole-zero blocks among them;
+        # blocks left out read as +0.0, as in the dense equivalent
+        _, cod, rng = case
+        blocks = sparse_complex(rng, (cod.num_blocks, 3, 3))
+        listed = np.flatnonzero(rng.random(cod.num_blocks) < 0.6).tolist()
+        dense, sparse = [], []
+        for c, (b, r) in enumerate(zip(blocks, cod.block_sizes)):
+            entries = jsonio.matrix_to_json(b[:r, :r] if c in listed else np.zeros((r, r)))
+            dense.append(entries)
+            if c in listed:
+                sparse.append([c, entries])
+        data = json.loads(jsonio.dumps({"blocks": dense, "sparse": sparse}))
+        got = jsonio.element_from_json(cod, {"sparse": data["sparse"]})
+        assert same_bits(got.stacks, element_from_json_per_entry(cod, {"blocks": data["blocks"]}).stacks)
+        assert same_bits(got.stacks, jsonio.element_from_json(cod, {"blocks": data["blocks"]}).stacks)
+
+    @PROPERTY
+    @given(algebras_and_rng())
+    def test_sparse_round_trip_matches_dense_round_trip(self, case):
+        phi = random_map(*case)
+        text = jsonio.dumps(jsonio.cpmap_to_json(phi))
+        dense = json.loads(json.dumps({**json.loads(text), "unit_images": unit_records_dense(phi)}))
+        got, ref = jsonio.cpmap_from_json(json.loads(text)), jsonio.cpmap_from_json(dense)
+        assert "blocks" not in text
+        assert list(got.images) == list(ref.images) == list(cpmap_from_json_per_entry(dense).images)
+        assert same_bits(list(got.images.values()), list(ref.images.values()))
+
+
+def test_sparse_element_reads_as_its_dense_form(tmp_path):
+    # the control for the sparse BAD_INPUT cases: their payload is valid but
+    # for the one defect each introduces
+    command, payload, _ = _sparse(sparse=[[0, ONE], [1, TWO]])
+    dense = json.loads(json.dumps(payload))
+    dense["map"]["unit_images"][0]["value"] = {"blocks": [ONE, TWO, [[[0.0, 0.0]]]]}
+    outs = [run_cli(tmp_path, name, p, *command) for name, p in (("sparse", payload), ("dense", dense))]
+    assert outs[0] == outs[1] and outs[0][0] == 0
 
 
 json_scalars = st.one_of(
