@@ -239,9 +239,7 @@ def build_cp_approx(
     F = FiniteDimAlgebra((1,) * s)
     fun_alg_unit = np.ones((1, 1, 1, 1), dtype=complex)
 
-    psi_images = {
-        (exclusive[l], l): fun_alg_unit.copy() for l in range(s)
-    }
+    psi_images = {(exclusive[l], l): fun_alg_unit for l in range(s)}
     psi = CPMap(function_algebra(space), F, psi_images)
     phi_images = {(int(l), int(x)): weights[l, x] * fun_alg_unit for l, x in np.argwhere(weights > 0)}
     phi = CPMap(F, function_algebra(space), phi_images, codomain_space=space, codomain_matdim=1)

@@ -14,8 +14,8 @@ and witness search for the order-zero dichotomy on matrix blocks.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any
 
 import numpy as np
@@ -45,9 +45,12 @@ class CPMap:
 
     ``images[(i, c)]`` is a complex array of shape ``(d_i, d_i, r_c, r_c)``
     holding, at ``[j, k]``, the block-c component of the image of the matrix
-    unit ``e^{(i)}_{jk}``.  Pairs absent from the dictionary are zero.  Maps
-    read a stacked copy, rebuilt when an entry is replaced, added or removed:
-    replace arrays rather than modify them in place.
+    unit ``e^{(i)}_{jk}``.  Pairs absent from the mapping are zero.  A map is
+    immutable: the constructor copies the images once into read-only stacks,
+    and ``images`` is a read-only mapping, in the order given, of read-only
+    views into them.  ``layout`` holds, per codomain size group, the codomain
+    slots of the pairs in that order and, per domain size group, their domain
+    slots, places in that order and stacked images.
     """
 
     def __init__(
@@ -63,7 +66,12 @@ class CPMap:
         self.codomain_space = codomain_space
         self.codomain_matdim = codomain_matdim
         store: dict[tuple[int, int], np.ndarray] = {}
-        for (i, c), arr in images.items():
+        for key, arr in images.items():
+            ints = isinstance(key, tuple) and len(key) == 2
+            ints = ints and all(isinstance(n, (int, np.integer)) for n in key)
+            if not ints or not (0 <= key[0] < domain.num_blocks and 0 <= key[1] < codomain.num_blocks):
+                raise ValueError(f"image key {key!r} is not a (domain block, codomain block) pair")
+            i, c = int(key[0]), int(key[1])
             d = domain.block_sizes[i]
             r = codomain.block_sizes[c]
             a = np.asarray(arr, dtype=complex)
@@ -73,33 +81,28 @@ class CPMap:
                 )
             if np.any(a):
                 store[(i, c)] = a
-        self.images = store
-        self._stacked: tuple = ((), (), [])
-
-    # -- basic structure ---------------------------------------------------
-
-    def _layout(self) -> list[tuple]:
-        """Per codomain size group: the codomain slots of its pairs in dictionary
-        order and, per domain size group, their domain slots, places in that
-        order and stacked images.  Kept while ``images`` is unchanged."""
-        keys, arrays = tuple(self.images), tuple(self.images.values())
-        if keys == self._stacked[0] and all(map(operator.is_, arrays, self._stacked[1])):
-            return self._stacked[2]
         groups: dict[int, tuple[list, dict]] = {}
-        for (i, c), arr in zip(keys, arrays):
-            (gd, sd), (gc, sc) = self.domain.block_slots[i], self.codomain.block_slots[c]
+        for i, c in store:
+            (gd, sd), (gc, sc) = domain.block_slots[i], codomain.block_slots[c]
             slots, parts = groups.setdefault(gc, ([], {}))
-            dom_slots, at, arrs = parts.setdefault(gd, ([], [], []))
+            dom_slots, at, keys = parts.setdefault(gd, ([], [], []))
             dom_slots.append(sd)
             at.append(len(slots))
-            arrs.append(arr)
+            keys.append((i, c))
             slots.append(sc)
-        layout = [
-            (gc, slots, [(gd, sd, at, np.stack(arrs)) for gd, (sd, at, arrs) in parts.items()])
-            for gc, (slots, parts) in groups.items()
-        ]
-        self._stacked = (keys, arrays, layout)
-        return layout
+        self.layout = []
+        for gc, (slots, parts) in groups.items():
+            stacked = []
+            for gd, (dom_slots, at, keys) in parts.items():
+                arrays = np.stack([store[key] for key in keys])
+                arrays.flags.writeable = False
+                # updating existing keys keeps the order given
+                store.update(zip(keys, arrays))
+                stacked.append((gd, dom_slots, at, arrays))
+            self.layout.append((gc, slots, stacked))
+        self.images = MappingProxyType(store)
+
+    # -- basic structure ---------------------------------------------------
 
     def image_array(self, i: int, c: int) -> np.ndarray:
         d = self.domain.block_sizes[i]
@@ -117,7 +120,7 @@ class CPMap:
         if x.algebra.block_sizes != self.domain.block_sizes:
             raise ValueError("element does not live in the domain")
         stacks = self.codomain.zero_stacks(x.stacks[0].shape[1:-2])
-        for gc, slots, parts in self._layout():
+        for gc, slots, parts in self.layout:
             terms = np.empty((len(slots),) + stacks[gc].shape[1:], complex)
             for gd, dom_slots, at, arrays in parts:
                 terms[at] = np.einsum("n...jk,njkab->n...ab", x.stacks[gd][dom_slots], arrays)
@@ -134,7 +137,7 @@ class CPMap:
 
     def restrict_to_block(self, i: int) -> "CPMap":
         """The map on domain block i alone, as a map out of M_{d_i}."""
-        images = {(0, c): self.image_array(i, c) for c in range(self.codomain.num_blocks)}
+        images = {(0, c): arr for (i2, c), arr in sorted(self.images.items()) if i2 == i}
         d = self.domain.block_sizes[i]
         # d passed the cap of self.domain, which may be above the default
         sub_domain = FiniteDimAlgebra((d,), max_block=d)
@@ -222,7 +225,7 @@ def unitize(phi: CPMap, tol: float = CP_TOL) -> CPMap:
         raise ValueError(f"map is not contractive: ||phi(1)|| = {nrm:.6g}")
     sizes = phi.domain.block_sizes
     new_domain = FiniteDimAlgebra(sizes + (1,), max_block=max(sizes))
-    images = {(i, c): arr.copy() for (i, c), arr in phi.images.items()}
+    images = dict(phi.images)
     defect = AlgebraElement.identity(phi.codomain) - phi.apply_one()
     m = phi.domain.num_blocks
     # the constructor drops the zero blocks
@@ -404,12 +407,10 @@ def unit_stacks(phi: CPMap, i: int, at: tuple = np.s_[:, :]) -> list[np.ndarray]
     """phi(e^{(i)}_{jk}) for the (j, k) that ``at`` selects, stacked like codomain
     elements: ``[g][n, j, k]`` is block n of size group g.  Each entry is ``0.0 + x``
     for a stored x, the bits :meth:`CPMap.apply` gives a matrix unit on finite images."""
-    cod = phi.codomain
-    lead = np.zeros((phi.domain.block_sizes[i],) * 2)[at].shape
-    stacks = [np.zeros((len(b),) + lead + (r, r), complex) for r, b in zip(cod.group_sizes, cod.group_blocks)]
+    stacks = phi.codomain.zero_stacks(np.zeros((phi.domain.block_sizes[i],) * 2)[at].shape)
     for (i2, c), arr in phi.images.items():
         if i2 == i:
-            g, s = cod.block_slots[c]
+            g, s = phi.codomain.block_slots[c]
             stacks[g][s] += arr[at]
     return stacks
 
@@ -752,9 +753,7 @@ def tensor_with_identity(phi: CPMap, r: int) -> CPMap:
     if r < 1:
         raise ValueError("r must be >= 1")
     if r == 1:
-        return CPMap(
-            phi.domain, phi.codomain, dict(phi.images), phi.codomain_space, phi.codomain_matdim
-        )
+        return phi
     dom_sizes = tuple(d * r for d in phi.domain.block_sizes)
     cod_sizes = tuple(n * r for n in phi.codomain.block_sizes)
     new_domain = FiniteDimAlgebra(dom_sizes, max_block=max(dom_sizes))

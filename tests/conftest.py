@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -230,3 +232,11 @@ def matrix_path_approximation(overlap: float = 1e-6):
     )
     approx = CPApproximation(space, 1, F, psi, phi)
     return space, cover, approx
+
+
+def with_scaled_psi_image(approx: CPApproximation, scale: float) -> CPApproximation:
+    """The approximation with psi's (0, 0) image multiplied by ``scale``."""
+    psi = approx.psi
+    images = {**psi.images, (0, 0): psi.images[0, 0] * scale}
+    psi = CPMap(psi.domain, psi.codomain, images, psi.codomain_space, psi.codomain_matdim)
+    return dataclasses.replace(approx, psi=psi)

@@ -250,7 +250,7 @@ def apply_one_element(phi: CPMap, x: AlgebraElement) -> AlgebraElement:
     """phi(x) for a single element: one einsum per group of same-shape pairs, then
     each pair's term added into its codomain block in dictionary order."""
     stacks = phi.codomain.zero_stacks()
-    for gc, slots, parts in phi._layout():
+    for gc, slots, parts in phi.layout:
         terms = np.empty((len(slots),) + stacks[gc].shape[1:], complex)
         for gd, dom_slots, at, arrays in parts:
             terms[at] = np.einsum("njk,njkab->nab", x.stacks[gd][dom_slots], arrays)

@@ -37,7 +37,7 @@ from cprank import (
 from cprank.approx import ExtractionConstants, _real, _values_of
 from cprank.cpmaps import tensor_strict_order_exact
 
-from conftest import interval_chain_cover, matrix_path_approximation, three_arcs_cover
+from conftest import interval_chain_cover, matrix_path_approximation, three_arcs_cover, with_scaled_psi_image
 from oracles import (
     compose_values_per_function,
     error_on_per_function,
@@ -250,7 +250,7 @@ class TestExtractCover:
     def test_failure_names_the_step(self):
         space, U, approx = matrix_path_approximation()
         # breaking the approximation quality trips the eta check by name
-        approx.psi.images[(0, 0)] = approx.psi.images[(0, 0)] * 0.5
+        approx = with_scaled_psi_image(approx, 0.5)
         with pytest.raises(StepFailure) as err:
             extract_cover(space, U, 1, approx)
         assert err.value.step in ("eta", "(1)")
@@ -454,7 +454,7 @@ class TestBatchedExtraction:
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     def test_matrix_blocks_match_per_class(self, overlap, scale):
         space, U, approx = matrix_path_approximation(overlap)
-        approx.psi.images[(0, 0)] = approx.psi.images[(0, 0)] * scale
+        approx = with_scaled_psi_image(approx, scale)
         got = _outcome(extract_cover, space, U, 1, approx, None)
         want = _outcome(extract_cover_per_class, space, U, 1, approx, None)
         assert repr(got) == repr(want)

@@ -15,6 +15,7 @@ from cprank import (
     choi_blocks,
     compress,
     is_contractive,
+    matrix_unit,
     multiplicativity_defect,
     schwarz_defect,
     stinespring,
@@ -427,7 +428,7 @@ class TestTensoring:
     def test_r_equal_one(self):
         phi = identity_map(2)
         out = tensor_with_identity(phi, 1)
-        assert out.domain.block_sizes == (2,)
+        assert out is phi
 
     def test_tensored_identity_reconstructs(self):
         rng = np.random.default_rng(46)
@@ -462,6 +463,57 @@ class TestTensoring:
         out = tensor_with_identity(phi, 65)
         assert out.domain.block_sizes == (65,)
         assert out.codomain.block_sizes == (65,)
+
+
+class TestImmutableStorage:
+    def edited_after_apply(self):
+        """A map out of M_2 into M_1 + M_2, applied once before the caller edits
+        the arrays it was built from, with a copy of the images as built."""
+        rng = np.random.default_rng(48)
+        dom, cod = FiniteDimAlgebra([2]), FiniteDimAlgebra([1, 2])
+        given = {(0, 1): rand_complex(rng, (2, 2, 2, 2)), (0, 0): rand_complex(rng, (2, 2, 1, 1))}
+        phi = CPMap(dom, cod, given)
+        phi.apply_one()
+        built = {key: arr.copy() for key, arr in given.items()}
+        for arr in given.values():
+            arr[...] = 5.0
+        return phi, built
+
+    def test_edits_to_the_given_arrays_do_not_reach_the_map(self):
+        phi, built = self.edited_after_apply()
+        assert list(phi.images) == list(built)
+        for (i, c), arr in built.items():
+            assert phi.images[i, c].tobytes() == arr.tobytes()
+            d, _, r, _ = arr.shape
+            assert phi.choi_block(i, c).tobytes() == arr.transpose(0, 2, 1, 3).reshape(d * r, d * r).tobytes()
+        units = cpmaps.unit_stacks(phi, 0)
+        for j, k in np.ndindex(2, 2):
+            got = phi.apply(matrix_unit(phi.domain, 0, j, k))
+            for c, (g, n) in enumerate(phi.codomain.block_slots):
+                assert got.blocks[c].tobytes() == units[g][n, j, k].tobytes()
+                assert got.blocks[c].tobytes() == (0.0 + built[0, c][j, k]).tobytes()
+
+    def test_images_cannot_be_assigned(self):
+        phi = identity_map(2)
+        with pytest.raises(TypeError):
+            phi.images[(0, 0)] = 2 * phi.images[(0, 0)]
+
+    def test_images_cannot_be_written(self):
+        phi = identity_map(2)
+        with pytest.raises(ValueError, match="read-only"):
+            phi.images[(0, 0)][0, 0] = 2.0
+
+    @pytest.mark.parametrize("key", [(-1, 0), (0, -1), (2, 0), (0, 2), (0.0, 0), (0,), "ab"])
+    def test_image_keys_outside_the_blocks_are_rejected(self, key):
+        # a negative index would wrap onto the last block in ``block_sizes``
+        alg = FiniteDimAlgebra([1, 1])
+        with pytest.raises(ValueError, match="pair"):
+            CPMap(alg, alg, {key: np.ones((1, 1, 1, 1), complex)})
+
+    def test_numpy_integer_keys_are_stored_as_ints(self):
+        alg = FiniteDimAlgebra([1, 1])
+        phi = CPMap(alg, alg, {(np.int64(1), np.int32(0)): np.ones((1, 1, 1, 1), complex)})
+        assert [type(n) for n in next(iter(phi.images))] == [int, int]
 
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -25,6 +25,7 @@ from conftest import (
     rand_cp_contraction,
     rand_order_zero,
     three_arcs_cover,
+    with_scaled_psi_image,
 )
 from oracles import cpmap_from_json_per_entry, element_from_json_per_entry, unit_image_apply, unit_records_dense
 
@@ -160,7 +161,7 @@ class TestCLI:
 
     def test_extract_cover_failure_exits_4(self, tmp_path):
         space, U, approx = matrix_path_approximation()
-        approx.psi.images[(0, 0)] = approx.psi.images[(0, 0)] * 0.5
+        approx = with_scaled_psi_image(approx, 0.5)
         payload = {
             "space": jsonio.space_to_json(space),
             "cover": jsonio.cover_to_json(U),
