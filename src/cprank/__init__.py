@@ -20,7 +20,6 @@ from .algebra import (
     inverse_on_support,
     inverse_sqrt_on_support,
     matrix_unit,
-    orthogonality_defect,
     piecewise_linear,
     projection_from_vector,
     soft_indicator,

@@ -209,16 +209,6 @@ def projection_from_vector(algebra: FiniteDimAlgebra, block: int, vec: np.ndarra
     return AlgebraElement.from_block(algebra, block, np.outer(v, v.conj()))
 
 
-def orthogonality_defect(x: AlgebraElement, y: AlgebraElement) -> float:
-    """max of ||xy||, ||yx||, ||x*y||, ||xy*||; zero means x and y are orthogonal."""
-    return max(
-        (x @ y).norm(),
-        (y @ x).norm(),
-        (x.adjoint() @ y).norm(),
-        (x @ y.adjoint()).norm(),
-    )
-
-
 # ---------------------------------------------------------------------------
 # deterministic eigendecomposition
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ and witness search for the order-zero dichotomy on matrix blocks.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 from types import MappingProxyType
 from typing import Any
 
@@ -24,11 +26,11 @@ from scipy.linalg import block_diag
 from .algebra import (
     AlgebraElement,
     FiniteDimAlgebra,
+    _dagger,
     apply_function,
     eigh_canonical,
     inverse_sqrt_on_support,
     matrix_unit,
-    orthogonality_defect,
     projection_from_vector,
     support_projection,
 )
@@ -143,13 +145,14 @@ class CPMap:
         sub_domain = FiniteDimAlgebra((d,), max_block=d)
         return CPMap(sub_domain, self.codomain, images, self.codomain_space, self.codomain_matdim)
 
+    def _stacked_images(self) -> list[np.ndarray]:
+        """The ``(count, d, d, r, r)`` image stacks of :attr:`layout`."""
+        return [arrays for _, _, parts in self.layout for _, _, _, arrays in parts]
+
     def adjoint_symmetry_defect(self) -> float:
-        """max over blocks of || phi(e_kj) - phi(e_jk)^* ||_max."""
-        worst = 0.0
-        for arr in self.images.values():
-            swapped = np.conj(arr.transpose(1, 0, 3, 2))
-            worst = max(worst, float(np.abs(arr - swapped).max()))
-        return worst
+        """max over blocks of || phi(e_kj) - phi(e_jk)^* ||_max, one stack at a time."""
+        diffs = [a - np.conj(a.transpose(0, 2, 1, 4, 3)) for a in self._stacked_images()]
+        return max((float(np.abs(x).max()) for x in diffs), default=0.0)
 
     # -- verification --------------------------------------------------------
 
@@ -160,9 +163,13 @@ class CPMap:
         return arr.transpose(0, 2, 1, 3).reshape(d * r, d * r)
 
     def min_choi_eigenvalue(self) -> float:
-        """Smallest Choi eigenvalue over the stored block pairs, 0 when none is stored."""
-        chois = [self.choi_block(i, c) for i, c in self.images]
-        lows = [float(np.linalg.eigvalsh((ch + ch.conj().T) / 2).min()) for ch in chois]
+        """Smallest Choi eigenvalue over the stored block pairs, 0 when none is stored:
+        one ``eigvalsh`` per stack of same-shape pairs."""
+        lows = []
+        for a in self._stacked_images():
+            n, d, _, r, _ = a.shape
+            ch = a.transpose(0, 1, 3, 2, 4).reshape(n, d * r, d * r)
+            lows.append(float(np.linalg.eigvalsh((ch + _dagger(ch)) / 2).min()))
         return min(lows, default=0.0)
 
     def is_completely_positive(self, tol: float = CP_TOL) -> bool:
@@ -302,13 +309,12 @@ def stinespring(phi: CPMap, tol: float = CP_TOL) -> StinespringDilation:
     V = np.vstack(v_parts) if v_parts else np.zeros((0, n), complex)
     dil = StinespringDilation(phi.domain, n, tuple(mults), V)
 
+    # pi(e_jk) = e_jk (x) 1_m, so V^* pi(e_jk) V = V_j^* V_k for the m x n slabs V_j of block i
     worst = 0.0
-    for i, d in enumerate(phi.domain.block_sizes):
-        for j in range(d):
-            for k in range(d):
-                target = phi.unit_image(i, j, k).blocks[0]
-                got = dil.V.conj().T @ dil.pi_unit(i, j, k) @ dil.V
-                worst = max(worst, float(np.linalg.norm(target - got, 2)))
+    for i, (d, m, vi) in enumerate(zip(phi.domain.block_sizes, mults, v_parts)):
+        slabs = vi.reshape(d, m, n)
+        got = _dagger(slabs)[:, None] @ slabs
+        worst = max(worst, _max_norm([unit_stacks(phi, i)[0] - got], worst))
     if worst > 1e-9:
         raise AssertionError(f"dilation reconstruction defect {worst:.3e}")
     vnorm = float(np.linalg.norm(V, 2) ** 2)
@@ -431,21 +437,67 @@ def _norms(stacks: list[np.ndarray], floor: float = 0.0) -> np.ndarray:
     return np.max(out, axis=0)
 
 
+def _max_norm(stacks: list[np.ndarray], floor: float = 0.0) -> float:
+    """The largest operator norm of the blocks in ``stacks``, exact above ``floor`` and at
+    most ``floor`` otherwise.  ``||A|| >= ||A||_F / sqrt(r)`` for an r x r block, so the
+    floor rises to the largest such bound, and only blocks whose Frobenius norm passes it,
+    screened as in :func:`_norms`, get an SVD."""
+    fros = [np.linalg.norm(s, axis=(-2, -1)) for s in stacks]
+    floor = max([floor] + [float(f.max()) / np.sqrt(s.shape[-1]) for f, s in zip(fros, stacks)])
+    worst = 0.0
+    for s, fro in zip(stacks, fros):
+        big = fro > floor * (1 - 1e-8) if floor > 1e-150 else np.any(s, axis=(-2, -1))
+        if big.any():
+            worst = max(worst, float(np.linalg.svd(s[big], compute_uv=False).max()))
+    return worst
+
+
+#: complex entries (256 KiB) in one chunk of :func:`unit_product_defects`, which holds at
+#: least one (j, k); 2**16 ran no faster on the ``maps`` benchmark and raised its peak memory
+CHUNK_ENTRIES = 2**14
+
+
 def unit_product_defects(
-    a: list[np.ndarray], b: list[np.ndarray], j: int, k: int, same_block: bool, floor: float = 0.0
-) -> np.ndarray:
-    """||a(e_jk) b(e_lm) - [same_block and k == l] a(e_jm)|| for every (l, m), screened as in _norms.
+    a: list[np.ndarray], b: list[np.ndarray], same_block: bool
+) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """a(e_jk) b(e_lm) - [same_block and k == l] a(e_jm) for every (j, k, l, m), zero for a
+    homomorphism, in chunks of consecutive (j, k) in row-major order.
 
     ``a`` and ``b`` are the unit images of two domain blocks, stacked as in
-    :func:`unit_stacks`; zero everywhere for a homomorphism.
+    :func:`unit_stacks`.  Each chunk comes as the row-major index of its first (j, k)
+    and the defects stacked like codomain elements, ``[g][n, row, l, m]``; it holds at
+    most :data:`CHUNK_ENTRIES` complex entries, or one (j, k) when that alone is more.
     """
-    out = []
-    for x, y in zip(a, b):
-        got = x[:, j, k, None, None] @ y
-        if same_block:
-            got[:, k] -= x[:, j]
-        out.append(got)
-    return _norms(out, floor)
+    d = a[0].shape[1]
+    step = max(1, CHUNK_ENTRIES // sum(y.size for y in b))
+    for start in range(0, d * d, step):
+        j, k = np.divmod(np.arange(start, min(start + step, d * d)), d)
+        out = []
+        for x, y in zip(a, b):
+            got = x[:, j, k, None, None] @ y[:, None]
+            if same_block:
+                got[:, np.arange(len(j)), k] -= x[:, j]
+            out.append(got)
+        yield start, out
+
+
+def _batch(elements: list[AlgebraElement]) -> list[np.ndarray]:
+    """Elements of one algebra as one batch: ``[g][n, e]`` is block n of group g of element e."""
+    if any(e.algebra.block_sizes != elements[0].algebra.block_sizes for e in elements):
+        raise ValueError("elements live in different algebras")
+    return [np.stack(group, axis=1) for group in zip(*(e.stacks for e in elements))]
+
+
+def _orthogonality_defects(batch: list[np.ndarray], floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs i < j of a batch in lexicographic order and, per pair, the orthogonality
+    defect max(||xy||, ||yx||, ||x*y||, ||xy*||), zero when x and y are orthogonal,
+    screened as in _norms."""
+    i, j = np.triu_indices(batch[0].shape[1], 1)
+    prods = []
+    for s in batch:
+        x, y = s[:, i], s[:, j]
+        prods.append(np.stack([x @ y, y @ x, _dagger(x) @ y, x @ _dagger(y)], axis=2))
+    return i, j, _norms(prods, floor).max(axis=-1)
 
 
 @dataclass
@@ -462,16 +514,29 @@ class OrderZeroCertificate:
         return self.ok
 
 
+#: most witnesses a certificate carries
+MAX_WITNESSES = 16
+
+
 def certify_order_zero(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificate:
     """Certify strict order zero through its structural characterization.
 
     Per domain block, h_i = phi(1_i) must commute with every image, the
     compression of phi by the inverse square root of h_i on its support must
     be multiplicative, and images of different blocks must be orthogonal; a
-    failing check is returned as a witness.  A positive certificate carries
-    the h_i, their support projections and the compressed homomorphisms.
+    failing check is returned as a witness.  A certificate carries at most
+    :data:`MAX_WITNESSES` (16): certification stops at the 16th, so these are
+    the first 16 a full run finds, and such a certificate carries no other data.
+    A positive certificate carries the h_i, their support projections and the
+    compressed homomorphisms.
     """
     witnesses: list[str] = []
+
+    def full(found: Iterable[str]) -> bool:
+        """Add the witnesses ``found`` up to the cap; True once it is reached."""
+        witnesses.extend(islice(found, MAX_WITNESSES - len(witnesses)))
+        return len(witnesses) == MAX_WITNESSES
+
     min_choi = phi.min_choi_eigenvalue()
     if min_choi < -CP_TOL:
         witnesses.append(f"not completely positive: Choi eigenvalue {min_choi:.3e}")
@@ -483,18 +548,14 @@ def certify_order_zero(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificat
 
     m = phi.domain.num_blocks
     hs = [phi.apply_to_block(i, np.eye(phi.domain.block_sizes[i])) for i in range(m)]
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            cross = orthogonality_defect(hs[i], hs[j])
-            if cross > tol:
-                witnesses.append(
-                    f"blocks {i},{j}: ||phi(1_{i}) phi(1_{j})|| = {cross:.3e} > tol"
-                )
+    pairs = zip(*(a.tolist() for a in _orthogonality_defects(_batch(hs), tol)))
+    if full(f"blocks {i},{j}: ||phi(1_{i}) phi(1_{j})|| = {v:.3e} > tol" for i, j, v in pairs if v > tol):
+        return OrderZeroCertificate(False, tol, witnesses)
 
     supports = []
     sigmas = []
     recon_defect = 0.0
+    thr = max(tol, 1e-7)
     for i, d in enumerate(phi.domain.block_sizes):
         h = hs[i]
         supp = support_projection(h, tol=1e-7)
@@ -507,14 +568,14 @@ def certify_order_zero(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificat
         comm = _norms([hx @ u - u @ hx for hx, u in zip(hg, units)], tol)
         diag = [u[:, range(d), range(d)] for u in units]
         prod = _norms([e[:, :, None] @ e[:, None, :] for e in diag], tol)
-        for j in range(d):
-            for k in range(d):
-                if comm[j, k] > tol:
-                    witnesses.append(f"block {i}: ||[h, phi(e_{j}{k})]|| = {comm[j, k]:.3e} > tol")
-                if j != k and prod[j, k] > tol:
-                    witnesses.append(
-                        f"block {i}: ||phi(e_{j}{j}) phi(e_{k}{k})|| = {prod[j, k]:.3e} > tol"
-                    )
+        # per (j, k): the commutator, then the product of the two diagonal units
+        fails = np.stack([comm > tol, (prod > tol) & ~np.eye(d, dtype=bool)], axis=-1)
+        if full(
+            f"block {i}: ||[h, phi(e_{j}{k})]|| = {comm[j, k]:.3e} > tol" if not t
+            else f"block {i}: ||phi(e_{j}{j}) phi(e_{k}{k})|| = {prod[j, k]:.3e} > tol"
+            for j, k, t in np.argwhere(fails).tolist()
+        ):
+            return OrderZeroCertificate(False, tol, witnesses)
 
         sub_domain = FiniteDimAlgebra((d,), max_block=d)
         sig_arr = {}
@@ -526,23 +587,22 @@ def certify_order_zero(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificat
         sigmas.append(sigma)
 
         sig = unit_stacks(sigma, 0)
-        for j in range(d):
-            for k in range(d):
-                defect = unit_product_defects(sig, sig, j, k, True, max(tol, 1e-7))
-                for l, mm in np.argwhere(defect > max(tol, 1e-7)).tolist():
-                    witnesses.append(
-                        f"block {i}: sigma multiplicativity defect {defect[l, mm]:.3e} "
-                        f"at units ({j}{k})({l}{mm})"
-                    )
+        for start, prods in unit_product_defects(sig, sig, True):
+            defect = _norms(prods, thr)
+            if full(
+                f"block {i}: sigma multiplicativity defect {defect[n, l, mm]:.3e} "
+                f"at units ({(start + n) // d}{(start + n) % d})({l}{mm})"
+                for n, l, mm in np.argwhere(defect > thr).tolist()
+            ):
+                return OrderZeroCertificate(False, tol, witnesses)
         unit_defect = (sigma.apply_one() - supp).norm()
-        if unit_defect > max(tol, 1e-7):
-            witnesses.append(
-                f"block {i}: sigma(1) differs from the support projection by {unit_defect:.3e}"
-            )
+        off = f"block {i}: sigma(1) differs from the support projection by {unit_defect:.3e}"
+        if unit_defect > thr and full([off]):
+            return OrderZeroCertificate(False, tol, witnesses)
         recon = [u - hx @ x for hx, u, x in zip(hg, units, sig)]
         recon += [u - x @ hx for hx, u, x in zip(hg, units, sig)]
-        recon_defect = max(recon_defect, float(_norms(recon, recon_defect).max()))
-    if recon_defect > max(tol, 1e-7):
+        recon_defect = max(recon_defect, _max_norm(recon, recon_defect))
+    if recon_defect > thr:
         witnesses.append(f"reconstruction defect {recon_defect:.3e} > tol")
 
     ok = not witnesses
@@ -560,19 +620,22 @@ class ElementarySet:
     projections: list[AlgebraElement]
 
     def validate(self, tol: float = 1e-10) -> None:
+        """Raise ValueError at the first member that is not a minimal projection in one
+        block, or else at the first pair, in lexicographic order, that is not orthogonal."""
+        if not self.projections:
+            return
+        batch = _batch(self.projections)
+        idem = _norms([s @ s - s for s in batch], tol)
         for idx, p in enumerate(self.projections):
             traces = [float(np.trace(b).real) for b in p.blocks]
             live = [t for t in traces if abs(t) > 1e-9]
             if len(live) != 1 or abs(live[0] - 1.0) > 1e-7:
                 raise ValueError(f"member {idx} is not a minimal projection in one block")
-            idem = (p @ p - p).norm()
-            if idem > tol:
-                raise ValueError(f"member {idx} has projection defect {idem:.3e}")
-        for i in range(len(self.projections)):
-            for j in range(i + 1, len(self.projections)):
-                d = orthogonality_defect(self.projections[i], self.projections[j])
-                if d > tol:
-                    raise ValueError(f"members {i},{j} are not orthogonal: {d:.3e}")
+            if idem[idx] > tol:
+                raise ValueError(f"member {idx} has projection defect {idem[idx]:.3e}")
+        for i, j, d in zip(*_orthogonality_defects(batch, tol)):
+            if d > tol:
+                raise ValueError(f"members {i},{j} are not orthogonal: {d:.3e}")
 
     def __len__(self) -> int:
         return len(self.projections)
@@ -597,15 +660,15 @@ def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * ph
 
 
-def _worst_pair(images: list[AlgebraElement]) -> tuple[int, int, float]:
-    """The first pair of images with the smallest product norm, and that norm."""
-    worst = (0, 1, np.inf)
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            v = (images[i] @ images[j]).norm()
-            if v < worst[2]:
-                worst = (i, j, v)
-    return worst
+def _worst_pair(images: list[np.ndarray]) -> tuple[int, int, float]:
+    """The first pair, in lexicographic order, of a batch of images with the smallest
+    product norm, and that norm; (0, 1, inf) for fewer than two images."""
+    i, j = np.triu_indices(images[0].shape[1], 1)
+    if not i.size:
+        return 0, 1, np.inf
+    norms = _norms([s[:, i] @ s[:, j] for s in images])
+    at = int(norms.argmin())
+    return int(i[at]), int(j[at]), float(norms[at])
 
 
 def witness_elementary_set(
@@ -641,13 +704,15 @@ def witness_elementary_set(
         if not remaining:
             break
 
+    def images(projs: list[AlgebraElement]) -> list[np.ndarray]:
+        return phi.apply(AlgebraElement.from_stacks(phi.domain, _batch(projs))).stacks
+
     def build(frames: dict[int, np.ndarray]) -> tuple[list[AlgebraElement], float]:
         projs = []
         for b, take in alloc:
             for t in range(take):
                 projs.append(projection_from_vector(phi.domain, b, frames[b][:, t]))
-        images = [phi.apply(p) for p in projs]
-        return projs, _worst_pair(images)[2]
+        return projs, _worst_pair(images(projs))[2]
 
     best_projs: list[AlgebraElement] = []
     best_val = -np.inf
@@ -675,7 +740,7 @@ def witness_elementary_set(
         raise RuntimeError("zero projection in candidate set")
 
     while samples < budget and best_val <= tol and len(best_projs) >= 2:
-        i, j, _ = _worst_pair([phi.apply(p) for p in best_projs])
+        i, j, _ = _worst_pair(images(best_projs))
         bi, vi = block_and_vector(best_projs[i])
         bj, vj = block_and_vector(best_projs[j])
         if bi != bj:
@@ -692,8 +757,7 @@ def witness_elementary_set(
         cand = list(best_projs)
         cand[i] = projection_from_vector(phi.domain, bi, va)
         cand[j] = projection_from_vector(phi.domain, bi, vb)
-        images = [phi.apply(p) for p in cand]
-        val = _worst_pair(images)[2]
+        val = _worst_pair(images(cand))[2]
         samples += 1
         if val > best_val:
             best_projs, best_val = cand, val
@@ -798,8 +862,8 @@ def tensor_strict_order_exact(
     es = ElementarySet(witness_members)
     es.validate()
     if len(clique) > 1:
-        images = [tensored.apply(p) for p in witness_members]
-        low = _worst_pair(images)[2]
+        batch = AlgebraElement.from_stacks(tensored.domain, _batch(witness_members))
+        low = _worst_pair(tensored.apply(batch).stacks)[2]
         if low <= tol:
             raise AssertionError("tensored witness lost its pairwise products")
     return order, es

@@ -302,11 +302,16 @@ def cpmap_from_json(data: Any, max_block: int = 64) -> CPMap:
         if not (0 <= i < len(sizes) and 0 <= j < sizes[i] and 0 <= k < sizes[i]):
             raise SchemaError(f"unit index ({i},{j},{k}) outside the domain")
         stacks = element_from_json(codomain, value).stacks
-        live = np.empty(codomain.num_blocks, bool)
-        for s, idx in zip(stacks, codomain.group_blocks):
-            live[idx] = np.any(s, axis=(1, 2))
-        for c in np.flatnonzero(live).tolist():
-            g, n = codomain.block_slots[c]
+        slots = codomain.block_slots
+        if "sparse" in value:  # the listed blocks are the only ones that can be nonzero
+            live = [c for c, _ in value["sparse"] if np.any(stacks[slots[c][0]][slots[c][1]])]
+        else:
+            nonzero = np.empty(codomain.num_blocks, bool)
+            for s, idx in zip(stacks, codomain.group_blocks):
+                nonzero[idx] = np.any(s, axis=(1, 2))
+            live = np.flatnonzero(nonzero).tolist()
+        for c in live:
+            g, n = slots[c]
             arr = images.setdefault((i, c), np.zeros((sizes[i],) * 2 + stacks[g].shape[1:], complex))
             arr[j, k] += stacks[g][n]
     return CPMap(domain, codomain, images, codomain_space=space, codomain_matdim=matdim)

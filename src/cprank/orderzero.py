@@ -27,6 +27,7 @@ from .algebra import (
 from .cpmaps import (
     CPMap,
     OrderZeroCertificate,
+    _max_norm,
     _norms,
     certify_order_zero,
     compress,
@@ -93,7 +94,7 @@ def decompose_order_zero(phi: CPMap, tol: float = 1e-9) -> OrderZeroDecompositio
             raise ValueError(f"block {i}: eigenvalue {support_vals[-1]:.6g} above 1")
         units = zip(unit_stacks(phi, i), h.stacks, unit_stacks(sigma, 0))
         recon = [u - hg[:, None, None] @ s for u, hg, s in units]
-        worst = max(worst, float(_norms(recon, worst).max()))
+        worst = max(worst, _max_norm(recon, worst))
         blocks.append(BlockDecomposition(support_vals, h, sigma, supp))
     if worst > tol:
         raise ValueError(
@@ -118,9 +119,9 @@ def _hom_defect(phi: CPMap) -> float:
     """Worst multiplicativity defect of a map on pairs of matrix units."""
     units = [unit_stacks(phi, i) for i in range(phi.domain.num_blocks)]
     worst = 0.0
-    for i, d in enumerate(phi.domain.block_sizes):
-        for i2, j, k in product(range(len(units)), range(d), range(d)):
-            worst = max(worst, float(unit_product_defects(units[i], units[i2], j, k, i == i2, worst).max()))
+    for i, i2 in product(range(len(units)), repeat=2):
+        for _, defects in unit_product_defects(units[i], units[i2], i == i2):
+            worst = max(worst, _max_norm(defects, worst))
     return worst
 
 

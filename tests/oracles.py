@@ -6,9 +6,14 @@ set-based partition of unity and level-set faces of the strict refinement;
 the pairwise oscillation scale; the entry-by-entry reader of a map's unit
 records and their dense writer; the image of a matrix unit computed by
 ``CPMap.apply``; the order-zero defects with an SVD for every block, one
-element at a time; and a c.p. approximation evaluated one function, one
-block element and one class at a time, cover extraction included.  They are
-plain rather than fast, and serve only as oracles.
+element at a time; the order-zero certificate, uncapped, with one product
+defect call per (j, k), the decomposition's reconstruction defect, the
+orthogonality defect, the elementary-set check and the worst pair one pair
+at a time, the Stinespring self-check one matrix unit at a time, and the
+Choi and adjoint checks one image pair at a time; and a c.p. approximation
+evaluated one function, one block element and one class at a time, cover
+extraction included.  They are plain rather than fast, and serve only as
+oracles.
 """
 
 from __future__ import annotations
@@ -37,10 +42,24 @@ from cprank import (
     refines,
     strict_order_abelian,
 )
-from cprank.algebra import eigh_canonical, matrix_unit
+from cprank.algebra import (
+    apply_function,
+    eigh_canonical,
+    inverse_sqrt_on_support,
+    matrix_unit,
+    support_projection,
+)
 from cprank.approx import SNAP, NamedCheck, _above
 from cprank.covers import PartitionOfUnity, mask_indices, point_member_masks
-from cprank.cpmaps import ORTH_TOL, unit_stacks
+from cprank.cpmaps import (
+    CP_TOL,
+    ORTH_TOL,
+    ElementarySet,
+    OrderZeroCertificate,
+    StinespringDilation,
+    _norms,
+    unit_stacks,
+)
 from cprank.jsonio import SchemaError, algebra_from_json, space_from_json
 
 
@@ -274,6 +293,178 @@ def hom_defect_per_unit(phi: CPMap) -> float:
                         out.append(got)
                     worst.append(float(norms_unscreened(out).max()))
     return max(worst)
+
+
+def orthogonality_defect(x: AlgebraElement, y: AlgebraElement) -> float:
+    """max of ||xy||, ||yx||, ||x*y||, ||xy*||; zero means x and y are orthogonal."""
+    return max(
+        (x @ y).norm(),
+        (y @ x).norm(),
+        (x.adjoint() @ y).norm(),
+        (x @ y.adjoint()).norm(),
+    )
+
+
+def unit_product_defects_per_unit(
+    a: list[np.ndarray], b: list[np.ndarray], j: int, k: int, same_block: bool, floor: float = 0.0
+) -> np.ndarray:
+    """||a(e_jk) b(e_lm) - [same_block and k == l] a(e_jm)|| for every (l, m) of one (j, k),
+    screened as in ``_norms``."""
+    out = []
+    for x, y in zip(a, b):
+        got = x[:, j, k, None, None] @ y
+        if same_block:
+            got[:, k] -= x[:, j]
+        out.append(got)
+    return _norms(out, floor)
+
+
+def certify_order_zero_per_unit(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificate:
+    """The order-zero certificate with every witness: one product defect call per (j, k),
+    one orthogonality defect per pair of blocks."""
+    witnesses: list[str] = []
+    min_choi = min_choi_eigenvalue_per_pair(phi)
+    if min_choi < -CP_TOL:
+        witnesses.append(f"not completely positive: Choi eigenvalue {min_choi:.3e}")
+    one_norm = phi.apply_one().norm()
+    if one_norm > 1.0 + CP_TOL:
+        witnesses.append(f"not contractive: ||phi(1)|| = {one_norm:.6g}")
+    if witnesses:
+        return OrderZeroCertificate(False, tol, witnesses)
+
+    m = phi.domain.num_blocks
+    hs = [phi.apply_to_block(i, np.eye(phi.domain.block_sizes[i])) for i in range(m)]
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            cross = orthogonality_defect(hs[i], hs[j])
+            if cross > tol:
+                witnesses.append(
+                    f"blocks {i},{j}: ||phi(1_{i}) phi(1_{j})|| = {cross:.3e} > tol"
+                )
+
+    supports = []
+    sigmas = []
+    recon_defect = 0.0
+    for i, d in enumerate(phi.domain.block_sizes):
+        h = hs[i]
+        supp = support_projection(h, tol=1e-7)
+        supports.append(supp)
+        s_half = apply_function(h, inverse_sqrt_on_support())
+
+        units = unit_stacks(phi, i)
+        hg = [x[:, None, None] for x in h.stacks]
+        comm = _norms([hx @ u - u @ hx for hx, u in zip(hg, units)], tol)
+        diag = [u[:, range(d), range(d)] for u in units]
+        prod = _norms([e[:, :, None] @ e[:, None, :] for e in diag], tol)
+        for j in range(d):
+            for k in range(d):
+                if comm[j, k] > tol:
+                    witnesses.append(f"block {i}: ||[h, phi(e_{j}{k})]|| = {comm[j, k]:.3e} > tol")
+                if j != k and prod[j, k] > tol:
+                    witnesses.append(
+                        f"block {i}: ||phi(e_{j}{j}) phi(e_{k}{k})|| = {prod[j, k]:.3e} > tol"
+                    )
+
+        sub_domain = FiniteDimAlgebra((d,), max_block=d)
+        sig_arr = {}
+        for c in range(phi.codomain.num_blocks):
+            arr = phi.image_array(i, c)
+            sc = s_half.blocks[c]
+            sig_arr[(0, c)] = np.einsum("ab,jkbc,cd->jkad", sc, arr, sc)
+        sigma = CPMap(sub_domain, phi.codomain, sig_arr, phi.codomain_space, phi.codomain_matdim)
+        sigmas.append(sigma)
+
+        sig = unit_stacks(sigma, 0)
+        for j in range(d):
+            for k in range(d):
+                defect = unit_product_defects_per_unit(sig, sig, j, k, True, max(tol, 1e-7))
+                for l, mm in np.argwhere(defect > max(tol, 1e-7)).tolist():
+                    witnesses.append(
+                        f"block {i}: sigma multiplicativity defect {defect[l, mm]:.3e} "
+                        f"at units ({j}{k})({l}{mm})"
+                    )
+        unit_defect = (sigma.apply_one() - supp).norm()
+        if unit_defect > max(tol, 1e-7):
+            witnesses.append(
+                f"block {i}: sigma(1) differs from the support projection by {unit_defect:.3e}"
+            )
+        recon = [u - hx @ x for hx, u, x in zip(hg, units, sig)]
+        recon += [u - x @ hx for hx, u, x in zip(hg, units, sig)]
+        recon_defect = max(recon_defect, float(_norms(recon, recon_defect).max()))
+    if recon_defect > max(tol, 1e-7):
+        witnesses.append(f"reconstruction defect {recon_defect:.3e} > tol")
+
+    ok = not witnesses
+    return OrderZeroCertificate(ok, tol, witnesses, hs, supports, sigmas, recon_defect)
+
+
+def decomposition_defect_per_block(phi: CPMap) -> float:
+    """Worst ||phi(e_jk) - h sigma(e_jk)|| over the blocks of an order-zero map, from the
+    per-unit certificate's h and sigma, one screened norm call per block."""
+    cert = certify_order_zero_per_unit(phi)
+    worst = 0.0
+    for i in range(phi.domain.num_blocks):
+        units = zip(unit_stacks(phi, i), cert.h_blocks[i].stacks, unit_stacks(cert.sigma_maps[i], 0))
+        recon = [u - hg[:, None, None] @ s for u, hg, s in units]
+        worst = max(worst, float(_norms(recon, worst).max()))
+    return worst
+
+
+def validate_per_pair(es: ElementarySet, tol: float = 1e-10) -> None:
+    """The elementary-set check, one member and one pair at a time."""
+    for idx, p in enumerate(es.projections):
+        traces = [float(np.trace(b).real) for b in p.blocks]
+        live = [t for t in traces if abs(t) > 1e-9]
+        if len(live) != 1 or abs(live[0] - 1.0) > 1e-7:
+            raise ValueError(f"member {idx} is not a minimal projection in one block")
+        idem = (p @ p - p).norm()
+        if idem > tol:
+            raise ValueError(f"member {idx} has projection defect {idem:.3e}")
+    for i in range(len(es.projections)):
+        for j in range(i + 1, len(es.projections)):
+            d = orthogonality_defect(es.projections[i], es.projections[j])
+            if d > tol:
+                raise ValueError(f"members {i},{j} are not orthogonal: {d:.3e}")
+
+
+def worst_pair_per_pair(images: list[AlgebraElement]) -> tuple[int, int, float]:
+    """The first pair of images with the smallest product norm, and that norm."""
+    worst = (0, 1, np.inf)
+    for i in range(len(images)):
+        for j in range(i + 1, len(images)):
+            v = (images[i] @ images[j]).norm()
+            if v < worst[2]:
+                worst = (i, j, v)
+    return worst
+
+
+def dilation_defect_per_unit(phi: CPMap, dil: StinespringDilation) -> float:
+    """Worst ||phi(e_jk) - V^* pi(e_jk) V|| over the matrix units, one unit at a time."""
+    worst = 0.0
+    for i, d in enumerate(phi.domain.block_sizes):
+        for j in range(d):
+            for k in range(d):
+                target = phi.unit_image(i, j, k).blocks[0]
+                got = dil.V.conj().T @ dil.pi_unit(i, j, k) @ dil.V
+                worst = max(worst, float(np.linalg.norm(target - got, 2)))
+    return worst
+
+
+def min_choi_eigenvalue_per_pair(phi: CPMap) -> float:
+    """Smallest Choi eigenvalue over the stored block pairs, one pair at a time."""
+    chois = [phi.choi_block(i, c) for i, c in phi.images]
+    lows = [float(np.linalg.eigvalsh((ch + ch.conj().T) / 2).min()) for ch in chois]
+    return min(lows, default=0.0)
+
+
+def adjoint_symmetry_defect_per_pair(phi: CPMap) -> float:
+    """max over stored pairs of || phi(e_kj) - phi(e_jk)^* ||_max, one pair at a time."""
+    worst = 0.0
+    for arr in phi.images.values():
+        swapped = np.conj(arr.transpose(1, 0, 3, 2))
+        worst = max(worst, float(np.abs(arr - swapped).max()))
+    return worst
 
 
 def norm_probe_list(domain: FiniteDimAlgebra, seed: int = 7, count: int = 50) -> list[AlgebraElement]:

@@ -37,7 +37,18 @@ from conftest import (
     rand_order_zero,
     rand_unitary,
 )
-from oracles import apply_one_element, norms_unscreened, strict_order_abelian_brute
+from oracles import (
+    adjoint_symmetry_defect_per_pair,
+    apply_one_element,
+    certify_order_zero_per_unit,
+    dilation_defect_per_unit,
+    min_choi_eigenvalue_per_pair,
+    norms_unscreened,
+    strict_order_abelian_brute,
+    unit_product_defects_per_unit,
+    validate_per_pair,
+    worst_pair_per_pair,
+)
 
 
 def transpose_map(n: int) -> CPMap:
@@ -590,3 +601,272 @@ class TestScreenedNorms:
         assert (got.ok, got.witnesses) == (want.ok, want.witnesses)
         assert got.reconstruction_defect == want.reconstruction_defect
 
+
+
+def raised(check) -> tuple[type, str] | None:
+    """The type and message of the exception ``check()`` raises, None if it returns."""
+    try:
+        check()
+    except Exception as exc:  # compared, never swallowed: both sides must agree
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def max_norm_stacks(draw):
+    """Stacks of 1-3 size groups over one random lead, holding zero, tiny (1e-170), plain,
+    rank-one blocks and multiples of unitaries, whose norm is ||A||_F / sqrt(r)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    floor = draw(st.sampled_from([0.0, 1e-300, 1e-160, 1e-9, 0.3, 0.9, 2.0]))
+    lead = (int(rng.integers(1, 4)),)
+    stacks = []
+    for r in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)):
+        shape = (int(rng.integers(1, 4)),) + lead
+        plain = rand_complex(rng, shape + (r, r)) * rng.uniform(0.05, 1.0, shape + (1, 1))
+        one = rand_complex(rng, shape + (r, 1)) @ rand_complex(rng, shape + (1, r))
+        one *= rng.uniform(0.5, 1.5, shape + (1, 1)) / np.linalg.norm(one, axis=(-2, -1), keepdims=True)
+        unitary = np.stack([rand_unitary(rng, r) for _ in range(int(np.prod(shape)))]).reshape(shape + (r, r))
+        unitary *= rng.uniform(0.5, 1.5, shape + (1, 1))
+        kind = rng.integers(0, 5, shape + (1, 1))
+        stacks.append(np.select([kind == 0, kind == 1, kind == 2, kind == 3], [0.0, plain * 1e-170, plain, one], unitary))
+    return stacks, floor
+
+
+def random_map(rng, dom_sizes, cod_sizes) -> CPMap:
+    """A map with random complex images on a random subset of the block pairs, not c.p."""
+    dom, cod = FiniteDimAlgebra(dom_sizes), FiniteDimAlgebra(cod_sizes)
+    images = {}
+    for i in rng.permutation(dom.num_blocks).tolist():
+        for c in rng.permutation(cod.num_blocks).tolist():
+            if rng.random() < 0.7:
+                d, r = dom.block_sizes[i], cod.block_sizes[c]
+                images[(i, c)] = rand_complex(rng, (d, d, r, r))
+    return CPMap(dom, cod, images)
+
+
+class TestBatchedOrderZero:
+    """The chunked, capped and batched order-zero layer against the per-pair oracles."""
+
+    @PROPERTY
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=2),
+        st.integers(1, 2),
+        st.sampled_from([0.0, 1e-10, 1e-8, 1e-6, 0.5]),
+        st.sampled_from([cpmaps.ORTH_TOL, 1e-6, 0.0]),
+        st.sampled_from([1, 60, 150, 400, 2**16]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_certificate_is_the_uncapped_certificate_cut_at_16(self, sizes, copies, noise, tol, budget, cp, seed):
+        rng = np.random.default_rng(seed)
+        if cp:  # a generic c.p. contraction: most checks fail
+            phi = rand_cp_contraction(rng, sizes, int(rng.integers(1, 4)))
+        else:
+            phi = near_order_zero(rng, sizes, copies, noise)
+        want = certify_order_zero_per_unit(phi, tol)
+        with mock.patch.object(cpmaps, "CHUNK_ENTRIES", budget):
+            got = certify_order_zero(phi, tol)
+        assert got.ok == want.ok
+        assert got.witnesses == want.witnesses[: cpmaps.MAX_WITNESSES]
+        if len(want.witnesses) < cpmaps.MAX_WITNESSES:
+            assert np.float64(got.reconstruction_defect).tobytes() == np.float64(want.reconstruction_defect).tobytes()
+
+    def test_map_with_more_than_16_witnesses(self):
+        phi = rand_cp_contraction(np.random.default_rng(5), [3, 2], 3)
+        want = certify_order_zero_per_unit(phi)
+        got = certify_order_zero(phi)
+        assert len(want.witnesses) > 40
+        assert not got.ok and got.witnesses == want.witnesses[:16]
+        assert cpmaps.MAX_WITNESSES == 16
+
+    def test_cap_stops_inside_the_sigma_stage(self):
+        # the trace map on M_4 fails the diagonal products first (12), then sigma
+        # multiplicativity many times; the cap falls inside the sigma stage
+        n = 4
+        arr = np.zeros((n, n, n, n), complex)
+        for j in range(n):
+            arr[j, j] = np.eye(n) / n
+        phi = CPMap(FiniteDimAlgebra([n]), FiniteDimAlgebra([n]), {(0, 0): arr})
+        want = certify_order_zero_per_unit(phi)
+        with mock.patch.object(cpmaps, "CHUNK_ENTRIES", 1):
+            got = certify_order_zero(phi)
+        assert any("sigma" in w for w in got.witnesses)
+        assert len(want.witnesses) > 16 and got.witnesses == want.witnesses[:16]
+
+    @PROPERTY
+    @given(
+        st.integers(1, 4),
+        st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        st.integers(1, 9),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_product_defect_chunks(self, d, cod_sizes, rows, same_block, seed):
+        rng = np.random.default_rng(seed)
+        cod = FiniteDimAlgebra(cod_sizes)
+        a = [rand_complex(rng, z.shape) for z in cod.zero_stacks((d, d))]
+        b = a if same_block else [rand_complex(rng, z.shape) for z in a]
+        per_row = sum(y.size for y in b)
+        # a budget of ``rows`` rows and a remainder, which need not divide d * d
+        budget = rows * per_row + int(rng.integers(0, per_row))
+        with mock.patch.object(cpmaps, "CHUNK_ENTRIES", budget):
+            chunks = list(cpmaps.unit_product_defects(a, b, same_block))
+        assert [start for start, _ in chunks] == list(range(0, d * d, rows))
+        assert all(sum(x.size for x in c) <= budget for _, c in chunks)
+        got = np.concatenate([norms_unscreened(c) for _, c in chunks])
+        want = [unit_product_defects_per_unit(a, b, j, k, same_block) for j, k in np.ndindex(d, d)]
+        assert got.tobytes() == np.stack(want).tobytes()
+
+    def test_a_chunk_holds_one_row_above_the_budget(self):
+        rng = np.random.default_rng(6)
+        a = [rand_complex(rng, (1, 3, 3, 2, 2))]
+        with mock.patch.object(cpmaps, "CHUNK_ENTRIES", 1):
+            chunks = list(cpmaps.unit_product_defects(a, a, True))
+        assert [start for start, _ in chunks] == list(range(9))
+
+    @PROPERTY
+    @given(max_norm_stacks())
+    def test_max_norm_is_the_plain_svd_maximum(self, case):
+        stacks, floor = case
+        want = float(norms_unscreened(stacks).max())
+        got = cpmaps._max_norm(stacks, floor)
+        if want > floor:
+            assert got == want
+        else:
+            assert got <= floor
+        assert cpmaps._max_norm(stacks) == want
+
+    def test_max_norm_on_equal_frobenius_blocks(self):
+        # a rank-one block of norm 1 next to 0.8 times a 4x4 unitary: the Frobenius
+        # maximum is 1.6, the largest norm 1; only the sqrt(r) bound keeps the rank-one SVD
+        rng = np.random.default_rng(7)
+        one = np.outer(rand_complex(rng, 4), rand_complex(rng, 4))
+        one /= np.linalg.norm(one, 2)
+        stacks = [np.stack([one, 0.8 * rand_unitary(rng, 4)])]
+        assert cpmaps._max_norm(stacks) == float(norms_unscreened(stacks).max())
+        assert cpmaps._max_norm([np.full((2, 1, 1), 0.5 + 0j)]) == 0.5
+        assert cpmaps._max_norm([np.zeros((2, 3, 3), complex)]) == 0.0
+        tiny = np.full((1, 2, 2), 3e-170 + 0j)
+        assert cpmaps._max_norm([tiny]) == float(np.linalg.svd(tiny[0], compute_uv=False).max()) > 0
+
+    @PROPERTY
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        st.integers(0, 6),
+        st.sampled_from(["none", "repeat", "tilt", "scale", "rank", "wobble"]),
+        st.sampled_from([1e-10, 1e-6, 1e-3]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_elementary_set_check(self, sizes, count, fault, tol, seed):
+        rng = np.random.default_rng(seed)
+        alg = FiniteDimAlgebra(sizes)
+        frames = [rand_unitary(rng, r) for r in sizes]
+        members = []
+        for _ in range(count):
+            b = int(rng.integers(0, len(sizes)))
+            members.append((b, frames[b][:, int(rng.integers(0, sizes[b]))]))
+        projs = [AlgebraElement.from_block(alg, b, np.outer(v, v.conj())) for b, v in members]
+        if projs and fault != "none":
+            at = int(rng.integers(0, len(projs)))
+            b, v = members[at]
+            if fault == "repeat":
+                projs.append(projs[at])
+            elif fault == "tilt":  # a small turn towards a random vector
+                w = v + rng.choice([1e-8, 1e-4]) * rand_complex(rng, v.shape)
+                w /= np.linalg.norm(w)
+                projs[at] = AlgebraElement.from_block(alg, b, np.outer(w, w.conj()))
+            elif fault == "scale":
+                projs[at] = projs[at] * (1 + rng.choice([1e-9, 1e-5]))
+            elif fault == "rank":
+                projs[at] = AlgebraElement.identity(alg)
+            elif sizes[b] >= 3:  # a trace-free wobble: a defect of rank two, of norm about 3 tol
+                e, f = (u for u in frames[b].T if abs(np.vdot(u, v)) < 0.5)
+                wobble = 3 * tol * (np.outer(e, e.conj()) - np.outer(f, f.conj()))
+                projs[at] = projs[at] + AlgebraElement.from_block(alg, b, wobble)
+        es = cpmaps.ElementarySet(projs)
+        assert raised(lambda: es.validate(tol)) == raised(lambda: validate_per_pair(es, tol))
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_elementary_set_check_on_oblique_idempotents(self, adjoint, swap):
+        # x = (e1 + e3) e1^*, y = (e2 + e3) e2^*: idempotents of trace one with
+        # xy = yx = xy^* = 0 and x^*y != 0; adjoints and order move the nonzero product
+        e = np.eye(3)
+        x, y = np.outer(e[0] + e[2], e[0]), np.outer(e[1] + e[2], e[1])
+        pair = [m.conj().T if adjoint else m for m in ((y, x) if swap else (x, y))]
+        alg = FiniteDimAlgebra([3])
+        es = cpmaps.ElementarySet([AlgebraElement(alg, [m]) for m in pair])
+        want = raised(lambda: validate_per_pair(es))
+        assert want is not None and "not orthogonal" in want[1]
+        assert raised(es.validate) == want
+
+    def test_elementary_set_of_two_algebras_is_rejected(self):
+        # e_00 of M_2 and e_11 of M_2 + C share their first size group only
+        projs = [matrix_unit(FiniteDimAlgebra(sizes), 0, j, j) for sizes, j in (([2], 0), ([2, 1], 1))]
+        with pytest.raises(ValueError, match="different algebras"):
+            cpmaps.ElementarySet(projs).validate()
+        with pytest.raises(ValueError, match="different algebras"):
+            validate_per_pair(cpmaps.ElementarySet(projs))
+
+    @PROPERTY
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        st.integers(1, 6),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_worst_pair(self, sizes, count, ties, seed):
+        rng = np.random.default_rng(seed)
+        alg = FiniteDimAlgebra(sizes)
+        images = []
+        for _ in range(count):
+            if ties:  # 0/1 diagonals: many pairs share the smallest product norm
+                blocks = [np.diag(rng.integers(0, 2, r)).astype(complex) for r in sizes]
+            else:
+                blocks = [rand_complex(rng, (r, r)) for r in sizes]
+            images.append(AlgebraElement(alg, blocks))
+        got = cpmaps._worst_pair(cpmaps._batch(images))
+        assert got == worst_pair_per_pair(images)
+
+    @PROPERTY
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        st.integers(1, 4),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stinespring_self_check(self, sizes, n, zero_block, seed):
+        rng = np.random.default_rng(seed)
+        phi = rand_cp_contraction(rng, sizes, n)
+        if zero_block:  # a block with multiplicity zero
+            phi = CPMap(phi.domain, phi.codomain, {key: a for key, a in phi.images.items() if key[0]})
+        dil = stinespring(phi)
+        assert dilation_defect_per_unit(phi, dil) <= 1e-9
+
+    def test_stinespring_self_check_catches_a_wrong_dilation(self):
+        phi = rand_cp_contraction(np.random.default_rng(8), [2, 3], 3)
+        real = cpmaps.eigh_canonical
+
+        def scaled(mat):
+            w, v = real(mat)
+            return w * 1.001, v
+
+        with mock.patch.object(cpmaps, "eigh_canonical", scaled):
+            with pytest.raises(AssertionError, match="dilation reconstruction defect"):
+                stinespring(phi)
+
+    @PROPERTY
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_choi_and_adjoint_checks(self, dom_sizes, cod_sizes, cp, seed):
+        rng = np.random.default_rng(seed)
+        if cp:
+            phi = rand_cp_contraction(rng, dom_sizes, cod_sizes[0])
+        else:
+            phi = random_map(rng, dom_sizes, cod_sizes)
+        assert phi.min_choi_eigenvalue() == min_choi_eigenvalue_per_pair(phi)
+        assert phi.adjoint_symmetry_defect() == adjoint_symmetry_defect_per_pair(phi)

@@ -27,7 +27,13 @@ from conftest import (
     three_arcs_cover,
     with_scaled_psi_image,
 )
-from oracles import cpmap_from_json_per_entry, element_from_json_per_entry, unit_image_apply, unit_records_dense
+from oracles import (
+    certify_order_zero_per_unit,
+    cpmap_from_json_per_entry,
+    element_from_json_per_entry,
+    unit_image_apply,
+    unit_records_dense,
+)
 
 
 class TestRoundTrips:
@@ -98,6 +104,20 @@ def run_cli(tmp_path, name, payload, *args):
 
 
 class TestCLI:
+    def test_parser_is_built_once(self, tmp_path):
+        assert cli.build_parser() is cli.build_parser()
+        payload = {"cover": jsonio.cover_to_json(three_arcs_cover(30))}
+        runs = [run_cli(tmp_path, f"arcs{n}", payload, "--seed", str(n), "cover", "order") for n in (3, 0)]
+        assert [json.loads(out)["seed"] for _, out in runs] == [3, 0]
+
+    def test_order_zero_prints_the_first_16_witnesses(self, tmp_path):
+        phi = rand_cp_contraction(np.random.default_rng(14), [3], 3)
+        code, out = run_cli(tmp_path, "cp", {"map": jsonio.cpmap_to_json(phi)}, "cpmap", "order-zero")
+        assert code == 0
+        want = certify_order_zero_per_unit(jsonio.cpmap_from_json(jsonio.cpmap_to_json(phi)))
+        assert len(want.witnesses) > 16
+        assert json.loads(out) == {"order_zero": False, "witnesses": want.witnesses[:16], "seed": 0}
+
     def test_cover_strict_order(self, tmp_path):
         payload = {"cover": jsonio.cover_to_json(three_arcs_cover(60))}
         code, out = run_cli(tmp_path, "arcs", payload, "cover", "strict-order")

@@ -18,11 +18,11 @@ from cprank import (
     dist_to_hom_image,
     perturb_to_hom,
 )
-from cprank import orderzero
+from cprank import cpmaps
 from cprank.orderzero import HypothesisFailure, _hom_defect, map_norm_lower_bound
 
 from conftest import identity_map, near_order_zero, rand_complex, rand_cp_contraction, rand_order_zero, rand_unitary
-from oracles import hom_defect_per_unit, map_norm_lower_bound_per_probe, norms_unscreened
+from oracles import decomposition_defect_per_block, hom_defect_per_unit, map_norm_lower_bound_per_probe
 
 
 def tensor_diag_map(diag, r=2):
@@ -310,7 +310,12 @@ class TestScreenedDefects:
     def test_decomposition_reconstruction(self, sizes, copies, seed):
         phi = near_order_zero(np.random.default_rng(seed), sizes, copies, 0.0)
         got = decompose_order_zero(phi)
-        with mock.patch.object(orderzero, "_norms", norms_unscreened):
-            want = decompose_order_zero(phi)
-        assert got.reconstruction_defect == want.reconstruction_defect
+        assert got.reconstruction_defect == decomposition_defect_per_block(phi)
+
+    @PROPERTY
+    @given(*NEAR_ORDER_ZERO, st.sampled_from([1, 40, 100, 300, 1000]))
+    def test_hom_defect_in_small_chunks(self, sizes, copies, noise, seed, budget):
+        phi = near_order_zero(np.random.default_rng(seed), sizes, copies, noise)
+        with mock.patch.object(cpmaps, "CHUNK_ENTRIES", budget):
+            assert _hom_defect(phi) == hom_defect_per_unit(phi)
 
