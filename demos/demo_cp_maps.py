@@ -44,7 +44,8 @@ print("reconstruction defect:", np.linalg.norm(dil.reconstruct(x) - trace_map(x)
 # the Schwarz inequality phi(x*x) >= phi(x)* phi(x) never fires for c.p. maps
 print("schwarz:", schwarz_defect(trace_map, x))
 y = AlgebraElement(M2, [np.array([[0.0, 1.0], [0.0, 0.0]])])
-print("multiplicativity estimate:", multiplicativity_defect(trace_map, y, x))
+mult = multiplicativity_defect(trace_map, y, x)
+print("multiplicativity estimate:", mult.measured, "<=", mult.bound, "->", mult.ok)
 
 # strict order: the trace map sends every orthogonal pair of minimal
 # projections to overlapping positive elements, so its order is r - 1 = 1

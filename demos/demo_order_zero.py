@@ -59,6 +59,6 @@ targets = [
 ]
 out = af_local_step(targets, approx, AlgebraElement.identity(phi99.codomain), eps=0.05)
 print("cut subalgebra:", out.subalgebra.block_sizes)
-for name, (measured, bound, ok) in out.hypotheses.items():
-    print(f"  hypothesis {name}: {measured:.2e} < {bound:.2e} -> {ok}")
+for name, c in out.hypotheses.items():
+    print(f"  hypothesis {name}: {c.measured:.2e} < {c.bound:.2e} -> {c.ok}")
 print("distances:", out.distances)

@@ -8,6 +8,7 @@ and completely positive approximations of function systems.
 
 from .algebra import (
     AlgebraElement,
+    Check,
     FiniteDimAlgebra,
     GapHypothesisError,
     ScalarFunctionSpec,

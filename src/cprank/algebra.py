@@ -11,7 +11,7 @@ phase convention so repeated runs give identical bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -435,41 +435,44 @@ def support_projection(
 
 
 # ---------------------------------------------------------------------------
-# predicate validation
+# checks and predicate validation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValidationReport:
+class Check(NamedTuple):
+    """One measured number against its bound, under the name of the step or
+    inequality it checks; ``context`` says where (a block, a class, a detail).
+    A named tuple: immutable, and several times faster to build than a frozen
+    dataclass, which counts where an extraction builds hundreds per call."""
+
+    step: str
+    measured: float
+    bound: float
     ok: bool
-    predicate: str
-    defect: float
-    detail: str
+    context: str = ""
 
     def __bool__(self) -> bool:
-        return self.ok
+        return bool(self.ok)
 
 
-def validate(a: AlgebraElement, predicate: str, tol: float = DEFAULT_TOL) -> ValidationReport:
+def validate(a: AlgebraElement, predicate: str, tol: float = DEFAULT_TOL) -> Check:
     """Check hermitian / positive / projection / contraction within a tolerance.
 
-    The report carries the measured defect as a witness.
+    The check measures the defect against ``tol`` and names it in its context.
     """
     herm = a.hermitian_defect()
     if predicate == "hermitian":
-        return ValidationReport(herm <= tol, predicate, herm, f"asymmetry {herm:.3e}")
+        return Check(predicate, herm, tol, herm <= tol, f"asymmetry {herm:.3e}")
     if predicate == "contraction":
         defect = max(0.0, a.norm() - 1.0)
-        return ValidationReport(defect <= tol, predicate, defect, f"norm excess {defect:.3e}")
+        return Check(predicate, defect, tol, defect <= tol, f"norm excess {defect:.3e}")
     if predicate == "positive":
         if herm > tol:
-            return ValidationReport(False, predicate, herm, f"asymmetry {herm:.3e}")
+            return Check(predicate, herm, tol, False, f"asymmetry {herm:.3e}")
         low = float(spectrum(a, tol=np.inf)[0])
         defect = max(0.0, -low)
-        return ValidationReport(defect <= tol, predicate, defect, f"most negative eigenvalue {low:.3e}")
+        return Check(predicate, defect, tol, defect <= tol, f"most negative eigenvalue {low:.3e}")
     if predicate == "projection":
         idem = (a @ a - a).norm()
         defect = max(herm, idem)
-        return ValidationReport(
-            defect <= tol, predicate, defect, f"asymmetry {herm:.3e}, ||a^2 - a|| {idem:.3e}"
-        )
+        return Check(predicate, defect, tol, defect <= tol, f"asymmetry {herm:.3e}, ||a^2 - a|| {idem:.3e}")
     raise ValueError(f"unknown predicate {predicate!r}")

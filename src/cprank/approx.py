@@ -10,12 +10,13 @@ verifying every named inequality along the way.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AlgebraElement, FiniteDimAlgebra, eigh_canonical
+from .algebra import AlgebraElement, Check, FiniteDimAlgebra, eigh_canonical
 from .covers import (
     Cover,
     FiniteMetricSpace,
@@ -418,21 +419,12 @@ def extraction_targets(space: FiniteMetricSpace, U: Cover, n: int) -> Extraction
 
 
 @dataclass
-class NamedCheck:
-    step: str
-    measured: float
-    bound: float
-    ok: bool
-    context: str = ""
-
-
-@dataclass
 class ExtractionReport:
     constants: ExtractionConstants
     identities: dict[str, float]
     delta: float
-    checks: list[NamedCheck]
-    eta_checks: list[NamedCheck]
+    checks: list[Check]
+    eta_checks: list[Check]
     linearity_certificate: float
     A_sets: list[frozenset[int]]
     classes: list[list[list[int]]]
@@ -443,9 +435,6 @@ class ExtractionReport:
     refinement_witness: dict[tuple[int, int], int]
     W: Cover
     W_order: int
-
-    def check(self, step: str) -> list[NamedCheck]:
-        return [c for c in self.checks if c.step == step]
 
 
 def _values_of(phi: CPMap, elems: list[tuple[int, np.ndarray]]) -> np.ndarray:
@@ -472,7 +461,6 @@ def _diam_failure_data(
     psi: CPMap,
     j: int,
     pts: list[int],
-    delta: float,
     n: int,
 ) -> dict:
     """Reconstruct the separated-chain data behind a diameter violation.
@@ -482,7 +470,7 @@ def _diam_failure_data(
     reports the block components of the summed partition functions together
     with the counting certificate they would violate.
     """
-    sep = 2.0 * delta / (3.0 * (n + 1))
+    sep = 2.0 * targets.delta / (3.0 * (n + 1))
     chosen: list[int] = []
     for p in pts:
         if all(space.metric[p, c] >= sep for c in chosen):
@@ -532,35 +520,40 @@ def extract_cover(
         constants.eta,
     )
     phi, psi, F = approx.phi, approx.psi, approx.F
-    checks: list[NamedCheck] = []
-    eta_checks: list[NamedCheck] = []
+    checks: list[Check] = []
+    eta_checks: list[Check] = []
+
+    def require(check: Check, message: Callable[[], str], data: Callable[[], dict] | None = None) -> None:
+        """Record a named check; a failing one raises its StepFailure, whose
+        message and data are built only then."""
+        (eta_checks if check.step == "eta" else checks).append(check)
+        if not check:
+            raise StepFailure(check.step, message(), data() if data else None)
 
     # strict-order admissibility, blockwise via the dichotomy
     for j, r in enumerate(F.block_sizes):
         if r == 1:
             continue
         block_ok = certify_order_zero(phi.restrict_to_block(j)).ok or (r - 1 <= n)
-        checks.append(NamedCheck("block-order", float(r - 1), float(n), block_ok, f"block {j}"))
-        if not block_ok:
-            raise StepFailure(
-                "block-order",
-                f"block {j} has size {r} > n+1 and is not order zero",
-            )
+        require(
+            Check("block-order", float(r - 1), float(n), block_ok, f"block {j}"),
+            lambda: f"block {j} has size {r} > n+1 and is not order zero",
+        )
     if F.is_abelian():
         order = strict_order_abelian(phi)
-        checks.append(NamedCheck("ord-phi", float(order), float(n), order <= n))
-        if order > n:
-            raise StepFailure("ord-phi", f"strict order {order} exceeds n = {n}")
+        require(
+            Check("ord-phi", float(order), float(n), order <= n),
+            lambda: f"strict order {order} exceeds n = {n}",
+        )
 
     weights = targets.weights
     nlam = weights.shape[0]
 
     def eta_check(name: str, err: float) -> None:
-        eta_checks.append(NamedCheck("eta", err, eta, err < eta, name))
-        if err >= eta:
-            raise StepFailure(
-                "eta", f"approximation error {err:.6g} on {name} is not below eta = {eta:.6g}"
-            )
+        require(
+            Check("eta", err, eta, err < eta, name),
+            lambda: f"approximation error {err:.6g} on {name} is not below eta = {eta:.6g}",
+        )
 
     # individual-member errors feed the linearity certificate; the full index
     # set is checked against eta in the same batch
@@ -618,12 +611,10 @@ def extract_cover(
         # named inequality (1): phi(1_j - q)(x) < C/2 on the class support
         vals = _real(rests[k])
         sup = max((vals[x] for x in vt), default=0.0)
-        checks.append(NamedCheck("(1)", float(sup), C / 2.0, sup < C / 2.0, f"({j},{i})"))
-        if sup >= C / 2.0:
-            raise StepFailure(
-                "(1)",
-                f"phi(1_{j} - q_{j}^{({i})}) reaches {sup:.6g} >= C/2 on its class support",
-            )
+        require(
+            Check("(1)", float(sup), C / 2.0, sup < C / 2.0, f"({j},{i})"),
+            lambda: f"phi(1_{j} - q_{j}^{({i})}) reaches {sup:.6g} >= C/2 on its class support",
+        )
 
     worst_lam = max((len(cls) for j in range(m_blocks) for cls in classes[j]), default=1)
     linearity = individual * max(worst_lam, nlam)
@@ -634,25 +625,20 @@ def extract_cover(
     nontrivial = False
     for j in range(m_blocks):
         idxs = [i for i in range(len(classes[j])) if np.abs(q_mats[(j, i)]).max() > 1e-12]
-        count_ok = len(idxs) <= n + 1
-        checks.append(
-            NamedCheck("class-count", float(len(idxs)), float(n + 1), count_ok, f"block {j}")
+        require(
+            Check("class-count", float(len(idxs)), float(n + 1), len(idxs) <= n + 1, f"block {j}"),
+            lambda: f"block {j} carries {len(idxs)} classes > n+1 = {n + 1}",
         )
-        if not count_ok:
-            raise StepFailure(
-                "class-count", f"block {j} carries {len(idxs)} classes > n+1 = {n + 1}"
-            )
         if not idxs:
             continue
         r = F.block_sizes[j]
         sub = FiniteDimAlgebra((r,), max_block=r)
         qs = [AlgebraElement(sub, [q_mats[(j, i)]]) for i in idxs]
         sup_norm = sum(qs[1:], qs[0]).norm()
-        checks.append(NamedCheck("sum-alpha", sup_norm, alpha, sup_norm <= alpha + SNAP, f"block {j}"))
-        if sup_norm > alpha + SNAP:
-            raise StepFailure(
-                "sum-alpha", f"||sum_i q_{j}^(i)|| = {sup_norm:.8g} exceeds alpha = {alpha:.8g}"
-            )
+        require(
+            Check("sum-alpha", sup_norm, alpha, sup_norm <= alpha + SNAP, f"block {j}"),
+            lambda: f"||sum_i q_{j}^(i)|| = {sup_norm:.8g} exceeds alpha = {alpha:.8g}",
+        )
         fam = orthogonalize_family(qs, alpha)
         nontrivial = nontrivial or not fam.unchanged
         for pos, i in enumerate(idxs):
@@ -660,9 +646,10 @@ def extract_cover(
             p_mats[(j, i)] = p
             dev = float(np.linalg.norm(p - q_mats[(j, i)], 2))
             p_devs[(j, i)] = dev
-            checks.append(NamedCheck("beta", dev, beta, dev <= beta + 1e-9, f"({j},{i})"))
-            if dev > beta + 1e-9:
-                raise StepFailure("beta", f"||p - q|| = {dev:.6g} exceeds beta = {beta:.6g}")
+            require(
+                Check("beta", dev, beta, dev <= beta + 1e-9, f"({j},{i})"),
+                lambda: f"||p - q|| = {dev:.6g} exceeds beta = {beta:.6g}",
+            )
 
     # the covering members W and the remaining named inequalities
     members: list[frozenset[int]] = []
@@ -677,27 +664,20 @@ def extract_cover(
         rest_vals = _real(p_vals[len(p_mats) + k])
         vt = V_tilde[(j, i)]
         sup = max((rest_vals[x] for x in vt), default=0.0)
-        checks.append(NamedCheck("(*)", float(sup), C, sup < C, f"({j},{i})"))
-        if sup >= C:
-            raise StepFailure("(*)", f"phi(1_{j} - p_{j}^{({i})}) reaches {sup:.6g} >= C")
-        inside = w_set <= vt
-        checks.append(
-            NamedCheck("W-inside-V", float(len(w_set - vt)), 0.0, inside, f"({j},{i})")
+        require(
+            Check("(*)", float(sup), C, sup < C, f"({j},{i})"),
+            lambda: f"phi(1_{j} - p_{j}^{({i})}) reaches {sup:.6g} >= C",
         )
-        if not inside:
-            raise StepFailure(
-                "W-inside-V", f"W_{j}^{({i})} leaves its class support at {sorted(w_set - vt)[:4]}"
-            )
+        require(
+            Check("W-inside-V", float(len(w_set - vt)), 0.0, w_set <= vt, f"({j},{i})"),
+            lambda: f"W_{j}^{({i})} leaves its class support at {sorted(w_set - vt)[:4]}",
+        )
         diam = member_diameter(space, vt)
-        checks.append(NamedCheck("diam", diam, targets.delta, diam < targets.delta, f"({j},{i})"))
-        if diam >= targets.delta:
-            pts = sorted(vt)
-            data = _diam_failure_data(space, targets, psi, j, pts, targets.delta, n)
-            raise StepFailure(
-                "diam",
-                f"diam of the class support ({j},{i}) is {diam:.6g} >= delta = {targets.delta:.6g}",
-                data,
-            )
+        require(
+            Check("diam", diam, targets.delta, diam < targets.delta, f"({j},{i})"),
+            lambda: f"diam of the class support ({j},{i}) is {diam:.6g} >= delta = {targets.delta:.6g}",
+            lambda: _diam_failure_data(space, targets, psi, j, sorted(vt), n),
+        )
         if w_set:
             members.append(w_set)
             labels.append(f"W[{j},{i}]")
@@ -705,25 +685,25 @@ def extract_cover(
 
     W = Cover(members, labels)
     missing = set(range(space.npts)).difference(*W.members)
-    checks.append(NamedCheck("covering", float(len(missing)), 0.0, not missing))
-    if missing:
-        raise StepFailure("covering", f"points {sorted(missing)[:6]} lie in no W member")
+    require(
+        Check("covering", float(len(missing)), 0.0, not missing),
+        lambda: f"points {sorted(missing)[:6]} lie in no W member",
+    )
 
     order_W = cover_order(W)
-    checks.append(NamedCheck("order", float(order_W), float(n), order_W <= n))
-    if order_W > n:
-        raise StepFailure("order", f"cover order {order_W} exceeds n = {n}")
+    require(
+        Check("order", float(order_W), float(n), order_W <= n), lambda: f"cover order {order_W} exceeds n = {n}"
+    )
 
     # each W member lies inside its class support (W-inside-V), so supports
     # that refine U make W refine U
     _, support_witness = refines(Cover([V_tilde[key] for key in keys]), U)
     witness: dict[tuple[int, int], int] = {}
     for key, target in zip(keys, support_witness):
-        checks.append(
-            NamedCheck("refines", 0.0 if target is not None else 1.0, 0.0, target is not None, str(key))
+        require(
+            Check("refines", 0.0 if target is not None else 1.0, 0.0, target is not None, str(key)),
+            lambda: f"class support {key} fits in no member of U",
         )
-        if target is None:
-            raise StepFailure("refines", f"class support {key} fits in no member of U")
         witness[key] = target
 
     report = ExtractionReport(

@@ -214,16 +214,7 @@ def _cmd_approx(args: argparse.Namespace, data: Any) -> Any:
                 "eta": rep.constants.eta,
                 "delta": rep.delta,
             },
-            "steps": [
-                {
-                    "step": c.step,
-                    "measured": float(c.measured),
-                    "bound": float(c.bound),
-                    "ok": bool(c.ok),
-                    "context": c.context,
-                }
-                for c in rep.checks
-            ],
+            "steps": [{**c._asdict(), "ok": bool(c.ok)} for c in rep.checks],
         }
     if action == "estimate":
         space = jsonio.space_from_json(_need(data, "space"))
@@ -296,7 +287,7 @@ def _cmd_cpmap(args: argparse.Namespace, data: Any) -> Any:
                 "inverse_root": jsonio.element_to_json(c),
                 "distance": (p - h).norm(),
                 "bound": 2 * eps,
-                "projection_defect": validate(p, "projection", 1e-10).defect,
+                "projection_defect": validate(p, "projection", 1e-10).measured,
             }
         if kind == "order-zero-map":
             phi = jsonio.cpmap_from_json(_need(data, "map"), args.max_block)
@@ -340,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="covers, completely positive approximations, and strict order over JSON files",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized operations")
-    parser.add_argument("--tol", type=float, default=None, help="tolerance override")
+    parser.add_argument("--tol", type=float, default=None, help="tolerance override, a finite number >= 0")
     parser.add_argument("--max-block", type=int, default=64, help="matrix block size cap")
     sub = parser.add_subparsers(dest="group", required=True)
     for group, actions in (
@@ -359,6 +350,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # under NaN every test ``v > tol`` is false, and every map would pass
+        if args.tol is not None and not 0.0 <= args.tol <= sys.float_info.max:
+            raise SchemaError(f"--tol must be a finite number >= 0, got {args.tol!r}")
         try:
             data = _load(args.infile)
         except (OSError, json.JSONDecodeError) as exc:

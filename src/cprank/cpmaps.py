@@ -25,6 +25,7 @@ from scipy.linalg import block_diag
 
 from .algebra import (
     AlgebraElement,
+    Check,
     FiniteDimAlgebra,
     _dagger,
     apply_function,
@@ -348,23 +349,13 @@ def schwarz_defect(phi: CPMap, x: AlgebraElement, tol: float = CP_TOL) -> Schwar
     return SchwarzReport(lam, defect, max(lam, 0.0))
 
 
-@dataclass(frozen=True)
-class MultiplicativityReport:
-    lhs: float
-    eps: float
-    bound: float
-    ok: bool
-
-
-def multiplicativity_defect(
-    phi: CPMap, x: AlgebraElement, y: AlgebraElement
-) -> MultiplicativityReport:
+def multiplicativity_defect(phi: CPMap, x: AlgebraElement, y: AlgebraElement) -> Check:
     """Check ||phi(yx) - phi(y)phi(x)|| against sqrt(||phi(x*x) - phi(x)*phi(x)||)."""
     fx = phi.apply(x)
     eps = (phi.apply(x.adjoint() @ x) - fx.adjoint() @ fx).norm()
     lhs = (phi.apply(y @ x) - phi.apply(y) @ fx).norm()
     bound = float(np.sqrt(max(eps, 0.0)))
-    return MultiplicativityReport(lhs, eps, bound, lhs <= bound + 1e-9)
+    return Check("multiplicativity", lhs, bound, lhs <= bound + 1e-9)
 
 
 # ---------------------------------------------------------------------------

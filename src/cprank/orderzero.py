@@ -10,6 +10,7 @@ completely positive approximation.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import product
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from .algebra import (
     AlgebraElement,
+    Check,
     FiniteDimAlgebra,
     apply_function,
     eigh_canonical,
@@ -73,6 +75,15 @@ def _distinct_positive(values: np.ndarray, tol: float) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _require_order_zero(phi: CPMap) -> OrderZeroCertificate:
+    """The order-zero certificate of phi; a ValueError with its first witnesses
+    when phi is not order zero."""
+    cert = certify_order_zero(phi)
+    if not cert.ok:
+        raise ValueError("map is not order zero: " + "; ".join(cert.witnesses[:4]))
+    return cert
+
+
 def decompose_order_zero(phi: CPMap, tol: float = 1e-9) -> OrderZeroDecomposition:
     """Extract the eigenvalue supports, the h_i, and the support homomorphisms.
 
@@ -80,9 +91,7 @@ def decompose_order_zero(phi: CPMap, tol: float = 1e-9) -> OrderZeroDecompositio
     the homomorphism in one step; finite dimensions make the usual limit
     stationary.  Certification failures are forwarded with their witnesses.
     """
-    cert = certify_order_zero(phi)
-    if not cert.ok:
-        raise ValueError("map is not order zero: " + "; ".join(cert.witnesses[:4]))
+    cert = _require_order_zero(phi)
     blocks = []
     worst = 0.0
     for i in range(phi.domain.num_blocks):
@@ -131,17 +140,14 @@ def check_projection_case(phi: CPMap, tol: float = 1e-9) -> ProjectionCaseVerdic
     Inapplicable when phi(1) is not a projection; this is distinct from a
     failing verdict.
     """
-    cert = certify_order_zero(phi)
-    if not cert.ok:
-        raise ValueError("map is not order zero: " + "; ".join(cert.witnesses[:4]))
+    _require_order_zero(phi)
     one_img = phi.apply_one()
     proj = validate(one_img, "projection", 1e-7)
     if not proj:
-        return ProjectionCaseVerdict("inapplicable", 0.0, f"phi(1) is not a projection: {proj.detail}")
+        return ProjectionCaseVerdict("inapplicable", 0.0, f"phi(1) is not a projection: {proj.context}")
     defect = _hom_defect(phi)
-    if defect <= tol:
-        return ProjectionCaseVerdict("holds", defect, f"multiplicativity defect {defect:.3e}")
-    return ProjectionCaseVerdict("fails", defect, f"multiplicativity defect {defect:.3e}")
+    verdict = "holds" if defect <= tol else "fails"
+    return ProjectionCaseVerdict(verdict, defect, f"multiplicativity defect {defect:.3e}")
 
 
 @dataclass
@@ -228,9 +234,7 @@ def perturb_to_hom(phi: CPMap, gamma: float, tol: float = 1e-9) -> PerturbationR
     """
     if not 0 < gamma < 0.25:
         raise ValueError(f"gamma must lie in (0, 1/4), got {gamma}")
-    cert = certify_order_zero(phi)
-    if not cert.ok:
-        raise ValueError("map is not order zero: " + "; ".join(cert.witnesses[:4]))
+    _require_order_zero(phi)
     h = phi.apply_one()
     unit_defect = (h @ h - h).norm()
     if unit_defect >= gamma:
@@ -297,7 +301,7 @@ class LocalApproximation:
 
 @dataclass
 class AFLocalReport:
-    hypotheses: dict[str, tuple[float, float, bool]]
+    hypotheses: dict[str, Check]
     q: AlgebraElement
     cut_eigenvalues: list[np.ndarray]
     subalgebra: FiniteDimAlgebra
@@ -324,31 +328,34 @@ def af_local_step(
         raise ValueError("eps must be positive")
     phi, psi, F = approx.phi, approx.psi, approx.F
     codomain = phi.codomain
-    one = AlgebraElement.identity(codomain)
     h = phi.apply_one()
 
-    hyp: dict[str, tuple[float, float, bool]] = {}
+    hyp: dict[str, Check] = {}
 
-    def record(name: str, measured: float, bound: float) -> None:
-        hyp[name] = (measured, bound, measured < bound)
-        if measured >= bound:
-            raise HypothesisFailure(name, f"measured {measured:.6g} >= bound {bound:.6g}")
+    def record(
+        name: str, measured: float, bound: float, ok: bool | None = None, message: Callable[[], str] | None = None
+    ) -> None:
+        """Record hypothesis ``name``, by default ``measured < bound``; a failing one
+        raises, with its message built only then."""
+        check = hyp[name] = Check(name, measured, bound, measured < bound if ok is None else ok)
+        if not check:
+            raise HypothesisFailure(
+                name, message() if message else f"measured {measured:.6g} >= bound {bound:.6g}"
+            )
 
+    pu = psi.apply(u)
+    fpu = phi.apply(pu)
     for idx, a in enumerate(a_list):
         record(f"(i) a_{idx}", (phi.apply(psi.apply(a)) - a).norm(), eps)
-    record("(ii)", (phi.apply(psi.apply(u)) - u).norm(), eps)
+    record("(ii)", (fpu - u).norm(), eps)
     for idx, a in enumerate(a_list):
-        record(f"(iii) a_{idx}", (phi.apply(psi.apply(u)) @ a - a).norm(), eps)
+        record(f"(iii) a_{idx}", (fpu @ a - a).norm(), eps)
     record("(iv)", (u - h @ u).norm(), eps)
-    fpu = phi.apply(psi.apply(u))
     record("(v)", (fpu - h @ fpu).norm(), eps)
     cert = certify_order_zero(phi)
-    if not cert.ok:
-        raise HypothesisFailure("(vi)", "; ".join(cert.witnesses[:4]))
-    hyp["(vi)"] = (cert.reconstruction_defect, 1e-7, True)
+    record("(vi)", cert.reconstruction_defect, 1e-7, cert.ok, lambda: "; ".join(cert.witnesses[:4]))
 
     # spectral cut of psi(u) at sqrt(eps)
-    pu = psi.apply(u)
     root = float(np.sqrt(eps))
     bases = []
     cut_eigs = []
@@ -371,7 +378,6 @@ def af_local_step(
     images = {}
     for new_i, (i, W) in enumerate(live):
         m = W.shape[1]
-        r = F.block_sizes[i]
         for c in range(codomain.num_blocks):
             rc = codomain.block_sizes[c]
             arr = np.zeros((m, m, rc, rc), complex)

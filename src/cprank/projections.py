@@ -7,7 +7,8 @@ reproducible; everything else is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -15,7 +16,7 @@ import scipy.linalg as sla
 from .algebra import (
     DEFAULT_TOL,
     AlgebraElement,
-    FiniteDimAlgebra,
+    Check,
     apply_function,
     eigh_canonical,
     indicator_above,
@@ -25,6 +26,14 @@ from .algebra import (
 
 #: hard cap for the orthogonalization overlap constant
 ALPHA_CAP = 1.05
+
+
+def _require_projections(named: Iterable[tuple[str, AlgebraElement]]) -> None:
+    """Raise a ValueError naming the first ``(name, element)`` pair that is no projection within 1e-7."""
+    for name, proj in named:
+        rep = validate(proj, "projection", 1e-7)
+        if not rep:
+            raise ValueError(f"{name} is not a projection: {rep.context}")
 
 
 def _half_projection(h: AlgebraElement, gap: float = 0.0) -> AlgebraElement:
@@ -47,7 +56,7 @@ def repair_almost_projection(
         raise ValueError(f"eps must lie in (0, 1/4), got {eps}")
     pos = validate(h, "positive", tol)
     if not pos:
-        raise ValueError(f"input is not positive: {pos.detail}")
+        raise ValueError(f"input is not positive: {pos.context}")
     if h.norm() > 1.0 + tol:
         raise ValueError(f"input norm {h.norm():.6g} exceeds 1")
     idem = (h @ h - h).norm()
@@ -81,10 +90,7 @@ def orthogonalize_pair(
     """
     if not 0 <= delta < 1.0 / 24.0:
         raise ValueError(f"delta must lie in [0, 1/24), got {delta}")
-    for name, proj in (("p", p), ("q", q)):
-        rep = validate(proj, "projection", 1e-7)
-        if not rep:
-            raise ValueError(f"{name} is not a projection: {rep.detail}")
+    _require_projections((("p", p), ("q", q)))
     overlap = (p @ q).norm()
     if overlap > delta + tol:
         raise ValueError(f"||pq|| = {overlap:.6g} exceeds delta = {delta}")
@@ -170,11 +176,7 @@ def orthogonalize_family(
     """
     if not qs:
         return FamilyOrthogonalization([], [], [], [], True)
-    algebra = qs[0].algebra
-    for idx, q in enumerate(qs):
-        rep = validate(q, "projection", 1e-7)
-        if not rep:
-            raise ValueError(f"member {idx} is not a projection: {rep.detail}")
+    _require_projections((f"member {idx}", q) for idx, q in enumerate(qs))
     total = qs[0]
     for q in qs[1:]:
         total = total + q
@@ -183,15 +185,10 @@ def orthogonalize_family(
         raise ValueError(f"||sum q_i|| = {sum_norm:.6g} exceeds alpha = {alpha:.6g}")
 
     if sum_norm <= 1.0 + tol:
-        worst = 0.0
-        for i in range(len(qs)):
-            for j in range(i + 1, len(qs)):
-                worst = max(worst, (qs[i] @ qs[j]).norm())
-        if worst <= 1e-10:
-            k = len(qs)
-            return FamilyOrthogonalization(
-                list(qs), orthogonalization_schedule(k, alpha), [0.0] * k, [0.0] * k, True
-            )
+        k = len(qs)
+        fam = FamilyOrthogonalization(list(qs), orthogonalization_schedule(k, alpha), [0.0] * k, [0.0] * k, True)
+        if fam.max_pairwise_product() <= 1e-10:
+            return fam
         # overlaps at tolerance scale: repair like any other admissible family
 
     delta = float(np.sqrt(alpha * (alpha - 1.0)))
@@ -240,10 +237,7 @@ def connect_projections(
     """
     if not 0 < eta <= 0.25:
         raise ValueError(f"eta must lie in (0, 1/4], got {eta}")
-    for name, proj in (("p", p), ("q", q)):
-        rep = validate(proj, "projection", 1e-7)
-        if not rep:
-            raise ValueError(f"{name} is not a projection: {rep.detail}")
+    _require_projections((("p", p), ("q", q)))
     dist = (p - q).norm()
     if dist >= eta:
         raise ValueError(f"||p - q|| = {dist:.6g} is not below eta = {eta}")
@@ -287,21 +281,21 @@ def connect_projections(
 
 def check_almost_unit(
     h: AlgebraElement, d: AlgebraElement, x: AlgebraElement, tol: float = DEFAULT_TOL
-) -> tuple[float, float, bool]:
+) -> Check:
     """Dominated-unit estimate: ||(1-d)x|| <= sqrt(||(1-h)x||) for h <= d, ||d|| <= 1.
 
-    Returns (lhs, rhs, ok); exists to make the inequality an executable test
-    surface, not to construct anything.
+    Measures the left side against the right; exists to make the inequality an
+    executable test surface, not to construct anything.
     """
     gap = validate(d - h, "positive", 1e-7)
     if not gap:
-        raise ValueError(f"ordering d >= h violated: {gap.detail}")
+        raise ValueError(f"ordering d >= h violated: {gap.context}")
     if d.norm() > 1.0 + tol or x.norm() > 1.0 + tol:
         raise ValueError("both d and x must be contractions")
     one = AlgebraElement.identity(h.algebra)
     lhs = ((one - d) @ x).norm()
     rhs = float(np.sqrt(((one - h) @ x).norm()))
-    return lhs, rhs, lhs <= rhs + 1e-9
+    return Check("almost-unit", lhs, rhs, lhs <= rhs + 1e-9)
 
 
 @dataclass(frozen=True)

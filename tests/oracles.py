@@ -27,6 +27,7 @@ from cprank import (
     AlgebraElement,
     CPApproximation,
     CPMap,
+    Check,
     Cover,
     ExtractionReport,
     ExtractionTargets,
@@ -49,7 +50,7 @@ from cprank.algebra import (
     matrix_unit,
     support_projection,
 )
-from cprank.approx import SNAP, NamedCheck, _above
+from cprank.approx import SNAP, _above
 from cprank.covers import PartitionOfUnity, mask_indices, point_member_masks
 from cprank.cpmaps import (
     CP_TOL,
@@ -584,19 +585,19 @@ def extract_cover_per_class(
     identities = constants.verify_identities()
     C, beta, alpha, theta, eta = (constants.C, constants.beta, constants.alpha, constants.theta, constants.eta)
     phi, psi, F = approx.phi, approx.psi, approx.F
-    checks: list[NamedCheck] = []
-    eta_checks: list[NamedCheck] = []
+    checks: list[Check] = []
+    eta_checks: list[Check] = []
 
     for j, r in enumerate(F.block_sizes):
         if r == 1:
             continue
         block_ok = certify_order_zero(phi.restrict_to_block(j)).ok or (r - 1 <= n)
-        checks.append(NamedCheck("block-order", float(r - 1), float(n), block_ok, f"block {j}"))
+        checks.append(Check("block-order", float(r - 1), float(n), block_ok, f"block {j}"))
         if not block_ok:
             raise StepFailure("block-order", f"block {j} has size {r} > n+1 and is not order zero")
     if F.is_abelian():
         order = strict_order_abelian(phi)
-        checks.append(NamedCheck("ord-phi", float(order), float(n), order <= n))
+        checks.append(Check("ord-phi", float(order), float(n), order <= n))
         if order > n:
             raise StepFailure("ord-phi", f"strict order {order} exceeds n = {n}")
 
@@ -608,7 +609,7 @@ def extract_cover_per_class(
         h = weights[lam_set].sum(axis=0)
         composed = compose_values_per_function(approx, h)
         err = float(np.abs(composed - h).max())
-        eta_checks.append(NamedCheck("eta", err, eta, err < eta, name))
+        eta_checks.append(Check("eta", err, eta, err < eta, name))
         if err >= eta:
             raise StepFailure("eta", f"approximation error {err:.6g} on {name} is not below eta = {eta:.6g}")
         return h
@@ -650,7 +651,7 @@ def extract_cover_per_class(
             rest = np.eye(F.block_sizes[j], dtype=complex) - proj
             vals = _real_values_of(phi, j, rest)
             sup = max((vals[x] for x in vt), default=0.0)
-            checks.append(NamedCheck("(1)", float(sup), C / 2.0, sup < C / 2.0, f"({j},{i})"))
+            checks.append(Check("(1)", float(sup), C / 2.0, sup < C / 2.0, f"({j},{i})"))
             if sup >= C / 2.0:
                 raise StepFailure("(1)", f"phi(1_{j} - q_{j}^{({i})}) reaches {sup:.6g} >= C/2 on its class support")
 
@@ -663,7 +664,7 @@ def extract_cover_per_class(
     for j in range(m_blocks):
         idxs = [i for i in range(len(classes[j])) if np.abs(q_mats[(j, i)]).max() > 1e-12]
         count_ok = len(idxs) <= n + 1
-        checks.append(NamedCheck("class-count", float(len(idxs)), float(n + 1), count_ok, f"block {j}"))
+        checks.append(Check("class-count", float(len(idxs)), float(n + 1), count_ok, f"block {j}"))
         if not count_ok:
             raise StepFailure("class-count", f"block {j} carries {len(idxs)} classes > n+1 = {n + 1}")
         if not idxs:
@@ -672,7 +673,7 @@ def extract_cover_per_class(
         sub = FiniteDimAlgebra((r,), max_block=r)
         qs = [AlgebraElement(sub, [q_mats[(j, i)]]) for i in idxs]
         sup_norm = sum(qs[1:], qs[0]).norm()
-        checks.append(NamedCheck("sum-alpha", sup_norm, alpha, sup_norm <= alpha + SNAP, f"block {j}"))
+        checks.append(Check("sum-alpha", sup_norm, alpha, sup_norm <= alpha + SNAP, f"block {j}"))
         if sup_norm > alpha + SNAP:
             raise StepFailure("sum-alpha", f"||sum_i q_{j}^(i)|| = {sup_norm:.8g} exceeds alpha = {alpha:.8g}")
         fam = orthogonalize_family(qs, alpha)
@@ -682,7 +683,7 @@ def extract_cover_per_class(
             p_mats[(j, i)] = p
             dev = float(np.linalg.norm(p - q_mats[(j, i)], 2))
             p_devs[(j, i)] = dev
-            checks.append(NamedCheck("beta", dev, beta, dev <= beta + 1e-9, f"({j},{i})"))
+            checks.append(Check("beta", dev, beta, dev <= beta + 1e-9, f"({j},{i})"))
             if dev > beta + 1e-9:
                 raise StepFailure("beta", f"||p - q|| = {dev:.6g} exceeds beta = {beta:.6g}")
 
@@ -696,15 +697,15 @@ def extract_cover_per_class(
         rest_vals = _real_values_of(phi, j, rest)
         vt = V_tilde[(j, i)]
         sup = max((rest_vals[x] for x in vt), default=0.0)
-        checks.append(NamedCheck("(*)", float(sup), C, sup < C, f"({j},{i})"))
+        checks.append(Check("(*)", float(sup), C, sup < C, f"({j},{i})"))
         if sup >= C:
             raise StepFailure("(*)", f"phi(1_{j} - p_{j}^{({i})}) reaches {sup:.6g} >= C")
         inside = w_set <= vt
-        checks.append(NamedCheck("W-inside-V", float(len(w_set - vt)), 0.0, inside, f"({j},{i})"))
+        checks.append(Check("W-inside-V", float(len(w_set - vt)), 0.0, inside, f"({j},{i})"))
         if not inside:
             raise StepFailure("W-inside-V", f"W_{j}^{({i})} leaves its class support at {sorted(w_set - vt)[:4]}")
         diam = member_diameter(space, vt)
-        checks.append(NamedCheck("diam", diam, targets.delta, diam < targets.delta, f"({j},{i})"))
+        checks.append(Check("diam", diam, targets.delta, diam < targets.delta, f"({j},{i})"))
         if diam >= targets.delta:
             data = _diam_failure_data_per_set(space, targets, psi, j, sorted(vt), targets.delta, n)
             raise StepFailure(
@@ -717,17 +718,17 @@ def extract_cover_per_class(
 
     W = Cover(members, labels)
     missing = set(range(space.npts)).difference(*W.members)
-    checks.append(NamedCheck("covering", float(len(missing)), 0.0, not missing))
+    checks.append(Check("covering", float(len(missing)), 0.0, not missing))
     if missing:
         raise StepFailure("covering", f"points {sorted(missing)[:6]} lie in no W member")
     order_W = cover_order(W)
-    checks.append(NamedCheck("order", float(order_W), float(n), order_W <= n))
+    checks.append(Check("order", float(order_W), float(n), order_W <= n))
     if order_W > n:
         raise StepFailure("order", f"cover order {order_W} exceeds n = {n}")
     _, support_witness = refines(Cover([V_tilde[key] for key in keys]), U)
     witness: dict[tuple[int, int], int] = {}
     for key, target in zip(keys, support_witness):
-        checks.append(NamedCheck("refines", 0.0 if target is not None else 1.0, 0.0, target is not None, str(key)))
+        checks.append(Check("refines", 0.0 if target is not None else 1.0, 0.0, target is not None, str(key)))
         if target is None:
             raise StepFailure("refines", f"class support {key} fits in no member of U")
         witness[key] = target

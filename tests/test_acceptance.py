@@ -342,10 +342,10 @@ def test_10_theorem_validators():
         dm = u @ np.diag(w + rng.uniform(0, 1, size=n) * (1 - w)) @ u.conj().T
         x = rand_complex(rng, (n, n))
         x /= max(np.linalg.norm(x, 2), 1.0)
-        lhs, rhs, ok = check_almost_unit(
+        c = check_almost_unit(
             AlgebraElement(alg, [hm]), AlgebraElement(alg, [dm]), AlgebraElement(alg, [x])
         )
-        assert ok
+        assert c.ok
     # trace-rank counting bound
     for trial in range(300):
         n = int(rng.integers(1, 6))
@@ -408,6 +408,7 @@ def test_12_cli_determinism(tmp_path):
     h_defect = (phi_oz.apply_one() @ phi_oz.apply_one() - phi_oz.apply_one()).norm()
 
     sum_b = build_cp_approx(circle_grid(20), [np.cos(2 * np.pi * np.arange(20) / 20)], eps=0.4)
+    almost = [two_cluster_hermitian(rng, d, 0.1) for d in (3, 2)]
 
     cases = [
         ("cover", "order", {"cover": jsonio.cover_to_json(chain)}),
@@ -456,6 +457,16 @@ def test_12_cli_determinism(tmp_path):
             },
         ),
         ("cpmap", "decompose", {"map": jsonio.cpmap_to_json(phi_oz)}),
+        (
+            "cpmap",
+            "repair",
+            {
+                "kind": "almost-projection",
+                "algebra": {"block_sizes": [3, 2]},
+                "element": jsonio.element_to_json(AlgebraElement(FiniteDimAlgebra([3, 2]), almost)),
+                "epsilon": 0.1,
+            },
+        ),
     ]
     for idx, (group, action, payload) in enumerate(cases):
         inp = tmp_path / f"in_{idx}.json"

@@ -184,7 +184,7 @@ class TestNormAndValidate:
         assert validate(one, "projection")
         rep = validate(diag_elem(0.5, 1.0), "projection", 1e-9)
         assert not rep.ok
-        assert rep.defect == pytest.approx(0.25)
+        assert rep.measured == pytest.approx(0.25)
 
     def test_validate_contraction_and_positive(self):
         assert validate(diag_elem(0.5, -0.2), "contraction").ok

@@ -276,7 +276,7 @@ class TestSchwarzAndMultiplicativity:
         x = AlgebraElement(phi.domain, [np.diag([1.0, 0.3])])
         y = AlgebraElement(phi.domain, [np.array([[0, 1], [0, 0.0]])])
         rep = multiplicativity_defect(phi, x, y)
-        assert rep.lhs <= 1e-12 and rep.ok
+        assert rep.measured <= 1e-12 and rep.ok
 
 
 class TestStrictOrderAbelian:

@@ -118,6 +118,20 @@ class TestCLI:
         assert len(want.witnesses) > 16
         assert json.loads(out) == {"order_zero": False, "witnesses": want.witnesses[:16], "seed": 0}
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("action", ["order-zero", "order-bounds"])
+    def test_tol_must_be_finite_and_nonnegative(self, tmp_path, capsys, action, tol):
+        # x -> tr(x)/2 1 on M_2 is not order zero; under --tol nan every
+        # defect test came out false and the map was certified
+        arr = np.zeros((2, 2, 2, 2), complex)
+        arr[0, 0] = arr[1, 1] = np.eye(2) / 2
+        payload = {"map": jsonio.cpmap_to_json(CPMap(FiniteDimAlgebra([2]), FiniteDimAlgebra([2]), {(0, 0): arr}))}
+        assert run_cli(tmp_path, "trace", payload, "--tol", tol, "cpmap", action) == (2, b"")
+        assert f"schema error: --tol must be a finite number >= 0, got {float(tol)!r}" in capsys.readouterr().err
+        want = {"order-zero": {"order_zero": False}, "order-bounds": {"lower": 1, "upper": 1, "exact": True}}[action]
+        code, out = run_cli(tmp_path, "trace", payload, "cpmap", action)
+        assert code == 0 and want.items() <= json.loads(out).items()
+
     def test_cover_strict_order(self, tmp_path):
         payload = {"cover": jsonio.cover_to_json(three_arcs_cover(60))}
         code, out = run_cli(tmp_path, "arcs", payload, "cover", "strict-order")

@@ -220,7 +220,7 @@ class TestAFLocalStep:
         assert rep.subalgebra.block_sizes == (4,)
         assert all(d["direct"] <= 1e-9 for d in rep.distances)
         assert all(d["certified"] <= 1e-9 for d in rep.distances)
-        assert all(ok for (_, _, ok) in rep.hypotheses.values())
+        assert all(c.ok for c in rep.hypotheses.values())
 
     def test_block_embedding_instance(self):
         approx, A = block_embedding_m2_m3()
@@ -271,6 +271,18 @@ class TestAFLocalStep:
         u_bad = AlgebraElement(F, [np.diag([0.0, 1.0, 1.0, 1.0]).astype(complex)])
         with pytest.raises(HypothesisFailure, match=r"\(iii\)"):
             af_local_step([a], approx, u_bad, eps=0.01)
+
+    def test_map_not_order_zero_fails_hypothesis_vi(self):
+        # with no elements and u = 0, (i)-(v) hold trivially and (vi) decides;
+        # x -> tr(x)/2 1 on M_2 is not order zero
+        F = FiniteDimAlgebra([2])
+        arr = np.zeros((2, 2, 2, 2), complex)
+        arr[0, 0] = arr[1, 1] = np.eye(2) / 2
+        trace = CPMap(F, F, {(0, 0): arr})
+        zero = AlgebraElement(F, [np.zeros((2, 2), complex)])
+        witness = r"block 0: \|\|phi\(e_00\) phi\(e_11\)\|\|"
+        with pytest.raises(HypothesisFailure, match=r"^hypothesis \(vi\) failed: " + witness):
+            af_local_step([], LocalApproximation(F, trace, trace), zero, eps=0.01)
 
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)

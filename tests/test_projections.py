@@ -5,6 +5,7 @@ import pytest
 
 from cprank import (
     AlgebraElement,
+    FamilyOrthogonalization,
     FiniteDimAlgebra,
     alpha_for,
     check_almost_unit,
@@ -146,6 +147,17 @@ class TestOrthogonalizeFamily:
         for p, q in zip(fam.projections, qs):
             assert (p - q).norm() == 0.0
 
+    def test_overlap_at_tolerance_scale_is_repaired(self):
+        # the last two members overlap by 5e-10: the sum still has norm 1 within
+        # tol, so only the pairwise test, which must reach the last pair, sees it
+        sub = FiniteDimAlgebra([3])
+        v = np.array([0.0, 5e-10, 1.0]) / np.linalg.norm([0.0, 5e-10, 1.0])
+        qs = [AlgebraElement(sub, [np.outer(w, w).astype(complex)]) for w in (np.eye(3)[0], np.eye(3)[1], v)]
+        assert FamilyOrthogonalization(qs, [], [], [], False).max_pairwise_product() == pytest.approx(5e-10)
+        fam = orthogonalize_family(qs, alpha_for(3, 0.125))
+        assert not fam.unchanged
+        assert fam.max_pairwise_product() <= 1e-12
+
     def test_single_member(self):
         sub = FiniteDimAlgebra([3])
         q = AlgebraElement(sub, [np.diag([1.0, 0, 0]).astype(complex)])
@@ -232,18 +244,18 @@ class TestConnectProjections:
 class TestAlmostUnit:
     def test_trivial(self):
         one = AlgebraElement.identity(FiniteDimAlgebra([2]))
-        lhs, rhs, ok = check_almost_unit(one, one, one)
-        assert (lhs, rhs, ok) == (0.0, 0.0, True)
+        c = check_almost_unit(one, one, one)
+        assert (c.measured, c.bound, c.ok) == (0.0, 0.0, True)
 
     def test_diagonal_example(self):
         alg = FiniteDimAlgebra([2])
         h = AlgebraElement(alg, [np.diag([0.91, 1.0]).astype(complex)])
         d = AlgebraElement(alg, [np.diag([0.95, 1.0]).astype(complex)])
         x = AlgebraElement(alg, [np.diag([1.0, 0.0]).astype(complex)])
-        lhs, rhs, ok = check_almost_unit(h, d, x)
-        assert lhs == pytest.approx(0.05)
-        assert rhs == pytest.approx(0.3)
-        assert ok
+        c = check_almost_unit(h, d, x)
+        assert c.measured == pytest.approx(0.05)
+        assert c.bound == pytest.approx(0.3)
+        assert c.ok
 
     def test_ordering_enforced(self):
         alg = FiniteDimAlgebra([2])
@@ -263,10 +275,10 @@ class TestAlmostUnit:
             dm = u @ np.diag(w + rng.uniform(0, 1, size=n) * (1 - w)) @ u.conj().T
             x = rand_complex(rng, (n, n))
             x /= max(np.linalg.norm(x, 2), 1.0)
-            lhs, rhs, ok = check_almost_unit(
+            c = check_almost_unit(
                 AlgebraElement(alg, [hm]), AlgebraElement(alg, [dm]), AlgebraElement(alg, [x])
             )
-            assert ok, (lhs, rhs)
+            assert c.ok, (c.measured, c.bound)
 
 
 class TestTraceRank:
