@@ -25,7 +25,8 @@ for j in range(2):
 trace_map = CPMap(M2, M2, {(0, 0): arr})
 blocks, psd, worst = choi_blocks(trace_map)
 print("trace map Choi PSD:", psd, " min eigenvalue:", worst)
-print("contractive:", is_contractive(trace_map))
+contractive = is_contractive(trace_map)
+print("contractive:", contractive.measured, "<=", contractive.bound, "->", contractive.ok)
 
 # the transpose is positive but not completely positive
 arrT = np.zeros((2, 2, 2, 2), complex)
@@ -42,7 +43,8 @@ x = AlgebraElement(M2, [np.array([[1.0, 2.0], [0.5, -1.0]])])
 print("reconstruction defect:", np.linalg.norm(dil.reconstruct(x) - trace_map(x).blocks[0], 2))
 
 # the Schwarz inequality phi(x*x) >= phi(x)* phi(x) never fires for c.p. maps
-print("schwarz:", schwarz_defect(trace_map, x))
+schwarz = schwarz_defect(trace_map, x)
+print("schwarz: -lambda_min =", schwarz.measured, "<=", schwarz.bound, "->", schwarz.ok)
 y = AlgebraElement(M2, [np.array([[0.0, 1.0], [0.0, 0.0]])])
 mult = multiplicativity_defect(trace_map, y, x)
 print("multiplicativity estimate:", mult.measured, "<=", mult.bound, "->", mult.ok)

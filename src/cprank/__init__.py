@@ -15,7 +15,6 @@ from .algebra import (
     apply_function,
     block_spectra,
     cutoff_below,
-    identity_spec,
     indicator_above,
     inverse_above_gap,
     inverse_on_support,
@@ -72,7 +71,6 @@ from .cpmaps import (
     ElementarySet,
     OrderBounds,
     OrderZeroCertificate,
-    SchwarzReport,
     StinespringDilation,
     WitnessSearchResult,
     certify_order_zero,

@@ -277,7 +277,6 @@ class ScalarFunctionSpec:
                                 two-cluster spectrum hypothesis
       ``inverse-support``       1/t above the rank cut, 0 below
       ``inverse-sqrt-support``  t^(-1/2) above the rank cut, 0 below
-      ``identity``
     """
 
     kind: str
@@ -338,10 +337,6 @@ def inverse_sqrt_on_support(rank_tol: float = RANK_TOL) -> ScalarFunctionSpec:
     return ScalarFunctionSpec("inverse-sqrt-support", rank_tol=float(rank_tol))
 
 
-def identity_spec() -> ScalarFunctionSpec:
-    return ScalarFunctionSpec("identity")
-
-
 def _eval_spec(spec: ScalarFunctionSpec, w: np.ndarray, domain_tol: float) -> np.ndarray:
     if spec.kind == "piecewise-linear":
         lo, hi = spec.knots[0], spec.knots[-1]
@@ -386,8 +381,6 @@ def _eval_spec(spec: ScalarFunctionSpec, w: np.ndarray, domain_tol: float) -> np
         on = w > spec.rank_tol
         out[on] = w[on] ** -0.5
         return out
-    if spec.kind == "identity":
-        return w.copy()
     raise ValueError(f"unknown scalar function kind {spec.kind!r}")
 
 

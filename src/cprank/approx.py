@@ -21,7 +21,6 @@ from .covers import (
     Cover,
     FiniteMetricSpace,
     cover_order,
-    cover_strict_order,
     disjoint_union,
     mask_indices,
     member_diameter,
@@ -106,11 +105,8 @@ def _batch_values(elem: AlgebraElement) -> np.ndarray:
 class BuildReport:
     base_cover: Cover
     base_order: int
-    base_strict_order: int
     cover: Cover
-    exclusive_points: list[int]
     radius: float
-    oscillation_bound: float
     errors: list[float]
     phi_strict_order: int
 
@@ -213,9 +209,8 @@ def build_cp_approx(
         if f.shape != (space.npts,):
             raise ValueError("function length does not match the space")
 
-    osc_bound = (2.0 / 3.0) * eps
     if base_radius is None:
-        dmin = oscillation_scale(space, funcs, osc_bound)
+        dmin = oscillation_scale(space, funcs, (2.0 / 3.0) * eps)
         if dmin is None:
             radius = space.diameter() + 1.0
         elif dmin <= 0:
@@ -251,17 +246,7 @@ def build_cp_approx(
         raise AssertionError(f"builder exceeded its tolerance: errors {errors}")
 
     order = strict_order_abelian(phi)
-    approx.report = BuildReport(
-        base,
-        cover_order(base),
-        cover_strict_order(base),
-        cover,
-        exclusive,
-        radius,
-        osc_bound,
-        errors,
-        order,
-    )
+    approx.report = BuildReport(base, cover_order(base), cover, radius, errors, order)
     return approx
 
 
@@ -380,14 +365,10 @@ class ExtractionConstants:
 class ExtractionTargets:
     """The internal fine cover, its partition, and the constants for a run."""
 
-    U: Cover
-    n: int
     constants: ExtractionConstants
-    level: float
     delta: float
     V: Cover
     weights: np.ndarray  # partition of unity subordinate to V
-    f_weights: np.ndarray  # partition of unity subordinate to U
 
     def target_functions(self) -> list[np.ndarray]:
         return [self.weights[l] for l in range(self.weights.shape[0])]
@@ -404,8 +385,7 @@ def extraction_targets(space: FiniteMetricSpace, U: Cover, n: int) -> Extraction
     constants = ExtractionConstants.for_order(n)
     constants.verify_identities()
     fpou = partition_of_unity(space, U)
-    level = 1.0 / len(U.members)
-    delta = oscillation_scale(space, fpou.weights, level)
+    delta = oscillation_scale(space, fpou.weights, 1.0 / len(U.members))
     if delta is None:
         delta = space.diameter() + 1.0
     diam_bound = delta / (3.0 * (n + 1))
@@ -415,7 +395,7 @@ def extraction_targets(space: FiniteMetricSpace, U: Cover, n: int) -> Extraction
     if worst >= diam_bound:
         raise AssertionError(f"fine cover diameter {worst:.6g} reached the bound {diam_bound:.6g}")
     pou = partition_of_unity(space, V)
-    return ExtractionTargets(U, n, constants, level, delta, V, pou.weights, fpou.weights)
+    return ExtractionTargets(constants, delta, V, pou.weights)
 
 
 @dataclass
@@ -432,7 +412,6 @@ class ExtractionReport:
     q_norms: dict[tuple[int, int], float]
     p_deviations: dict[tuple[int, int], float]
     orthogonalization_nontrivial: bool
-    refinement_witness: dict[tuple[int, int], int]
     W: Cover
     W_order: int
 
@@ -534,7 +513,7 @@ def extract_cover(
     for j, r in enumerate(F.block_sizes):
         if r == 1:
             continue
-        block_ok = certify_order_zero(phi.restrict_to_block(j)).ok or (r - 1 <= n)
+        block_ok = r - 1 <= n or certify_order_zero(phi.restrict_to_block(j)).ok
         require(
             Check("block-order", float(r - 1), float(n), block_ok, f"block {j}"),
             lambda: f"block {j} has size {r} > n+1 and is not order zero",
@@ -698,13 +677,11 @@ def extract_cover(
     # each W member lies inside its class support (W-inside-V), so supports
     # that refine U make W refine U
     _, support_witness = refines(Cover([V_tilde[key] for key in keys]), U)
-    witness: dict[tuple[int, int], int] = {}
     for key, target in zip(keys, support_witness):
         require(
             Check("refines", 0.0 if target is not None else 1.0, 0.0, target is not None, str(key)),
             lambda: f"class support {key} fits in no member of U",
         )
-        witness[key] = target
 
     report = ExtractionReport(
         constants,
@@ -719,7 +696,6 @@ def extract_cover(
         q_norms,
         p_devs,
         nontrivial,
-        witness,
         W,
         order_W,
     )
@@ -737,7 +713,6 @@ class ScaleEvidence:
     base_order: int
     refined_strict_order: int
     builder_order: int | None
-    builder_errors: list[float] | None
 
 
 def estimate_cpr_commutative(
@@ -761,13 +736,8 @@ def estimate_cpr_commutative(
         base = net_ball_cover(space, scale)
         _, so = refine_with_strict_order(space, base)
         builder_order = None
-        builder_errors = None
         if probes:
-            approx = build_cp_approx(space, probes, eps=1.0, base_radius=scale)
-            builder_order = approx.report.phi_strict_order
-            builder_errors = approx.report.errors
-        evidence.append(
-            ScaleEvidence(scale, len(base.members), cover_order(base), so, builder_order, builder_errors)
-        )
+            builder_order = build_cp_approx(space, probes, eps=1.0, base_radius=scale).report.phi_strict_order
+        evidence.append(ScaleEvidence(scale, len(base.members), cover_order(base), so, builder_order))
         values.append(so)
     return max(values), evidence

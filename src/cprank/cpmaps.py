@@ -187,10 +187,9 @@ def choi_blocks(phi: CPMap, tol: float = CP_TOL) -> tuple[list[np.ndarray], bool
     ``d_i * N``; for several codomain blocks each domain block contributes the
     direct sum of its per-pair Choi matrices.
     """
-    if phi.adjoint_symmetry_defect() > 1e-8:
-        raise ValueError(
-            f"inconsistent adjoint symmetry: defect {phi.adjoint_symmetry_defect():.3e}"
-        )
+    asym = phi.adjoint_symmetry_defect()
+    if asym > 1e-8:
+        raise ValueError(f"inconsistent adjoint symmetry: defect {asym:.3e}")
     blocks = []
     worst = 0.0
     for i in range(phi.domain.num_blocks):
@@ -200,12 +199,12 @@ def choi_blocks(phi: CPMap, tol: float = CP_TOL) -> tuple[list[np.ndarray], bool
     return blocks, worst >= -tol, worst
 
 
-def is_contractive(phi: CPMap, tol: float = CP_TOL) -> tuple[bool, float]:
-    """Contractivity of a c.p. map, decided by the norm of phi(1)."""
+def is_contractive(phi: CPMap, tol: float = CP_TOL) -> Check:
+    """Contractivity of a c.p. map: ||phi(1)|| against 1 + tol."""
     if not phi.is_completely_positive():
         raise ValueError("map is not completely positive")
     nrm = phi.apply_one().norm()
-    return nrm <= 1.0 + tol, nrm
+    return Check("contractive", nrm, 1.0 + tol, nrm <= 1.0 + tol)
 
 
 def compress(phi: CPMap, h: AlgebraElement) -> CPMap:
@@ -228,9 +227,9 @@ def unitize(phi: CPMap, tol: float = CP_TOL) -> CPMap:
     The adjoined unit becomes an extra one-dimensional summand whose image is
     ``1 - phi(1)``; the restriction to the original domain is unchanged.
     """
-    ok, nrm = is_contractive(phi, tol)
-    if not ok:
-        raise ValueError(f"map is not contractive: ||phi(1)|| = {nrm:.6g}")
+    contractive = is_contractive(phi, tol)
+    if not contractive:
+        raise ValueError(f"map is not contractive: ||phi(1)|| = {contractive.measured:.6g}")
     sizes = phi.domain.block_sizes
     new_domain = FiniteDimAlgebra(sizes + (1,), max_block=max(sizes))
     images = dict(phi.images)
@@ -257,7 +256,6 @@ class StinespringDilation:
     """
 
     domain: FiniteDimAlgebra
-    codomain_size: int
     multiplicities: tuple[int, ...]
     V: np.ndarray
 
@@ -308,7 +306,7 @@ def stinespring(phi: CPMap, tol: float = CP_TOL) -> StinespringDilation:
             vi.reshape(d, m, n)[:, col, :] = kraus.T.conj()
         v_parts.append(vi)
     V = np.vstack(v_parts) if v_parts else np.zeros((0, n), complex)
-    dil = StinespringDilation(phi.domain, n, tuple(mults), V)
+    dil = StinespringDilation(phi.domain, tuple(mults), V)
 
     # pi(e_jk) = e_jk (x) 1_m, so V^* pi(e_jk) V = V_j^* V_k for the m x n slabs V_j of block i
     worst = 0.0
@@ -328,25 +326,15 @@ def stinespring(phi: CPMap, tol: float = CP_TOL) -> StinespringDilation:
 # Schwarz inequality and multiplicativity estimates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SchwarzReport:
-    lambda_min: float
-    defect: float
-    gap: float
-
-    def __float__(self) -> float:
-        return self.lambda_min if self.defect > 0 else max(self.lambda_min, 0.0)
-
-
-def schwarz_defect(phi: CPMap, x: AlgebraElement, tol: float = CP_TOL) -> SchwarzReport:
-    """Most negative eigenvalue of phi(x*x) - phi(x)*phi(x), floored at zero within tol."""
+def schwarz_defect(phi: CPMap, x: AlgebraElement, tol: float = CP_TOL) -> Check:
+    """Check -lambda_min(phi(x*x) - phi(x)*phi(x)) against tol: the Schwarz inequality
+    phi(x*x) >= phi(x)*phi(x) up to tol."""
     fx = phi.apply(x)
     diff = phi.apply(x.adjoint() @ x) - fx.adjoint() @ fx
     lam = min(
         float(np.linalg.eigvalsh((b + b.conj().T) / 2).min()) for b in diff.blocks
     )
-    defect = -lam if lam < -tol else 0.0
-    return SchwarzReport(lam, defect, max(lam, 0.0))
+    return Check("schwarz", -lam, tol, -lam <= tol)
 
 
 def multiplicativity_defect(phi: CPMap, x: AlgebraElement, y: AlgebraElement) -> Check:
@@ -494,10 +482,8 @@ def _orthogonality_defects(batch: list[np.ndarray], floor: float) -> tuple[np.nd
 @dataclass
 class OrderZeroCertificate:
     ok: bool
-    tol: float
     witnesses: list[str]
     h_blocks: list[AlgebraElement] = field(default_factory=list)
-    support_projections: list[AlgebraElement] = field(default_factory=list)
     sigma_maps: list[CPMap] = field(default_factory=list)
     reconstruction_defect: float = 0.0
 
@@ -518,8 +504,7 @@ def certify_order_zero(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificat
     failing check is returned as a witness.  A certificate carries at most
     :data:`MAX_WITNESSES` (16): certification stops at the 16th, so these are
     the first 16 a full run finds, and such a certificate carries no other data.
-    A positive certificate carries the h_i, their support projections and the
-    compressed homomorphisms.
+    A positive certificate carries the h_i and the compressed homomorphisms.
     """
     witnesses: list[str] = []
 
@@ -535,22 +520,20 @@ def certify_order_zero(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificat
     if one_norm > 1.0 + CP_TOL:
         witnesses.append(f"not contractive: ||phi(1)|| = {one_norm:.6g}")
     if witnesses:
-        return OrderZeroCertificate(False, tol, witnesses)
+        return OrderZeroCertificate(False, witnesses)
 
     m = phi.domain.num_blocks
     hs = [phi.apply_to_block(i, np.eye(phi.domain.block_sizes[i])) for i in range(m)]
     pairs = zip(*(a.tolist() for a in _orthogonality_defects(_batch(hs), tol)))
     if full(f"blocks {i},{j}: ||phi(1_{i}) phi(1_{j})|| = {v:.3e} > tol" for i, j, v in pairs if v > tol):
-        return OrderZeroCertificate(False, tol, witnesses)
+        return OrderZeroCertificate(False, witnesses)
 
-    supports = []
     sigmas = []
     recon_defect = 0.0
     thr = max(tol, 1e-7)
     for i, d in enumerate(phi.domain.block_sizes):
         h = hs[i]
         supp = support_projection(h, tol=1e-7)
-        supports.append(supp)
         s_half = apply_function(h, inverse_sqrt_on_support())
 
         # stacked like the codomain: units[g][n, j, k] is block n of group g of phi(e_jk)
@@ -566,7 +549,7 @@ def certify_order_zero(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificat
             else f"block {i}: ||phi(e_{j}{j}) phi(e_{k}{k})|| = {prod[j, k]:.3e} > tol"
             for j, k, t in np.argwhere(fails).tolist()
         ):
-            return OrderZeroCertificate(False, tol, witnesses)
+            return OrderZeroCertificate(False, witnesses)
 
         sub_domain = FiniteDimAlgebra((d,), max_block=d)
         sig_arr = {}
@@ -585,11 +568,11 @@ def certify_order_zero(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificat
                 f"at units ({(start + n) // d}{(start + n) % d})({l}{mm})"
                 for n, l, mm in np.argwhere(defect > thr).tolist()
             ):
-                return OrderZeroCertificate(False, tol, witnesses)
+                return OrderZeroCertificate(False, witnesses)
         unit_defect = (sigma.apply_one() - supp).norm()
         off = f"block {i}: sigma(1) differs from the support projection by {unit_defect:.3e}"
         if unit_defect > thr and full([off]):
-            return OrderZeroCertificate(False, tol, witnesses)
+            return OrderZeroCertificate(False, witnesses)
         recon = [u - hx @ x for hx, u, x in zip(hg, units, sig)]
         recon += [u - x @ hx for hx, u, x in zip(hg, units, sig)]
         recon_defect = max(recon_defect, _max_norm(recon, recon_defect))
@@ -597,7 +580,7 @@ def certify_order_zero(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificat
         witnesses.append(f"reconstruction defect {recon_defect:.3e} > tol")
 
     ok = not witnesses
-    return OrderZeroCertificate(ok, tol, witnesses, hs, supports, sigmas, recon_defect)
+    return OrderZeroCertificate(ok, witnesses, hs, sigmas, recon_defect)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +620,6 @@ class WitnessSearchResult:
     found: ElementarySet | None
     best_min_product: float
     samples_used: int
-    seed: int
 
     def __bool__(self) -> bool:
         return self.found is not None
@@ -680,7 +662,7 @@ def witness_elementary_set(
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > sum(sizes):
-        return WitnessSearchResult(None, 0.0, 0, seed)
+        return WitnessSearchResult(None, 0.0, 0)
     rng = np.random.default_rng(seed)
 
     # allocate m vectors to blocks: largest blocks first, then round-robin
@@ -756,8 +738,8 @@ def witness_elementary_set(
     if best_val > tol:
         es = ElementarySet(best_projs)
         es.validate()
-        return WitnessSearchResult(es, float(best_val), samples, seed)
-    return WitnessSearchResult(None, float(max(best_val, 0.0)), samples, seed)
+        return WitnessSearchResult(es, float(best_val), samples)
+    return WitnessSearchResult(None, float(max(best_val, 0.0)), samples)
 
 
 @dataclass

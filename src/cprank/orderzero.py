@@ -55,15 +55,12 @@ class BlockDecomposition:
     eigenvalue_support: tuple[float, ...]
     h: AlgebraElement
     sigma: CPMap
-    support_projection: AlgebraElement
 
 
 @dataclass
 class OrderZeroDecomposition:
-    phi: CPMap
     blocks: list[BlockDecomposition]
     reconstruction_defect: float
-    certificate: OrderZeroCertificate
 
 
 def _distinct_positive(values: np.ndarray, tol: float) -> tuple[float, ...]:
@@ -97,20 +94,19 @@ def decompose_order_zero(phi: CPMap, tol: float = 1e-9) -> OrderZeroDecompositio
     for i in range(phi.domain.num_blocks):
         h = cert.h_blocks[i]
         sigma = cert.sigma_maps[i]
-        supp = cert.support_projections[i]
         support_vals = _distinct_positive(spectrum(h, tol=np.inf), 1e-7)
         if support_vals and support_vals[-1] > 1.0 + 1e-7:
             raise ValueError(f"block {i}: eigenvalue {support_vals[-1]:.6g} above 1")
         units = zip(unit_stacks(phi, i), h.stacks, unit_stacks(sigma, 0))
         recon = [u - hg[:, None, None] @ s for u, hg, s in units]
         worst = max(worst, _max_norm(recon, worst))
-        blocks.append(BlockDecomposition(support_vals, h, sigma, supp))
+        blocks.append(BlockDecomposition(support_vals, h, sigma))
     if worst > tol:
         raise ValueError(
             f"reconstruction defect {worst:.3e} exceeds tol {tol:.1e}; "
             "tolerance mismatch between certification and decomposition"
         )
-    return OrderZeroDecomposition(phi, blocks, worst, cert)
+    return OrderZeroDecomposition(blocks, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +149,6 @@ def check_projection_case(phi: CPMap, tol: float = 1e-9) -> ProjectionCaseVerdic
 @dataclass
 class PerturbationReport:
     phi_prime: CPMap
-    gamma: float
-    unit_defect: float          # ||phi(1) - phi(1)^2||
     hom_defect: float           # multiplicativity of phi'
     norm_measured: float        # max difference over the probe family
     norm_bound: float           # 12 gamma + 2 sqrt(gamma)
@@ -253,7 +247,7 @@ def perturb_to_hom(phi: CPMap, gamma: float, tol: float = 1e-9) -> PerturbationR
     if measured > bound + 1e-9:
         raise AssertionError(f"perturbation moved {measured:.6g} > 12 gamma + 2 sqrt(gamma)")
     cb = _cb_upper_bound(phi_prime, phi)
-    return PerturbationReport(phi_prime, gamma, unit_defect, hom_defect, measured, bound, cb)
+    return PerturbationReport(phi_prime, hom_defect, measured, bound, cb)
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +296,8 @@ class LocalApproximation:
 @dataclass
 class AFLocalReport:
     hypotheses: dict[str, Check]
-    q: AlgebraElement
-    cut_eigenvalues: list[np.ndarray]
     subalgebra: FiniteDimAlgebra
-    phi_restricted: CPMap
     perturbation: PerturbationReport
-    chain: dict[str, float]
     distances: list[dict[str, float]]
 
 
@@ -358,13 +348,10 @@ def af_local_step(
     # spectral cut of psi(u) at sqrt(eps)
     root = float(np.sqrt(eps))
     bases = []
-    cut_eigs = []
     q_blocks = []
     for b in pu.blocks:
         w, v = eigh_canonical((b + b.conj().T) / 2)
-        keep = w >= root
-        cut_eigs.append(w)
-        W = v[:, keep]
+        W = v[:, w >= root]
         bases.append(W)
         q_blocks.append(W @ W.conj().T)
     q = AlgebraElement(F, q_blocks)
@@ -388,20 +375,14 @@ def af_local_step(
                     arr[a_idx, b_idx] = np.einsum("jk,jkab->ab", unit, base)
             if np.any(arr):
                 images[(new_i, c)] = arr
-    phi_restricted = CPMap(sub, codomain, images, phi.codomain_space, phi.codomain_matdim)
 
     fq = phi.apply(q)
-    chain = {
-        "||phi(q) - h phi(q)||": (fq - h @ fq).norm(),
-        "eps^(1/4)": eps ** 0.25,
-        "||phi(q) - phi(q)^2||": (fq @ fq - fq).norm(),
-    }
-    gamma = max(chain["||phi(q) - phi(q)^2||"] * (1 + 1e-9), 1e-12) + 1e-15
+    gamma = max((fq @ fq - fq).norm() * (1 + 1e-9), 1e-12) + 1e-15
     if gamma >= 0.25:
         raise HypothesisFailure(
             "gamma", f"||phi(q) - phi(q)^2|| = {gamma:.6g} leaves the perturbation regime"
         )
-    perturbation = perturb_to_hom(phi_restricted, gamma)
+    perturbation = perturb_to_hom(CPMap(sub, codomain, images, phi.codomain_space, phi.codomain_matdim), gamma)
     phi_prime = perturbation.phi_prime
 
     bound_chain = 2.0 * np.sqrt(2.0) * eps ** 0.25 + eps + 2.0 * eps ** 0.125
@@ -424,4 +405,4 @@ def af_local_step(
                 "chain_bound_with_perturbation": bound_chain + perturbation.norm_measured,
             }
         )
-    return AFLocalReport(hyp, q, cut_eigs, sub, phi_restricted, perturbation, chain, distances)
+    return AFLocalReport(hyp, sub, perturbation, distances)

@@ -151,9 +151,7 @@ def orthogonalization_schedule(k: int, alpha: float) -> list[float]:
 @dataclass
 class FamilyOrthogonalization:
     projections: list[AlgebraElement]
-    schedule: list[float]
     deviations: list[float]
-    stage_overlaps: list[float]
     unchanged: bool
 
     def max_pairwise_product(self) -> float:
@@ -175,7 +173,7 @@ def orthogonalize_family(
     verified to be orthogonal already and returned unchanged.
     """
     if not qs:
-        return FamilyOrthogonalization([], [], [], [], True)
+        return FamilyOrthogonalization([], [], True)
     _require_projections((f"member {idx}", q) for idx, q in enumerate(qs))
     total = qs[0]
     for q in qs[1:]:
@@ -185,8 +183,7 @@ def orthogonalize_family(
         raise ValueError(f"||sum q_i|| = {sum_norm:.6g} exceeds alpha = {alpha:.6g}")
 
     if sum_norm <= 1.0 + tol:
-        k = len(qs)
-        fam = FamilyOrthogonalization(list(qs), orthogonalization_schedule(k, alpha), [0.0] * k, [0.0] * k, True)
+        fam = FamilyOrthogonalization(list(qs), [0.0] * len(qs), True)
         if fam.max_pairwise_product() <= 1e-10:
             return fam
         # overlaps at tolerance scale: repair like any other admissible family
@@ -195,12 +192,10 @@ def orthogonalize_family(
     ps: list[AlgebraElement] = [qs[0]]
     deltas = [0.0]
     deviations = [0.0]
-    overlaps = [0.0]
     prev_sum = qs[0].copy()
     for i in range(1, len(qs)):
         bound = sum(deltas) + delta
         measured = (qs[i] @ prev_sum).norm()
-        overlaps.append(measured)
         if measured > bound + 1e-9:
             raise ValueError(
                 f"stage {i}: overlap {measured:.6g} exceeds schedule bound {bound:.6g}"
@@ -218,7 +213,7 @@ def orthogonalize_family(
         deltas.append(d_i)
         deviations.append(dev)
         prev_sum = prev_sum + p_i
-    return FamilyOrthogonalization(ps, deltas, deviations, overlaps, False)
+    return FamilyOrthogonalization(ps, deviations, False)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +297,6 @@ def check_almost_unit(
 class TraceRankReport:
     n: int
     k: int
-    norms: tuple[float, ...]
     normalized_trace: float
     hypotheses_ok: bool
     bound_ok: bool
@@ -325,23 +319,19 @@ def trace_rank_bound(a_list: list[np.ndarray]) -> TraceRankReport:
     norms = []
     for m in mats:
         if np.linalg.norm(m - m.conj().T, 2) > 1e-8:
-            return TraceRankReport(n, k, (), 0.0, False, False, "an element is not hermitian")
+            return TraceRankReport(n, k, 0.0, False, False, "an element is not hermitian")
         w = np.linalg.eigvalsh((m + m.conj().T) / 2)
         if w.min() < -1e-8:
-            return TraceRankReport(n, k, (), 0.0, False, False, "an element is not positive")
+            return TraceRankReport(n, k, 0.0, False, False, "an element is not positive")
         norms.append(float(w.max()))
     total = sum(mats)
     top = np.linalg.eigvalsh((total + total.conj().T) / 2).max()
     if top > 1.0 + 1e-8:
-        return TraceRankReport(n, k, tuple(norms), 0.0, False, False, f"sum has norm {top:.6g} > 1")
+        return TraceRankReport(n, k, 0.0, False, False, f"sum has norm {top:.6g} > 1")
     if min(norms) <= n / (n + 1.0):
-        return TraceRankReport(
-            n, k, tuple(norms), 0.0, False, False, f"smallest norm {min(norms):.6g} <= n/(n+1)"
-        )
+        return TraceRankReport(n, k, 0.0, False, False, f"smallest norm {min(norms):.6g} <= n/(n+1)")
     ntr = float(np.trace(total).real) / n
-    return TraceRankReport(
-        n, k, tuple(norms), ntr, True, k <= n, f"normalized trace {ntr:.6g} <= 1"
-    )
+    return TraceRankReport(n, k, ntr, True, k <= n, f"normalized trace {ntr:.6g} <= 1")
 
 
 # ---------------------------------------------------------------------------

@@ -331,7 +331,7 @@ def certify_order_zero_per_unit(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroC
     if one_norm > 1.0 + CP_TOL:
         witnesses.append(f"not contractive: ||phi(1)|| = {one_norm:.6g}")
     if witnesses:
-        return OrderZeroCertificate(False, tol, witnesses)
+        return OrderZeroCertificate(False, witnesses)
 
     m = phi.domain.num_blocks
     hs = [phi.apply_to_block(i, np.eye(phi.domain.block_sizes[i])) for i in range(m)]
@@ -344,13 +344,11 @@ def certify_order_zero_per_unit(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroC
                     f"blocks {i},{j}: ||phi(1_{i}) phi(1_{j})|| = {cross:.3e} > tol"
                 )
 
-    supports = []
     sigmas = []
     recon_defect = 0.0
     for i, d in enumerate(phi.domain.block_sizes):
         h = hs[i]
         supp = support_projection(h, tol=1e-7)
-        supports.append(supp)
         s_half = apply_function(h, inverse_sqrt_on_support())
 
         units = unit_stacks(phi, i)
@@ -397,7 +395,7 @@ def certify_order_zero_per_unit(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroC
         witnesses.append(f"reconstruction defect {recon_defect:.3e} > tol")
 
     ok = not witnesses
-    return OrderZeroCertificate(ok, tol, witnesses, hs, supports, sigmas, recon_defect)
+    return OrderZeroCertificate(ok, witnesses, hs, sigmas, recon_defect)
 
 
 def decomposition_defect_per_block(phi: CPMap) -> float:
@@ -726,14 +724,12 @@ def extract_cover_per_class(
     if order_W > n:
         raise StepFailure("order", f"cover order {order_W} exceeds n = {n}")
     _, support_witness = refines(Cover([V_tilde[key] for key in keys]), U)
-    witness: dict[tuple[int, int], int] = {}
     for key, target in zip(keys, support_witness):
         checks.append(Check("refines", 0.0 if target is not None else 1.0, 0.0, target is not None, str(key)))
         if target is None:
             raise StepFailure("refines", f"class support {key} fits in no member of U")
-        witness[key] = target
     report = ExtractionReport(
         constants, identities, targets.delta, checks, eta_checks, linearity, A_sets, classes,
-        V_tilde, q_norms, p_devs, nontrivial, witness, W, order_W,
+        V_tilde, q_norms, p_devs, nontrivial, W, order_W,
     )
     return W, report

@@ -328,7 +328,7 @@ def test_10_theorem_validators():
         sizes = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 3)))]
         phi = rand_cp_contraction(rng, sizes, int(rng.integers(2, 6)))
         x = AlgebraElement(phi.domain, [rand_hermitian(rng, d) for d in sizes])
-        assert schwarz_defect(phi, x).lambda_min >= -1e-9
+        assert schwarz_defect(phi, x).measured <= 1e-9
         y = AlgebraElement(phi.domain, [rand_complex(rng, (d, d)) for d in sizes])
         y = (1.0 / max(y.norm(), 1.0)) * y
         assert multiplicativity_defect(phi, x, y).ok

@@ -459,6 +459,22 @@ class TestBatchedExtraction:
         want = _outcome(extract_cover_per_class, space, U, 1, approx, None)
         assert repr(got) == repr(want)
 
+    @pytest.mark.parametrize("n, calls", [(1, 0), (0, 1)])
+    def test_block_order_certifies_only_blocks_above_n_plus_one(self, n, calls):
+        # the criterion-12 matrix path: two 2x2 blocks, so r - 1 <= n alone admits
+        # each block at n = 1; at n = 0 block 0 needs, and fails, its certificate
+        space, U, approx = matrix_path_approximation()
+        real = cprank.approx.certify_order_zero
+        with mock.patch.object(cprank.approx, "certify_order_zero", wraps=real) as certify:
+            got = _outcome(extract_cover, space, U, n, approx, None)
+        assert certify.call_count == calls
+        want = _outcome(extract_cover_per_class, space, U, n, approx, None)
+        assert repr(got) == repr(want)
+        if n == 1:
+            assert [c.context for c in got[1] if c.step == "block-order"] == ["block 0", "block 1"]
+        else:
+            assert got[:2] == ("failure", "block-order")
+
     def test_non_real_values_are_rejected(self):
         space, U, approx = matrix_path_approximation()
         vals = _values_of(approx.phi, [(0, np.eye(2)), (1, 1j * np.eye(2))])

@@ -113,14 +113,15 @@ class TestChoi:
 
 class TestContractivityAndCompress:
     def test_identity(self):
-        ok, nrm = is_contractive(identity_map(2))
-        assert ok and nrm == pytest.approx(1.0)
+        c = is_contractive(identity_map(2))
+        assert c.ok and c.measured == pytest.approx(1.0)
+        assert c.step == "contractive" and c.bound == 1.0 + cpmaps.CP_TOL
 
     def test_doubled_identity(self):
         alg = FiniteDimAlgebra([2])
         arr = identity_map(2).image_array(0, 0) * 2
-        ok, nrm = is_contractive(CPMap(alg, alg, {(0, 0): arr}))
-        assert not ok and nrm == pytest.approx(2.0)
+        c = is_contractive(CPMap(alg, alg, {(0, 0): arr}))
+        assert not c.ok and not c and c.measured == pytest.approx(2.0)
 
     def test_compress_preserves_cp(self):
         rng = np.random.default_rng(31)
@@ -130,8 +131,7 @@ class TestContractivityAndCompress:
             h = (1.0 / max(h.norm(), 1.0)) * h
             out = compress(phi, h)
             assert out.is_completely_positive()
-            ok, _ = is_contractive(out)
-            assert ok
+            assert is_contractive(out).ok
 
     def test_compress_by_unit_and_zero(self):
         phi = identity_map(2)
@@ -218,15 +218,17 @@ class TestSchwarzAndMultiplicativity:
         x = AlgebraElement(phi.domain, [rand_complex(rng, (3, 3))])
         x = (1.0 / x.norm()) * x
         rep = schwarz_defect(phi, x)
-        assert rep.defect == 0.0 and rep.lambda_min >= -1e-12
+        assert rep.ok and rep.measured <= 1e-12
+        assert rep.step == "schwarz" and rep.bound == cpmaps.CP_TOL
 
     def test_half_identity_gap(self):
         alg = FiniteDimAlgebra([2])
         arr = identity_map(2).image_array(0, 0) * 0.5
         phi = CPMap(alg, alg, {(0, 0): arr})
         rep = schwarz_defect(phi, AlgebraElement.identity(alg))
-        assert rep.defect == 0.0
-        assert rep.gap == pytest.approx(0.25)
+        assert rep.ok
+        # phi(1) - phi(1)^2 = 1/2 - 1/4: the inequality holds with a gap of 1/4
+        assert rep.measured == pytest.approx(-0.25)
 
     def test_random_nonnegative(self):
         rng = np.random.default_rng(35)
@@ -236,15 +238,15 @@ class TestSchwarzAndMultiplicativity:
             blocks = [rand_hermitian(rng, d) for d in sizes]
             x = AlgebraElement(phi.domain, blocks)
             rep = schwarz_defect(phi, x)
-            assert rep.lambda_min >= -1e-9
+            assert rep.measured <= 1e-9 and rep.ok
 
     def test_non_cp_map_fires(self):
         # the transpose violates the Schwarz inequality at a partial isometry
         phi = transpose_map(2)
         x = AlgebraElement(phi.domain, [np.array([[0, 1], [0, 0.0]])])
         rep = schwarz_defect(phi, x)
-        assert rep.lambda_min == pytest.approx(-1.0)
-        assert rep.defect == pytest.approx(1.0)
+        assert rep.measured == pytest.approx(1.0)
+        assert not rep.ok
 
     def test_multiplicativity_bound(self):
         rng = np.random.default_rng(36)

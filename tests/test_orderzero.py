@@ -263,6 +263,23 @@ class TestAFLocalStep:
         got = rep.perturbation.phi_prime.apply_to_block(0, np.eye(2)).blocks[0]
         assert np.linalg.norm(got - np.eye(4), 2) <= 1e-9
 
+    def test_hypothesis_exactly_on_its_bound_fails(self):
+        # (ii) holds only when ||phi(psi(u)) - u|| < eps: equality must fail
+        phi = tensor_diag_map([0.99, 1.0])
+        arr = np.zeros((4, 4, 2, 2), complex)
+        for j in range(2):
+            for k in range(2):
+                arr[2 * j + 1, 2 * k + 1, j, k] = 1.0
+        psi = CPMap(phi.codomain, phi.domain, {(0, 0): arr})
+        approx = LocalApproximation(phi.domain, psi, phi)
+        u = AlgebraElement.identity(phi.codomain)
+        measured = (phi.apply(psi.apply(u)) - u).norm()
+        assert measured > 0
+        with pytest.raises(HypothesisFailure, match=r"\(ii\)") as err:
+            af_local_step([], approx, u, eps=measured)
+        assert err.value.name == "(ii)"
+        assert af_local_step([], approx, u, eps=np.nextafter(measured, 1.0)).hypotheses["(ii)"].ok
+
     def test_failing_hypothesis_is_named(self):
         F = FiniteDimAlgebra([4])
         idm = identity_map(4)

@@ -153,7 +153,7 @@ class TestOrthogonalizeFamily:
         sub = FiniteDimAlgebra([3])
         v = np.array([0.0, 5e-10, 1.0]) / np.linalg.norm([0.0, 5e-10, 1.0])
         qs = [AlgebraElement(sub, [np.outer(w, w).astype(complex)]) for w in (np.eye(3)[0], np.eye(3)[1], v)]
-        assert FamilyOrthogonalization(qs, [], [], [], False).max_pairwise_product() == pytest.approx(5e-10)
+        assert FamilyOrthogonalization(qs, [], False).max_pairwise_product() == pytest.approx(5e-10)
         fam = orthogonalize_family(qs, alpha_for(3, 0.125))
         assert not fam.unchanged
         assert fam.max_pairwise_product() <= 1e-12
