@@ -6,13 +6,13 @@ its blocks that are not zero, blocks ascending, ``{"sparse": [...]}``; maps
 carry one record per nonzero matrix-unit image, which writers emit in the
 sparse form.  Parsing is strict: unknown shapes, indices outside the domain
 and entries that are not finite numbers raise :class:`SchemaError` so the CLI
-can exit with the schema code.  Output text is :func:`dumps`, byte for byte
-``json``'s indented form.
+can exit with the schema code.  Output text is :func:`dumps`: ``json``'s
+compact form with sorted keys, the same bytes for the same values.
 """
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii
+import json
 from typing import Any
 
 import numpy as np
@@ -28,89 +28,14 @@ class SchemaError(ValueError):
 
 
 def dumps(obj: Any) -> str:
-    """Exactly ``json.dumps(obj, sort_keys=True, indent=2)``, its TypeError
-    included.  With ``indent`` set, ``json`` encodes in pure Python one token
-    at a time; this joins per container, a list of one scalar type at once,
-    and a :func:`matrix_to_json` list in one join over its array."""
-    return _encode(obj, "\n")
-
-
-_SCALARS = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
-_NAMES = {None: "null", True: "true", False: "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _encode(o: Any, nl: str) -> str:
-    """``o`` as ``json`` writes it on a line that starts with ``nl``."""
-    inner = nl + "  "
-    if type(o) is _Floats and (text := _write_floats(o.array, nl)):
-        return text
-    if isinstance(o, (list, tuple)):
-        kinds = set(map(type, o))
-        scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-        text = ("," + inner).join(map(scalar, o)) if scalar else ""
-        if not scalar or scalar is float.__repr__ and "n" in text:  # nan and inf
-            text = ("," + inner).join([_encode(v, inner) for v in o])
-        return f"[{inner}{text}{nl}]" if o else "[]"  # one copy of text, where + made three
-    if isinstance(o, dict):
-        text = ("," + inner).join([_key(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())])
-        return f"{{{inner}{text}{nl}}}" if o else "{}"
-    if o is None or o is True or o is False:
-        return _NAMES[o]
-    for kind, write in _SCALARS.items():
-        if isinstance(o, kind):  # subclasses too, np.float64 among them
-            text = write(o)
-            return _NAMES.get(text, text)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _write_floats(a: np.ndarray, nl: str) -> str | None:
-    """``a.tolist()`` as ``json`` writes it on a line that starts with ``nl``:
-    one ``float.__repr__`` per entry and one join, the text after each entry
-    read off the shape.  None when a dimension is empty or an entry is not
-    finite."""
-    if not a.size:
-        return None
-    depth = a.ndim
-    pad = [nl + "  " * u for u in range(depth + 1)]  # line starts by list depth
-    # after an entry that ends t innermost lists: close them, comma, reopen them
-    closes = ["".join(pad[u] + "]" for u in range(depth - 1, depth - 1 - t, -1)) for t in range(depth + 1)]
-    seps = [closes[t] + "," + "".join(pad[u] + "[" for u in range(depth - t, depth)) + pad[depth] for t in range(depth)]
-    after = [""]
-    for t, n in enumerate(reversed(a.shape)):
-        after = (after[:-1] + [seps[t]]) * n
-    after[-1] = closes[depth]
-    parts = [""] * (2 * len(after))
-    parts[0::2] = map(float.__repr__, a.ravel().tolist())
-    parts[1::2] = after
-    text = "".join(parts)
-    if "n" in text:  # nan and inf
-        return None
-    return "".join("[" + pad[u] for u in range(1, depth + 1)) + text
-
-
-def _key(k: Any) -> str:
-    if isinstance(k, (str, int, float)) or k is None:
-        return encode_basestring_ascii(k if isinstance(k, str) else _encode(k, ""))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
-class _Floats(list):
-    """Nested lists of a float array's entries that keep the array, so that
-    :func:`dumps` writes them in one join.  Equal to ``array.tolist()``, and
-    read and written as such by ``json`` and the readers here; not to be
-    edited, since :func:`dumps` writes the array."""
-
-    __slots__ = ("array",)
+    """The output format: ``json``'s compact form with sorted keys."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    """Nested ``[re, im]`` lists of a complex array of any shape, holding a
-    copy of the array for :func:`dumps`."""
+    """Nested ``[re, im]`` lists of a complex array of any shape."""
     a = np.array(m, dtype=complex, order="C", ndmin=1)
-    floats = a.view(float).reshape(a.shape + (2,))
-    out = _Floats(floats.tolist())
-    out.array = floats
-    return out
+    return a.view(float).reshape(a.shape + (2,)).tolist()
 
 
 def matrix_from_json(data: Any, shape: tuple[int, ...]) -> np.ndarray:
@@ -134,17 +59,16 @@ def algebra_from_json(data: Any, max_block: int = 64) -> FiniteDimAlgebra:
         sizes = data["block_sizes"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"algebra needs block_sizes: {exc}") from exc
-    if not isinstance(sizes, list) or not all(type(r) is int and r >= 1 for r in sizes):
-        raise SchemaError(f"block_sizes must be a list of integers >= 1, got {sizes!r}")
+    if not isinstance(sizes, list) or not sizes or not all(type(r) is int and r >= 1 for r in sizes):
+        raise SchemaError(f"block_sizes must be a list of at least one integer >= 1, got {sizes!r}")
     return FiniteDimAlgebra(sizes, max_block=max_block)
 
 
 def element_to_json(a: AlgebraElement) -> dict:
-    """The dense form: the whole stack as one list when there is one size
-    group, one list per block otherwise."""
-    if len(a.stacks) == 1:
-        return {"blocks": matrix_to_json(a.stacks[0])}
-    return {"blocks": [matrix_to_json(b) for b in a.blocks]}
+    """The dense form: one list per size-group stack, each block picked from
+    its group's list."""
+    stacks = [matrix_to_json(s) for s in a.stacks]
+    return {"blocks": [stacks[g][n] for g, n in a.algebra.block_slots]}
 
 
 def element_from_json(algebra: FiniteDimAlgebra, data: Any) -> AlgebraElement:
@@ -218,8 +142,10 @@ def cover_from_json(data: Any) -> Cover:
     if not all(isinstance(m, list) and all(type(p) is int and p >= 0 for p in m) for m in members):
         raise SchemaError("each cover member must be a list of non-negative integer points")
     labels = data.get("labels")
-    if labels is not None and not (isinstance(labels, list) and len(labels) == len(members)):
-        raise SchemaError("cover labels must be a list with one label per member")
+    if labels is not None and not (
+        isinstance(labels, list) and len(labels) == len(members) and all(isinstance(t, str) for t in labels)
+    ):
+        raise SchemaError("cover labels must be a list with one string per member")
     return Cover(members, labels)
 
 

@@ -480,4 +480,7 @@ def test_12_cli_determinism(tmp_path):
             assert code == 0, f"{group} {action} exited {code}"
             outs.append(outp.read_bytes())
         assert outs[0] == outs[1], f"{group} {action} not byte-deterministic"
+        text = outs[0].decode("utf-8")
+        compact = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+        assert text == compact + "\n", f"{group} {action} not compact JSON with sorted keys"
     report(12, "CLI determinism", t0, None)
