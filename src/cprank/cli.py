@@ -185,6 +185,9 @@ def _cmd_approx(args: argparse.Namespace, data: Any) -> Any:
     if action == "tensor":
         approx = jsonio.approximation_from_json(_need(data, "approximation"), args.max_block)
         r = _integer(data, "r", 1)
+        largest = r * max(approx.F.block_sizes + (approx.matdim,))
+        if largest > args.max_block:
+            raise SchemaError(f"r = {r} gives blocks of size {largest}, above --max-block {args.max_block}")
         return jsonio.approximation_to_json(tensor_approx(approx, r))
     if action == "sum":
         first = jsonio.approximation_from_json(_need(data, "first"), args.max_block)

@@ -211,10 +211,7 @@ def compress(phi: CPMap, h: AlgebraElement) -> CPMap:
     """The compression h^* phi(.) h, completely positive whenever phi is."""
     if h.algebra.block_sizes != phi.codomain.block_sizes:
         raise ValueError("compression element must live in the codomain")
-    images = {}
-    for (i, c), arr in phi.images.items():
-        hc = h.blocks[c]
-        images[(i, c)] = np.einsum("ab,jkbc,cd->jkad", hc.conj().T, arr, hc)
+    images = {(i, c): h.blocks[c].conj().T @ arr @ h.blocks[c] for (i, c), arr in phi.images.items()}
     out = CPMap(phi.domain, phi.codomain, images, phi.codomain_space, phi.codomain_matdim)
     if phi.is_completely_positive() and not out.is_completely_positive():
         raise AssertionError("compression broke complete positivity")
@@ -299,12 +296,10 @@ def stinespring(phi: CPMap, tol: float = CP_TOL) -> StinespringDilation:
         keep = np.flatnonzero(w > 1e-12)
         m = len(keep)
         mults.append(m)
-        vi = np.zeros((d * m, n), complex)
-        for col, a in enumerate(keep):
-            kraus = (np.sqrt(w[a]) * vecs[:, a]).reshape(d, n).T  # N x d, phi = sum K x K^*
-            # V block row (j, col) carries K^*[j, :]
-            vi.reshape(d, m, n)[:, col, :] = kraus.T.conj()
-        v_parts.append(vi)
+        # kraus[:, :, a] is K_a^T for the Kraus operators K_a (N x d, phi = sum K x K^*);
+        # V block row (j, a) carries K_a^*[j, :]
+        kraus = (np.sqrt(w[keep]) * vecs[:, keep]).reshape(d, n, m)
+        v_parts.append(kraus.transpose(0, 2, 1).conj().reshape(d * m, n))
     V = np.vstack(v_parts) if v_parts else np.zeros((0, n), complex)
     dil = StinespringDilation(phi.domain, tuple(mults), V)
 
@@ -552,11 +547,7 @@ def certify_order_zero(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificat
             return OrderZeroCertificate(False, witnesses)
 
         sub_domain = FiniteDimAlgebra((d,), max_block=d)
-        sig_arr = {}
-        for c in range(phi.codomain.num_blocks):
-            arr = phi.image_array(i, c)
-            sc = s_half.blocks[c]
-            sig_arr[(0, c)] = np.einsum("ab,jkbc,cd->jkad", sc, arr, sc)
+        sig_arr = {(0, c): sc @ phi.image_array(i, c) @ sc for c, sc in enumerate(s_half.blocks)}
         sigma = CPMap(sub_domain, phi.codomain, sig_arr, phi.codomain_space, phi.codomain_matdim)
         sigmas.append(sigma)
 
@@ -800,9 +791,8 @@ def tensor_with_identity(phi: CPMap, r: int) -> CPMap:
         d, _, n, _ = arr.shape
         # e_jk (x) e_ab maps to phi(e_jk) (x) e_ab
         out = np.zeros((d, r, d, r, n, r, n, r), complex)
-        for a in range(r):
-            for b in range(r):
-                out[:, a, :, b, :, a, :, b] = arr
+        a, b = np.arange(r)[:, None], np.arange(r)
+        out[:, a, :, b, :, a, :, b] = arr
         images[(i, c)] = out.reshape(d * r, d * r, n * r, n * r)
     return CPMap(
         new_domain,

@@ -121,11 +121,17 @@ def space_from_json(data: Any) -> FiniteMetricSpace:
         raise SchemaError("space needs a metric matrix or euclidean coords")
     try:
         values = np.asarray(data[key], dtype=float)
+        if euclidean and not (values.ndim in (1, 2) and len(values)):
+            raise ValueError("need at least one point, each a number or a list of numbers")
         if np.isfinite(values).all():
-            return FiniteMetricSpace.from_coords(values) if euclidean else FiniteMetricSpace(values)
+            # finite coordinates can still lie too far apart for a double
+            with np.errstate(over="ignore"):
+                space = FiniteMetricSpace.from_coords(values) if euclidean else FiniteMetricSpace(values)
+            if np.isfinite(space.metric).all():
+                return space
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad {key}: {exc}") from exc
-    raise SchemaError(f"bad {key}: entries must be finite")
+    raise SchemaError(f"bad {key}: entries and the distances between them must be finite")
 
 
 def cover_to_json(cover: Cover) -> dict:

@@ -87,20 +87,17 @@ def decompose_order_zero(phi: CPMap, tol: float = 1e-9) -> OrderZeroDecompositio
     The compression by the inverse square root of h_i on its support realizes
     the homomorphism in one step; finite dimensions make the usual limit
     stationary.  Certification failures are forwarded with their witnesses.
+    The reconstruction defect is the certificate's: the largest
+    ``||phi(e_jk) - h sigma(e_jk)||`` or ``||phi(e_jk) - sigma(e_jk) h||``.
     """
     cert = _require_order_zero(phi)
     blocks = []
-    worst = 0.0
-    for i in range(phi.domain.num_blocks):
-        h = cert.h_blocks[i]
-        sigma = cert.sigma_maps[i]
+    for i, (h, sigma) in enumerate(zip(cert.h_blocks, cert.sigma_maps)):
         support_vals = _distinct_positive(spectrum(h, tol=np.inf), 1e-7)
         if support_vals and support_vals[-1] > 1.0 + 1e-7:
             raise ValueError(f"block {i}: eigenvalue {support_vals[-1]:.6g} above 1")
-        units = zip(unit_stacks(phi, i), h.stacks, unit_stacks(sigma, 0))
-        recon = [u - hg[:, None, None] @ s for u, hg, s in units]
-        worst = max(worst, _max_norm(recon, worst))
         blocks.append(BlockDecomposition(support_vals, h, sigma))
+    worst = cert.reconstruction_defect
     if worst > tol:
         raise ValueError(
             f"reconstruction defect {worst:.3e} exceeds tol {tol:.1e}; "
@@ -174,11 +171,9 @@ def _cb_upper_bound(phi_a: CPMap, phi_b: CPMap) -> float:
             w, v = eigh_canonical((ch + ch.conj().T) / 2)
             cp_pos = (v * np.maximum(w, 0.0)) @ v.conj().T
             cp_neg = (v * np.maximum(-w, 0.0)) @ v.conj().T
-            arr_pos = cp_pos.reshape(d, r, d, r).transpose(0, 2, 1, 3)
-            arr_neg = cp_neg.reshape(d, r, d, r).transpose(0, 2, 1, 3)
-            for j in range(d):
-                pos[c] = pos[c] + arr_pos[j, j]
-                neg[c] = neg[c] + arr_neg[j, j]
+            # a part's value at the unit sums its images of e_jj: a trace over the domain indices
+            pos[c] = pos[c] + np.trace(cp_pos.reshape(d, r, d, r), axis1=0, axis2=2)
+            neg[c] = neg[c] + np.trace(cp_neg.reshape(d, r, d, r), axis1=0, axis2=2)
     return AlgebraElement(phi_a.codomain, pos).norm() + AlgebraElement(phi_a.codomain, neg).norm()
 
 
@@ -261,18 +256,18 @@ def dist_to_hom_image(a: AlgebraElement, phi_prime: CPMap) -> float:
     the Frobenius-orthogonal projection onto that span gives an element whose
     operator-norm distance to ``a`` bounds the true distance from above.
     """
-    basis = []
+    # one row per matrix unit, in (i, j, k) order: its image's blocks, flattened
+    slots = phi_prime.codomain.block_slots
+    rows = []
     for i, d in enumerate(phi_prime.domain.block_sizes):
-        for j in range(d):
-            for k in range(d):
-                img = phi_prime.unit_image(i, j, k)
-                vec = np.concatenate([b.reshape(-1) for b in img.blocks])
-                if np.linalg.norm(vec) > 1e-12:
-                    basis.append(vec)
+        units = unit_stacks(phi_prime, i)
+        rows.append(np.concatenate([units[g][n].reshape(d * d, -1) for g, n in slots], axis=1))
+    basis = np.concatenate(rows)
+    basis = basis[np.linalg.norm(basis, axis=1) > 1e-12]
     target = np.concatenate([b.reshape(-1) for b in a.blocks])
-    if not basis:
+    if not len(basis):
         return a.norm()
-    B = np.stack(basis, axis=1)
+    B = basis.T
     coeff, *_ = np.linalg.lstsq(B, target, rcond=None)
     ends = np.cumsum([r * r for r in a.algebra.block_sizes])[:-1]
     best_blocks = [v.reshape(r, r) for v, r in zip(np.split(B @ coeff, ends), a.algebra.block_sizes)]
@@ -364,17 +359,10 @@ def af_local_step(
     sub = FiniteDimAlgebra(sizes, max_block=max(sizes))
     images = {}
     for new_i, (i, W) in enumerate(live):
-        m = W.shape[1]
         for c in range(codomain.num_blocks):
-            rc = codomain.block_sizes[c]
-            arr = np.zeros((m, m, rc, rc), complex)
-            base = phi.image_array(i, c)
-            for a_idx in range(m):
-                for b_idx in range(m):
-                    unit = np.outer(W[:, a_idx], W[:, b_idx].conj())
-                    arr[a_idx, b_idx] = np.einsum("jk,jkab->ab", unit, base)
-            if np.any(arr):
-                images[(new_i, c)] = arr
+            # W e_ab W^* = sum_jk W_ja conj(W_kb) e_jk: the stack is W^T A conj(W) over (j, k)
+            arr = W.T @ phi.image_array(i, c).transpose(2, 3, 0, 1) @ W.conj()
+            images[(new_i, c)] = arr.transpose(2, 3, 0, 1)
 
     fq = phi.apply(q)
     gamma = max((fq @ fq - fq).norm() * (1 + 1e-9), 1e-12) + 1e-15

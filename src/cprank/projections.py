@@ -133,8 +133,10 @@ def alpha_for(K: int, beta: float, cap: float = ALPHA_CAP, order: int | None = N
     if K == 1:
         return cap_val
     # slight shrink keeps the re-evaluated schedule strictly under beta even
-    # though alpha - 1 is recovered downstream with catastrophic cancellation
-    gamma = beta / (14.0 * 15.0 ** (K - 2)) * (1.0 - 1e-6)
+    # though alpha - 1 is recovered downstream with catastrophic cancellation;
+    # 15.0 ** 263 raises OverflowError, and from K = 264 on the denominator is
+    # inf, so gamma is 0 and alpha is 1.0, as it already is in doubles from K = 7
+    gamma = beta / (14.0 * 15.0 ** min(K - 2, 262)) * (1.0 - 1e-6)
     alpha = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * gamma * gamma))
     return min(alpha, cap_val)
 

@@ -370,7 +370,7 @@ def certify_order_zero_per_unit(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroC
         for c in range(phi.codomain.num_blocks):
             arr = phi.image_array(i, c)
             sc = s_half.blocks[c]
-            sig_arr[(0, c)] = np.einsum("ab,jkbc,cd->jkad", sc, arr, sc)
+            sig_arr[(0, c)] = sc @ arr @ sc
         sigma = CPMap(sub_domain, phi.codomain, sig_arr, phi.codomain_space, phi.codomain_matdim)
         sigmas.append(sigma)
 
@@ -396,18 +396,6 @@ def certify_order_zero_per_unit(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroC
 
     ok = not witnesses
     return OrderZeroCertificate(ok, witnesses, hs, sigmas, recon_defect)
-
-
-def decomposition_defect_per_block(phi: CPMap) -> float:
-    """Worst ||phi(e_jk) - h sigma(e_jk)|| over the blocks of an order-zero map, from the
-    per-unit certificate's h and sigma, one screened norm call per block."""
-    cert = certify_order_zero_per_unit(phi)
-    worst = 0.0
-    for i in range(phi.domain.num_blocks):
-        units = zip(unit_stacks(phi, i), cert.h_blocks[i].stacks, unit_stacks(cert.sigma_maps[i], 0))
-        recon = [u - hg[:, None, None] @ s for u, hg, s in units]
-        worst = max(worst, float(_norms(recon, worst).max()))
-    return worst
 
 
 def validate_per_pair(es: ElementarySet, tol: float = 1e-10) -> None:

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cprank import (
@@ -359,6 +359,9 @@ BAD_INPUT = {
     "coords_infinite": (("cover", "refine"), {"space": {"metric": "euclidean", "coords": [[0.0], [INF], [1.0]]}, "cover": CHAIN3}, 2),
     "coords_nan": (("cover", "refine"), {"space": {"metric": "euclidean", "coords": [[0.0], [NAN], [1.0]]}, "cover": CHAIN3}, 2),
     "coords_string": (("cover", "refine"), {"space": {"metric": "euclidean", "coords": [[0.0], ["x"], [1.0]]}, "cover": CHAIN3}, 2),
+    "coords_scalar": (("cover", "refine"), {"space": {"metric": "euclidean", "coords": 5}, "cover": CHAIN3}, 2),
+    "coords_empty": (("cover", "refine"), {"space": {"metric": "euclidean", "coords": []}, "cover": {"members": []}}, 2),
+    "coords_overflow": (("approx", "build"), {"space": {"metric": "euclidean", "coords": [1e300, -1e300]}, "functions": [[0.0, 1.0]], "epsilon": 0.5}, 2),
     "labels_too_few": (("cover", "order"), {"cover": {"members": [[0], [1]], "labels": ["a"]}}, 2),
     "labels_too_many": (("cover", "nerve"), {"cover": {"members": [[0], [1]], "labels": ["a", "b", "c"]}}, 2),
     "matrix_size_string": (("cpmap", "choi"), {"map": {**MAP1, "codomain": {"matrix": "x"}}}, 2),
@@ -406,8 +409,10 @@ BAD_INPUT = {
     "n_string": (("approx", "extract-cover"), _extract(n="x"), 2),
     "n_bool": (("approx", "extract-cover"), _extract(n=True), 2),
     "n_negative": (("approx", "extract-cover"), _extract(n=-1), 2),
+    "n_huge": (("approx", "extract-cover"), _extract(n=10**6), 4),
     "r_fraction": (("approx", "tensor"), {"approximation": APPROX3, "r": 1.9}, 2),
     "r_zero": (("approx", "tensor"), {"approximation": APPROX3, "r": 0}, 2),
+    "r_above_max_block": (("--max-block", "2", "approx", "tensor"), {"approximation": APPROX3, "r": 3}, 2),
     "sparse_repeated": _sparse(sparse=[[0, ONE], [0, ONE]]),
     "sparse_out_of_range": _sparse(sparse=[[0, ONE], [3, ONE]]),
     "sparse_huge_index": _sparse(sparse=[[10**30, ONE]]),
@@ -599,3 +604,40 @@ def test_sparse_element_reads_as_its_dense_form(tmp_path):
     dense["map"]["unit_images"][0]["value"] = {"blocks": [ONE, TWO, [[[0.0, 0.0]]]]}
     outs = [run_cli(tmp_path, name, p, *command) for name, p in (("sparse", payload), ("dense", dense))]
     assert outs[0] == outs[1] and outs[0][0] == 0
+
+
+FUZZ_NUMBER = st.one_of(st.floats(-10, 10), st.floats(-1e308, 1e308), st.sampled_from([-1e300, 1e300, 1e308]))
+
+
+def fuzz_coords(depth: int):
+    """A ``coords`` field nested ``depth`` deep: a number, or a list of 0-6 fields one level down."""
+    return FUZZ_NUMBER if depth == 0 else st.lists(fuzz_coords(depth - 1), max_size=6)
+
+
+# ragged nestings 0-3 deep, and 0-6 points of a common dimension 1-3
+FUZZ_SPACE = st.one_of(
+    st.integers(0, 3).flatmap(fuzz_coords),
+    st.integers(1, 3).flatmap(lambda k: st.lists(st.lists(FUZZ_NUMBER, min_size=k, max_size=k), max_size=6)),
+).map(lambda c: {"metric": "euclidean", "coords": c})
+FUZZ_COVER = st.lists(st.lists(st.integers(0, 6), max_size=4), max_size=4).map(lambda m: {"members": m})
+FUZZ_VALUES = st.lists(st.lists(st.floats(-10, 10), max_size=6), min_size=1, max_size=2)
+# per command, inputs valid and invalid over the fields coords, n and r
+FUZZ = {
+    "cover refine": st.fixed_dictionaries({"space": FUZZ_SPACE, "cover": FUZZ_COVER}),
+    "approx build": st.fixed_dictionaries({"space": FUZZ_SPACE, "functions": FUZZ_VALUES, "epsilon": st.just(0.5)}),
+    "approx extract-cover": st.builds(
+        lambda space, n: _extract(space=space, n=n), st.one_of(st.just(SPACE3), FUZZ_SPACE), st.integers(0, 10**6)
+    ),
+    "--max-block 2 approx tensor": st.builds(lambda r: {"approximation": APPROX3, "r": r}, st.integers(1, 4)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ))
+@settings(
+    max_examples=50, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],  # each example overwrites its files
+)
+@given(data=st.data())
+def test_schema_fuzz_exits_with_a_documented_code(tmp_path, command, data):
+    code, _ = run_cli(tmp_path, "fuzz", data.draw(FUZZ[command]), *command.split())
+    assert code in (0, 2, 3, 4)

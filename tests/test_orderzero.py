@@ -22,7 +22,7 @@ from cprank import cpmaps
 from cprank.orderzero import HypothesisFailure, _hom_defect, map_norm_lower_bound
 
 from conftest import identity_map, near_order_zero, rand_complex, rand_cp_contraction, rand_order_zero, rand_unitary
-from oracles import decomposition_defect_per_block, hom_defect_per_unit, map_norm_lower_bound_per_probe
+from oracles import certify_order_zero_per_unit, hom_defect_per_unit, map_norm_lower_bound_per_probe
 
 
 def tensor_diag_map(diag, r=2):
@@ -339,7 +339,7 @@ class TestScreenedDefects:
     def test_decomposition_reconstruction(self, sizes, copies, seed):
         phi = near_order_zero(np.random.default_rng(seed), sizes, copies, 0.0)
         got = decompose_order_zero(phi)
-        assert got.reconstruction_defect == decomposition_defect_per_block(phi)
+        assert got.reconstruction_defect == certify_order_zero_per_unit(phi).reconstruction_defect
 
     @PROPERTY
     @given(*NEAR_ORDER_ZERO, st.sampled_from([1, 40, 100, 300, 1000]))

@@ -125,8 +125,10 @@ class TestAlphaFor:
                 assert all(d <= beta + 1e-12 for d in sched)
 
     def test_monotone_in_k(self):
-        for K in range(1, 6):
+        # past K = 264 the power 15^(K-2) leaves the double range
+        for K in range(1, 400):
             assert alpha_for(K + 1, 0.2) <= alpha_for(K, 0.2) + 1e-15
+        assert alpha_for(400, 0.2) == 1.0
 
     def test_order_cap(self):
         assert alpha_for(1, 10.0, order=1) <= 1.05
