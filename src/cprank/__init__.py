@@ -17,7 +17,6 @@ from .algebra import (
     cutoff_below,
     indicator_above,
     inverse_above_gap,
-    inverse_on_support,
     inverse_sqrt_on_support,
     matrix_unit,
     piecewise_linear,

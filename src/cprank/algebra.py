@@ -275,7 +275,6 @@ class ScalarFunctionSpec:
                                 rejects eigenvalues inside (alpha-gap, alpha+gap)
       ``inverse-gap``           0 below eps, t -> 1/t above 1-eps; requires the
                                 two-cluster spectrum hypothesis
-      ``inverse-support``       1/t above the rank cut, 0 below
       ``inverse-sqrt-support``  t^(-1/2) above the rank cut, 0 below
     """
 
@@ -299,12 +298,12 @@ def piecewise_linear(knots: Sequence[float], values: Sequence[float]) -> ScalarF
     return ScalarFunctionSpec("piecewise-linear", knots=tuple(map(float, knots)), values=tuple(map(float, values)))
 
 
-def cutoff_below(alpha: float, eps: float, top: float = 1.0) -> ScalarFunctionSpec:
+def cutoff_below(alpha: float, eps: float) -> ScalarFunctionSpec:
     """Vanish up to alpha, agree with the identity from alpha+eps on."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     lo = min(0.0, alpha) - 1.0
-    hi = max(top, alpha + eps + 1.0)
+    hi = max(1.0, alpha + eps + 1.0)
     return piecewise_linear([lo, alpha, alpha + eps, hi], [0.0, 0.0, alpha + eps, hi])
 
 
@@ -329,18 +328,14 @@ def inverse_above_gap(eps: float) -> ScalarFunctionSpec:
     return ScalarFunctionSpec("inverse-gap", eps=float(eps))
 
 
-def inverse_on_support(rank_tol: float = RANK_TOL) -> ScalarFunctionSpec:
-    return ScalarFunctionSpec("inverse-support", rank_tol=float(rank_tol))
-
-
 def inverse_sqrt_on_support(rank_tol: float = RANK_TOL) -> ScalarFunctionSpec:
     return ScalarFunctionSpec("inverse-sqrt-support", rank_tol=float(rank_tol))
 
 
-def _eval_spec(spec: ScalarFunctionSpec, w: np.ndarray, domain_tol: float) -> np.ndarray:
+def _eval_spec(spec: ScalarFunctionSpec, w: np.ndarray) -> np.ndarray:
     if spec.kind == "piecewise-linear":
         lo, hi = spec.knots[0], spec.knots[-1]
-        bad = (w < lo - domain_tol) | (w > hi + domain_tol)
+        bad = (w < lo - DEFAULT_TOL) | (w > hi + DEFAULT_TOL)
         if np.any(bad):
             t = w[bad][0]
             raise ValueError(
@@ -371,11 +366,6 @@ def _eval_spec(spec: ScalarFunctionSpec, w: np.ndarray, domain_tol: float) -> np
         upper = w >= 1.0 - spec.eps - THRESHOLD_SNAP
         out[upper] = 1.0 / w[upper]
         return out
-    if spec.kind == "inverse-support":
-        out = np.zeros_like(w)
-        on = w > spec.rank_tol
-        out[on] = 1.0 / w[on]
-        return out
     if spec.kind == "inverse-sqrt-support":
         out = np.zeros_like(w)
         on = w > spec.rank_tol
@@ -384,33 +374,26 @@ def _eval_spec(spec: ScalarFunctionSpec, w: np.ndarray, domain_tol: float) -> np
     raise ValueError(f"unknown scalar function kind {spec.kind!r}")
 
 
-def apply_function(
-    a: AlgebraElement,
-    spec: ScalarFunctionSpec,
-    tol: float = DEFAULT_TOL,
-    domain_tol: float = 1e-9,
-) -> AlgebraElement:
+def apply_function(a: AlgebraElement, spec: ScalarFunctionSpec) -> AlgebraElement:
     """Apply a scalar function eigenvalue-wise in each block of a hermitian element.
 
     The result commutes with ``a`` and is hermitian for real-valued specs.
     Inverse-gap and gapped-threshold kinds reject operands whose spectrum
     enters the forbidden band, naming the offending eigenvalue.
     """
-    _require_hermitian(a, tol)
-    if spec.kind in ("inverse-gap", "inverse-support", "inverse-sqrt-support"):
+    _require_hermitian(a, DEFAULT_TOL)
+    if spec.kind in ("inverse-gap", "inverse-sqrt-support"):
         low = float(spectrum(a, tol=np.inf)[0])
-        if low < -tol:
+        if low < -DEFAULT_TOL:
             raise ValueError(f"element is not positive: eigenvalue {low:.3e}")
     w, v = zip(*(eigh_canonical(_hermitian_part(s)) for s in a.stacks))
     # checked in block order first, so a violation names the first offending block
-    _eval_spec(spec, _in_block_order(a, w), domain_tol)
-    out = [(vg * _eval_spec(spec, wg, domain_tol)[:, None, :]) @ _dagger(vg) for wg, vg in zip(w, v)]
+    _eval_spec(spec, _in_block_order(a, w))
+    out = [(vg * _eval_spec(spec, wg)[:, None, :]) @ _dagger(vg) for wg, vg in zip(w, v)]
     return AlgebraElement.from_stacks(a.algebra, out)
 
 
-def support_projection(
-    a: AlgebraElement, tol: float = DEFAULT_TOL, rank_tol: float = RANK_TOL
-) -> AlgebraElement:
+def support_projection(a: AlgebraElement, tol: float = DEFAULT_TOL) -> AlgebraElement:
     """Spectral projection onto the range of a positive element.
 
     Satisfies P a = a P = a, with rank equal to the numerical rank of ``a``.
@@ -423,7 +406,7 @@ def support_projection(
     if neg.size:
         raise ValueError(f"element is not positive: eigenvalue {neg[0]:.3e}")
     return AlgebraElement.from_stacks(
-        a.algebra, [(vg * (wg > rank_tol)[:, None, :]) @ _dagger(vg) for wg, vg in zip(w, v)]
+        a.algebra, [(vg * (wg > RANK_TOL)[:, None, :]) @ _dagger(vg) for wg, vg in zip(w, v)]
     )
 
 

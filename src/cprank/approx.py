@@ -188,7 +188,6 @@ def build_cp_approx(
     space: FiniteMetricSpace,
     a_list: list[np.ndarray],
     eps: float,
-    refine: bool = True,
     base_radius: float | None = None,
 ) -> CPApproximation:
     """Approximation through an abelian algebra: evaluations against a partition.
@@ -221,7 +220,7 @@ def build_cp_approx(
         radius = base_radius
 
     base = net_ball_cover(space, radius)
-    cover = strict_refinement(space, base) if refine else base
+    cover = strict_refinement(space, base)
     members, labels, exclusive = _prune_to_exclusive(
         list(cover.members), list(cover.labels or [str(i) for i in range(len(cover))])
     )
@@ -409,7 +408,6 @@ class ExtractionReport:
     A_sets: list[frozenset[int]]
     classes: list[list[list[int]]]
     V_tilde: dict[tuple[int, int], frozenset[int]]
-    q_norms: dict[tuple[int, int], float]
     p_deviations: dict[tuple[int, int], float]
     orthogonalization_nontrivial: bool
     W: Cover
@@ -581,11 +579,9 @@ def extract_cover(
     rests = _values_of(phi, [(j, np.eye(len(q), dtype=complex) - q) for (j, _), q in q_mats.items()])
 
     V_tilde: dict[tuple[int, int], frozenset[int]] = {}
-    q_norms: dict[tuple[int, int], float] = {}
     for k, (j, i) in enumerate(class_keys):
         vt = V_tilde[(j, i)] = frozenset().union(*(targets.V.members[l] for l in classes[j][i])) & A_sets[j]
         eta_check(f"class ({j},{i})", errors[k])
-        q_norms[(j, i)] = float(np.linalg.norm(psi_blocks[j][k], 2))
 
         # named inequality (1): phi(1_j - q)(x) < C/2 on the class support
         vals = _real(rests[k])
@@ -623,8 +619,7 @@ def extract_cover(
         for pos, i in enumerate(idxs):
             p = fam.projections[pos].blocks[0]
             p_mats[(j, i)] = p
-            dev = float(np.linalg.norm(p - q_mats[(j, i)], 2))
-            p_devs[(j, i)] = dev
+            dev = p_devs[(j, i)] = fam.deviations[pos]
             require(
                 Check("beta", dev, beta, dev <= beta + 1e-9, f"({j},{i})"),
                 lambda: f"||p - q|| = {dev:.6g} exceeds beta = {beta:.6g}",
@@ -693,7 +688,6 @@ def extract_cover(
         A_sets,
         classes,
         V_tilde,
-        q_norms,
         p_devs,
         nontrivial,
         W,

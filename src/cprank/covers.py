@@ -69,9 +69,8 @@ class FiniteMetricSpace:
         return cls(np.sqrt((diff**2).sum(axis=2)), pts)
 
 
-def interval_grid(n: int, length: float = 1.0) -> FiniteMetricSpace:
-    xs = np.linspace(0.0, length, n)
-    return FiniteMetricSpace.from_coords(xs)
+def interval_grid(n: int) -> FiniteMetricSpace:
+    return FiniteMetricSpace.from_coords(np.linspace(0.0, 1.0, n))
 
 
 def circle_grid(n: int, circumference: float = 1.0) -> FiniteMetricSpace:
@@ -84,24 +83,20 @@ def circle_grid(n: int, circumference: float = 1.0) -> FiniteMetricSpace:
     return FiniteMetricSpace(metric, coords)
 
 
-def torus_grid(nx: int, ny: int, lx: float = 1.0, ly: float = 1.0) -> FiniteMetricSpace:
-    xs = np.arange(nx) * (lx / nx)
-    ys = np.arange(ny) * (ly / ny)
-    px, py = np.meshgrid(xs, ys, indexing="ij")
+def torus_grid(nx: int, ny: int) -> FiniteMetricSpace:
+    px, py = np.meshgrid(np.arange(nx) * (1.0 / nx), np.arange(ny) * (1.0 / ny), indexing="ij")
     px, py = px.reshape(-1), py.reshape(-1)
     dx = np.abs(px[:, None] - px[None, :])
-    dx = np.minimum(dx, lx - dx)
+    dx = np.minimum(dx, 1.0 - dx)
     dy = np.abs(py[:, None] - py[None, :])
-    dy = np.minimum(dy, ly - dy)
+    dy = np.minimum(dy, 1.0 - dy)
     return FiniteMetricSpace(np.hypot(dx, dy), np.stack([px, py], axis=1))
 
 
-def disjoint_union(a: FiniteMetricSpace, b: FiniteMetricSpace, gap: float | None = None) -> FiniteMetricSpace:
-    """Metric on the disjoint union; cross distances default to both diameters plus one."""
-    if gap is None:
-        gap = a.diameter() + b.diameter() + 1.0
+def disjoint_union(a: FiniteMetricSpace, b: FiniteMetricSpace) -> FiniteMetricSpace:
+    """Metric on the disjoint union; cross distances are both diameters plus one."""
     na, nb = a.npts, b.npts
-    m = np.full((na + nb, na + nb), gap)
+    m = np.full((na + nb, na + nb), a.diameter() + b.diameter() + 1.0)
     m[:na, :na] = a.metric
     m[na:, na:] = b.metric
     np.fill_diagonal(m, 0.0)
@@ -269,7 +264,11 @@ class SimplicialComplex:
         return max((len(f) - 1 for f in self.faces), default=-1)
 
 
-def nerve(cover: Cover, max_faces: int = 1 << 20) -> SimplicialComplex:
+#: most subsets :func:`nerve` enumerates before it refuses a cover
+MAX_NERVE_FACES = 1 << 20
+
+
+def nerve(cover: Cover) -> SimplicialComplex:
     """Nerve of a cover: a face for every subfamily with a common point.
 
     On a finite model every face arises from the membership set of some
@@ -277,7 +276,7 @@ def nerve(cover: Cover, max_faces: int = 1 << 20) -> SimplicialComplex:
     """
     through = point_member_masks(cover.members).values()
     total = sum(1 << mask.bit_count() for mask in through)
-    if total > max_faces:
+    if total > MAX_NERVE_FACES:
         raise ValueError(f"nerve enumeration too large ({total} subsets)")
     faces: set[frozenset[int]] = set()
     for mask in through:
@@ -364,13 +363,17 @@ def partition_of_unity(space: FiniteMetricSpace, cover: Cover) -> PartitionOfUni
     return PartitionOfUnity(cover, raw / sums)
 
 
-def _level_faces(weights: np.ndarray, tol: float = 1e-12) -> dict[int, list[int]]:
+#: weights closer than this count as one level in :func:`_level_faces`
+LEVEL_TOL = 1e-12
+
+
+def _level_faces(weights: np.ndarray) -> dict[int, list[int]]:
     """Points by member mask of each face in their chain of weight level sets.
 
     A point's faces are prefixes of its column in descending order: each
-    distinct weight above ``tol`` opens a level unless it lies within ``tol``
-    of the level's representative, and the face of representative ``v`` holds
-    every member of weight at least ``v - tol``.
+    distinct weight above ``LEVEL_TOL`` opens a level unless it lies within
+    ``LEVEL_TOL`` of the level's representative, and the face of representative
+    ``v`` holds every member of weight at least ``v - LEVEL_TOL``.
     """
     order = np.argsort(-weights, axis=0, kind="stable")
     depth = int((weights > 0).sum(axis=0).max(initial=0))  # faces lie in the positive support
@@ -379,11 +382,11 @@ def _level_faces(weights: np.ndarray, tol: float = 1e-12) -> dict[int, list[int]
     for x, (vals, members) in enumerate(zip(ranked.T.tolist(), order[:depth].T.tolist())):
         mask, top, rep = 0, 0, None
         for v in vals:
-            if v <= tol:
+            if v <= LEVEL_TOL:
                 break
-            if rep is None or rep - v > tol:
+            if rep is None or rep - v > LEVEL_TOL:
                 rep = v
-                while top < depth and vals[top] >= v - tol:
+                while top < depth and vals[top] >= v - LEVEL_TOL:
                     mask |= 1 << members[top]
                     top += 1
                 faces.setdefault(mask, []).append(x)

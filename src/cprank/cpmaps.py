@@ -173,14 +173,14 @@ class CPMap:
             lows.append(float(np.linalg.eigvalsh((ch + _dagger(ch)) / 2).min()))
         return min(lows, default=0.0)
 
-    def is_completely_positive(self, tol: float = CP_TOL) -> bool:
-        return self.min_choi_eigenvalue() >= -tol and self.adjoint_symmetry_defect() <= 1e-8
+    def is_completely_positive(self) -> bool:
+        return self.min_choi_eigenvalue() >= -CP_TOL and self.adjoint_symmetry_defect() <= 1e-8
 
     def apply_one(self) -> AlgebraElement:
         return self.apply(AlgebraElement.identity(self.domain))
 
 
-def choi_blocks(phi: CPMap, tol: float = CP_TOL) -> tuple[list[np.ndarray], bool, float]:
+def choi_blocks(phi: CPMap) -> tuple[list[np.ndarray], bool, float]:
     """Per-domain-block Choi matrices and the overall PSD verdict.
 
     For a single-block codomain these are the usual Choi matrices of size
@@ -196,15 +196,15 @@ def choi_blocks(phi: CPMap, tol: float = CP_TOL) -> tuple[list[np.ndarray], bool
         big = block_diag(*[phi.choi_block(i, c) for c in range(phi.codomain.num_blocks)])
         blocks.append(big)
         worst = min(worst, float(np.linalg.eigvalsh((big + big.conj().T) / 2).min()))
-    return blocks, worst >= -tol, worst
+    return blocks, worst >= -CP_TOL, worst
 
 
-def is_contractive(phi: CPMap, tol: float = CP_TOL) -> Check:
-    """Contractivity of a c.p. map: ||phi(1)|| against 1 + tol."""
+def is_contractive(phi: CPMap) -> Check:
+    """Contractivity of a c.p. map: ||phi(1)|| against 1 + CP_TOL."""
     if not phi.is_completely_positive():
         raise ValueError("map is not completely positive")
     nrm = phi.apply_one().norm()
-    return Check("contractive", nrm, 1.0 + tol, nrm <= 1.0 + tol)
+    return Check("contractive", nrm, 1.0 + CP_TOL, nrm <= 1.0 + CP_TOL)
 
 
 def compress(phi: CPMap, h: AlgebraElement) -> CPMap:
@@ -218,13 +218,13 @@ def compress(phi: CPMap, h: AlgebraElement) -> CPMap:
     return out
 
 
-def unitize(phi: CPMap, tol: float = CP_TOL) -> CPMap:
+def unitize(phi: CPMap) -> CPMap:
     """Extend a c.p. contraction to a unital map on the domain with a unit adjoined.
 
     The adjoined unit becomes an extra one-dimensional summand whose image is
     ``1 - phi(1)``; the restriction to the original domain is unchanged.
     """
-    contractive = is_contractive(phi, tol)
+    contractive = is_contractive(phi)
     if not contractive:
         raise ValueError(f"map is not contractive: ||phi(1)|| = {contractive.measured:.6g}")
     sizes = phi.domain.block_sizes
@@ -281,7 +281,7 @@ class StinespringDilation:
         return worst
 
 
-def stinespring(phi: CPMap, tol: float = CP_TOL) -> StinespringDilation:
+def stinespring(phi: CPMap) -> StinespringDilation:
     """Dilate a c.p. map with matrix codomain by factoring its Choi blocks."""
     if phi.codomain.num_blocks != 1:
         raise ValueError("stinespring dilation needs a matrix (single-block) codomain")
@@ -291,7 +291,7 @@ def stinespring(phi: CPMap, tol: float = CP_TOL) -> StinespringDilation:
     for i, d in enumerate(phi.domain.block_sizes):
         ch = phi.choi_block(i, 0)
         w, vecs = eigh_canonical((ch + ch.conj().T) / 2)
-        if w.size and w.min() < -tol:
+        if w.size and w.min() < -CP_TOL:
             raise ValueError(f"map is not completely positive: Choi eigenvalue {w.min():.3e}")
         keep = np.flatnonzero(w > 1e-12)
         m = len(keep)
@@ -309,10 +309,13 @@ def stinespring(phi: CPMap, tol: float = CP_TOL) -> StinespringDilation:
         slabs = vi.reshape(d, m, n)
         got = _dagger(slabs)[:, None] @ slabs
         worst = max(worst, _max_norm([unit_stacks(phi, i)[0] - got], worst))
-    if worst > 1e-9:
+    # the rounding both checks measure grows with the map, so their bounds scale with ||phi(1)||
+    one = phi.apply_one().norm()
+    scale = max(1.0, one)
+    if worst > 1e-9 * scale:
         raise AssertionError(f"dilation reconstruction defect {worst:.3e}")
     vnorm = float(np.linalg.norm(V, 2) ** 2)
-    if abs(vnorm - phi.apply_one().norm()) > 1e-8:
+    if abs(vnorm - one) > 1e-8 * scale:
         raise AssertionError("||V||^2 does not match ||phi(1)||")
     return dil
 
@@ -321,15 +324,15 @@ def stinespring(phi: CPMap, tol: float = CP_TOL) -> StinespringDilation:
 # Schwarz inequality and multiplicativity estimates
 # ---------------------------------------------------------------------------
 
-def schwarz_defect(phi: CPMap, x: AlgebraElement, tol: float = CP_TOL) -> Check:
-    """Check -lambda_min(phi(x*x) - phi(x)*phi(x)) against tol: the Schwarz inequality
-    phi(x*x) >= phi(x)*phi(x) up to tol."""
+def schwarz_defect(phi: CPMap, x: AlgebraElement) -> Check:
+    """Check -lambda_min(phi(x*x) - phi(x)*phi(x)) against CP_TOL: the Schwarz inequality
+    phi(x*x) >= phi(x)*phi(x) up to CP_TOL."""
     fx = phi.apply(x)
     diff = phi.apply(x.adjoint() @ x) - fx.adjoint() @ fx
     lam = min(
         float(np.linalg.eigvalsh((b + b.conj().T) / 2).min()) for b in diff.blocks
     )
-    return Check("schwarz", -lam, tol, -lam <= tol)
+    return Check("schwarz", -lam, CP_TOL, -lam <= CP_TOL)
 
 
 def multiplicativity_defect(phi: CPMap, x: AlgebraElement, y: AlgebraElement) -> Check:
@@ -741,9 +744,7 @@ class OrderBounds:
     method: str
 
 
-def strict_order_bounds(
-    phi: CPMap, tol: float = ORTH_TOL, seed: int = 0, witness_tol: float = 1e-6
-) -> OrderBounds:
+def strict_order_bounds(phi: CPMap, tol: float = ORTH_TOL, seed: int = 0) -> OrderBounds:
     """Bounds on the strict order: exact for abelian domains and single blocks.
 
     Single matrix blocks obey the dichotomy (order zero or r-1); several
@@ -764,10 +765,10 @@ def strict_order_bounds(
     for i, r in enumerate(sizes):
         if r > 1 and not certify_order_zero(phi.restrict_to_block(i), tol).ok:
             lower = max(lower, r - 1)
-    probe = witness_elementary_set(phi, lower + 2, seed=seed, tol=witness_tol)
+    probe = witness_elementary_set(phi, lower + 2, seed=seed)
     while probe:
         lower = len(probe.found) - 1
-        probe = witness_elementary_set(phi, lower + 2, seed=seed, tol=witness_tol)
+        probe = witness_elementary_set(phi, lower + 2, seed=seed)
     upper = sum(sizes) - 1
     return OrderBounds(lower, upper, lower == upper, "witness search + trivial cap")
 
@@ -803,9 +804,7 @@ def tensor_with_identity(phi: CPMap, r: int) -> CPMap:
     )
 
 
-def tensor_strict_order_exact(
-    phi: CPMap, r: int, tol: float = ORTH_TOL
-) -> tuple[int, ElementarySet]:
+def tensor_strict_order_exact(phi: CPMap, r: int) -> tuple[int, ElementarySet]:
     """Exact strict order of phi (x) id_{M_r} for abelian phi, with a witness.
 
     The order cannot grow under tensoring; it cannot shrink either, because a
@@ -814,7 +813,7 @@ def tensor_strict_order_exact(
     """
     if not phi.domain.is_abelian():
         raise ValueError("exact tensored order requires an abelian base map")
-    clique = max_clique(_generator_graph(phi, tol))
+    clique = max_clique(_generator_graph(phi, ORTH_TOL))
     order = max(len(clique) - 1, 0)
     tensored = tensor_with_identity(phi, r)
     witness_members = []
@@ -827,6 +826,6 @@ def tensor_strict_order_exact(
     if len(clique) > 1:
         batch = AlgebraElement.from_stacks(tensored.domain, _batch(witness_members))
         low = _worst_pair(tensored.apply(batch).stacks)[2]
-        if low <= tol:
+        if low <= ORTH_TOL:
             raise AssertionError("tensored witness lost its pairwise products")
     return order, es

@@ -17,6 +17,7 @@ from itertools import product
 import numpy as np
 
 from .algebra import (
+    DEFAULT_TOL,
     AlgebraElement,
     Check,
     FiniteDimAlgebra,
@@ -81,7 +82,7 @@ def _require_order_zero(phi: CPMap) -> OrderZeroCertificate:
     return cert
 
 
-def decompose_order_zero(phi: CPMap, tol: float = 1e-9) -> OrderZeroDecomposition:
+def decompose_order_zero(phi: CPMap) -> OrderZeroDecomposition:
     """Extract the eigenvalue supports, the h_i, and the support homomorphisms.
 
     The compression by the inverse square root of h_i on its support realizes
@@ -98,9 +99,9 @@ def decompose_order_zero(phi: CPMap, tol: float = 1e-9) -> OrderZeroDecompositio
             raise ValueError(f"block {i}: eigenvalue {support_vals[-1]:.6g} above 1")
         blocks.append(BlockDecomposition(support_vals, h, sigma))
     worst = cert.reconstruction_defect
-    if worst > tol:
+    if worst > DEFAULT_TOL:
         raise ValueError(
-            f"reconstruction defect {worst:.3e} exceeds tol {tol:.1e}; "
+            f"reconstruction defect {worst:.3e} exceeds tol {DEFAULT_TOL:.1e}; "
             "tolerance mismatch between certification and decomposition"
         )
     return OrderZeroDecomposition(blocks, worst)
@@ -127,7 +128,7 @@ def _hom_defect(phi: CPMap) -> float:
     return worst
 
 
-def check_projection_case(phi: CPMap, tol: float = 1e-9) -> ProjectionCaseVerdict:
+def check_projection_case(phi: CPMap) -> ProjectionCaseVerdict:
     """Order zero plus phi(1) a projection forces phi to be a homomorphism.
 
     Inapplicable when phi(1) is not a projection; this is distinct from a
@@ -139,7 +140,7 @@ def check_projection_case(phi: CPMap, tol: float = 1e-9) -> ProjectionCaseVerdic
     if not proj:
         return ProjectionCaseVerdict("inapplicable", 0.0, f"phi(1) is not a projection: {proj.context}")
     defect = _hom_defect(phi)
-    verdict = "holds" if defect <= tol else "fails"
+    verdict = "holds" if defect <= DEFAULT_TOL else "fails"
     return ProjectionCaseVerdict(verdict, defect, f"multiplicativity defect {defect:.3e}")
 
 
@@ -177,9 +178,10 @@ def _cb_upper_bound(phi_a: CPMap, phi_b: CPMap) -> float:
     return AlgebraElement(phi_a.codomain, pos).norm() + AlgebraElement(phi_a.codomain, neg).norm()
 
 
-def _norm_probe_family(domain: FiniteDimAlgebra, seed: int = 7, count: int = 50) -> AlgebraElement:
-    """The unit, the hermitian matrix units of every block, and ``count`` random
+def _norm_probe_family(domain: FiniteDimAlgebra, seed: int = 7) -> AlgebraElement:
+    """The unit, the hermitian matrix units of every block, and 50 random
     elements scaled to norm one, as one batch of elements."""
+    count = 50
     first = 1 + domain.total_dim
     probes = domain.zero_stacks((first + count,))
     # per random element and block: d*d real parts, then d*d imaginary parts
@@ -213,7 +215,7 @@ def map_norm_lower_bound(phi_a: CPMap, phi_b: CPMap, seed: int = 7) -> float:
     return float(_norms(diff.stacks).max())
 
 
-def perturb_to_hom(phi: CPMap, gamma: float, tol: float = 1e-9) -> PerturbationReport:
+def perturb_to_hom(phi: CPMap, gamma: float) -> PerturbationReport:
     """Snap an order-zero map with almost-projection unit image to a homomorphism.
 
     phi'(x) = c phi(x) c with c the inverse square root of p phi(1) p on the
@@ -235,7 +237,7 @@ def perturb_to_hom(phi: CPMap, gamma: float, tol: float = 1e-9) -> PerturbationR
     phi_prime = compress(phi, c)
 
     hom_defect = _hom_defect(phi_prime)
-    if hom_defect > max(tol, 1e-8):
+    if hom_defect > 1e-8:
         raise AssertionError(f"perturbed map is not a homomorphism: defect {hom_defect:.3e}")
     measured = map_norm_lower_bound(phi_prime, phi)
     bound = 12.0 * gamma + 2.0 * np.sqrt(gamma)

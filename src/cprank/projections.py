@@ -36,14 +36,7 @@ def _require_projections(named: Iterable[tuple[str, AlgebraElement]]) -> None:
             raise ValueError(f"{name} is not a projection: {rep.context}")
 
 
-def _half_projection(h: AlgebraElement, gap: float = 0.0) -> AlgebraElement:
-    """Spectral projection of a hermitian element onto eigenvalues >= 1/2."""
-    return apply_function(h, indicator_above(0.5, gap=gap))
-
-
-def repair_almost_projection(
-    h: AlgebraElement, eps: float, tol: float = DEFAULT_TOL
-) -> tuple[AlgebraElement, AlgebraElement]:
+def repair_almost_projection(h: AlgebraElement, eps: float) -> tuple[AlgebraElement, AlgebraElement]:
     """Turn an almost-projection into a projection, with quantitative bounds.
 
     Requires ``||h - h^2|| < eps < 1/4`` and ``||h|| <= 1``; the spectrum then
@@ -54,16 +47,16 @@ def repair_almost_projection(
     """
     if not 0 < eps < 0.25:
         raise ValueError(f"eps must lie in (0, 1/4), got {eps}")
-    pos = validate(h, "positive", tol)
+    pos = validate(h, "positive", DEFAULT_TOL)
     if not pos:
         raise ValueError(f"input is not positive: {pos.context}")
-    if h.norm() > 1.0 + tol:
+    if h.norm() > 1.0 + DEFAULT_TOL:
         raise ValueError(f"input norm {h.norm():.6g} exceeds 1")
     idem = (h @ h - h).norm()
     if idem >= eps:
         raise ValueError(f"||h - h^2|| = {idem:.6g} is not below eps = {eps}")
     delta = 0.5 * np.sqrt(1.0 - 4.0 * eps)
-    p = _half_projection(h, gap=delta * 0.999)
+    p = apply_function(h, indicator_above(0.5, gap=delta * 0.999))
     # c = f(h) with f = 0 below the gap and t^(-1/2) above it
     c = apply_function(h, inverse_sqrt_on_support(rank_tol=0.5 - delta * 0.999))
     dist_ph = (p - h).norm()
@@ -114,20 +107,20 @@ def orthogonalize_pair(
     return p_new
 
 
-def alpha_for(K: int, beta: float, cap: float = ALPHA_CAP, order: int | None = None) -> float:
+def alpha_for(K: int, beta: float, order: int | None = None) -> float:
     """Overlap constant for orthogonalizing families of up to K projections.
 
     With ``delta = sqrt(alpha (alpha - 1))`` the stage schedule
     ``delta_1 = 0, delta_i = 14 (sum_{l<i} delta_l + delta)`` closes in
     ``delta_i = 14 * 15^(i-2) * delta``, so alpha is the larger root of
-    ``alpha (alpha - 1) = (beta / (14 * 15^(K-2)))^2``, capped at ``cap`` and
+    ``alpha (alpha - 1) = (beta / (14 * 15^(K-2)))^2``, capped at ``ALPHA_CAP`` and
     at ``(order+2)/order`` when an order parameter accompanies the call.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     if beta <= 0:
         raise ValueError("beta must be positive")
-    cap_val = cap
+    cap_val = ALPHA_CAP
     if order is not None and order >= 1:
         cap_val = min(cap_val, (order + 2) / order)
     if K == 1:
@@ -222,9 +215,7 @@ def orthogonalize_family(
 # partial isometries between close projections
 # ---------------------------------------------------------------------------
 
-def connect_projections(
-    p: AlgebraElement, q: AlgebraElement, eta: float, tol: float = DEFAULT_TOL
-) -> AlgebraElement:
+def connect_projections(p: AlgebraElement, q: AlgebraElement, eta: float) -> AlgebraElement:
     """Partial isometry s with s*s = p, ss* = q for projections with ||p-q|| < eta <= 1/4.
 
     Built from the symmetries x = 2p-1, y = 2q-1: the unitary xy has a
@@ -276,9 +267,7 @@ def connect_projections(
 # theorem validators
 # ---------------------------------------------------------------------------
 
-def check_almost_unit(
-    h: AlgebraElement, d: AlgebraElement, x: AlgebraElement, tol: float = DEFAULT_TOL
-) -> Check:
+def check_almost_unit(h: AlgebraElement, d: AlgebraElement, x: AlgebraElement) -> Check:
     """Dominated-unit estimate: ||(1-d)x|| <= sqrt(||(1-h)x||) for h <= d, ||d|| <= 1.
 
     Measures the left side against the right; exists to make the inequality an
@@ -287,7 +276,7 @@ def check_almost_unit(
     gap = validate(d - h, "positive", 1e-7)
     if not gap:
         raise ValueError(f"ordering d >= h violated: {gap.context}")
-    if d.norm() > 1.0 + tol or x.norm() > 1.0 + tol:
+    if d.norm() > 1.0 + DEFAULT_TOL or x.norm() > 1.0 + DEFAULT_TOL:
         raise ValueError("both d and x must be contractions")
     one = AlgebraElement.identity(h.algebra)
     lhs = ((one - d) @ x).norm()
@@ -340,17 +329,16 @@ def trace_rank_bound(a_list: list[np.ndarray]) -> TraceRankReport:
 # unitary-neighborhood sampling
 # ---------------------------------------------------------------------------
 
-def _random_unitary_near(center: np.ndarray, radius: float, rng: np.random.Generator) -> np.ndarray:
-    n = center.shape[0]
+def _random_unitary_near(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
+    """A random unitary within ``radius`` of the identity in M_n."""
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     herm = (g + g.conj().T) / 2
     norm = np.linalg.norm(herm, 2)
     if norm > 0:
         herm /= norm
     t = radius * rng.uniform(0.1, 0.999)
-    u = center @ sla.expm(1j * t * herm)
-    # ||exp(itH) - 1|| <= t for ||H|| <= 1, so u stays inside the neighborhood
-    return u
+    # ||exp(itH) - 1|| <= t for ||H|| <= 1, so the unitary stays inside the neighborhood
+    return sla.expm(1j * t * herm)
 
 
 def sum_smallest_eigenvalue(p: np.ndarray, unitaries: list[np.ndarray]) -> float:
@@ -358,21 +346,18 @@ def sum_smallest_eigenvalue(p: np.ndarray, unitaries: list[np.ndarray]) -> float
     return float(np.linalg.eigvalsh((total + total.conj().T) / 2).min())
 
 
-def invertible_sum_witness(
-    r: int,
-    p: np.ndarray,
-    center: np.ndarray | None = None,
-    radius: float = 0.5,
-    seed: int = 0,
-    max_rounds: int = 64,
-    tol: float = 1e-9,
-) -> tuple[list[np.ndarray], float]:
-    """Unitaries u_1..u_r near a center making sum u_i* p u_i invertible.
+#: sampling rounds :func:`invertible_sum_witness` tries before it gives up
+WITNESS_ROUNDS = 64
+
+
+def invertible_sum_witness(r: int, p: np.ndarray, radius: float = 0.5, seed: int = 0) -> tuple[list[np.ndarray], float]:
+    """Unitaries u_1..u_r near the identity making sum u_i* p u_i invertible.
 
     ``p`` must be a rank-one projection in M_r.  Returns the unitaries and
     ``lambda = 1 / (smallest eigenvalue)`` so that
-    ``1 <= lambda * sum u_i* p u_i``.  Sampling is seeded; failure after the
-    round budget (a probability-zero event) reports the seed.
+    ``1 <= lambda * sum u_i* p u_i``, with the smallest eigenvalue above 1e-9.
+    Sampling is seeded; failure after :data:`WITNESS_ROUNDS` rounds (a
+    probability-zero event) reports the seed.
     """
     p = np.asarray(p, dtype=complex)
     if p.shape != (r, r):
@@ -382,14 +367,12 @@ def invertible_sum_witness(
     w = np.linalg.eigvalsh((p + p.conj().T) / 2)
     if abs(w.sum() - 1.0) > 1e-8 or np.abs(w - np.round(w)).max() > 1e-8:
         raise ValueError("p must be a rank-one projection")
-    if center is None:
-        center = np.eye(r, dtype=complex)
     if r == 1:
-        return [center.copy()], 1.0
+        return [np.eye(1, dtype=complex)], 1.0
     rng = np.random.default_rng(seed)
-    for _ in range(max_rounds):
-        us = [_random_unitary_near(center, radius, rng) for _ in range(r)]
+    for _ in range(WITNESS_ROUNDS):
+        us = [_random_unitary_near(r, radius, rng) for _ in range(r)]
         lam_min = sum_smallest_eigenvalue(p, us)
-        if lam_min > tol:
+        if lam_min > 1e-9:
             return us, 1.0 / lam_min
-    raise RuntimeError(f"no invertible sum found after {max_rounds} rounds (seed {seed})")
+    raise RuntimeError(f"no invertible sum found after {WITNESS_ROUNDS} rounds (seed {seed})")

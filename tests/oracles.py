@@ -623,7 +623,6 @@ def extract_cover_per_class(
 
     V_tilde: dict[tuple[int, int], frozenset[int]] = {}
     q_mats: dict[tuple[int, int], np.ndarray] = {}
-    q_norms: dict[tuple[int, int], float] = {}
     for j in range(m_blocks):
         A = A_sets[j]
         for i, cls in enumerate(classes[j]):
@@ -633,7 +632,6 @@ def extract_cover_per_class(
             w, vecs = eigh_canonical((blk + blk.conj().T) / 2)
             proj = (vecs * _above(w, theta).astype(float)) @ vecs.conj().T
             q_mats[(j, i)] = proj
-            q_norms[(j, i)] = float(np.linalg.norm(blk, 2))
             rest = np.eye(F.block_sizes[j], dtype=complex) - proj
             vals = _real_values_of(phi, j, rest)
             sup = max((vals[x] for x in vt), default=0.0)
@@ -718,6 +716,6 @@ def extract_cover_per_class(
             raise StepFailure("refines", f"class support {key} fits in no member of U")
     report = ExtractionReport(
         constants, identities, targets.delta, checks, eta_checks, linearity, A_sets, classes,
-        V_tilde, q_norms, p_devs, nontrivial, W, order_W,
+        V_tilde, p_devs, nontrivial, W, order_W,
     )
     return W, report

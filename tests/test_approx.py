@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cprank.approx
@@ -26,6 +26,7 @@ from cprank import (
     extraction_targets,
     function_algebra,
     interval_grid,
+    member_diameter,
     nerve,
     orthogonalize_family,
     refines,
@@ -371,7 +372,7 @@ def _outcome(extract, space, U, n, approx, targets):
         W, rep = extract(space, U, n, approx, targets)
     except StepFailure as exc:
         return ("failure", exc.step, str(exc), repr(exc.data))
-    return (W, rep.checks, rep.eta_checks, rep.q_norms, rep.p_deviations, rep.A_sets, rep.classes, rep.V_tilde)
+    return (W, rep.checks, rep.eta_checks, rep.p_deviations, rep.A_sets, rep.classes, rep.V_tilde)
 
 
 def _break(approx, kind, j, x):
@@ -402,17 +403,29 @@ def _break(approx, kind, j, x):
 
 def _shrinking(call, beta):
     """``orthogonalize_family`` with the projections of its ``call``-th call,
-    counted from 1, shrunk by beta/2: within beta of q, but no projection."""
+    counted from 1, shrunk by beta/2: within beta of q, but no projection.
+    The deviations are those of the shrunk projections, as the real call
+    measures them."""
     calls = []
 
     def ortho(qs, alpha, *args):
         fam = orthogonalize_family(qs, alpha, *args)
         calls.append(None)
         if len(calls) == call:
-            fam.projections = [q * (1 - beta / 2) for q in fam.projections]
+            fam.projections = [p * (1 - beta / 2) for p in fam.projections]
+            fam.deviations = [(p - q).norm() for p, q in zip(fam.projections, qs)]
         return fam
 
     return ortho
+
+
+def _wide_through(x, delta):
+    """``member_diameter`` reporting delta for every set through the point x."""
+
+    def diameter(space, member):
+        return delta if x in member else member_diameter(space, member)
+
+    return diameter
 
 
 class TestBatchedExtraction:
@@ -423,30 +436,55 @@ class TestBatchedExtraction:
         st.integers(1, 2),
         st.sampled_from([None, "eta", "(1)", "(*)"]),
     )
+    # "chain-m": one member U and balls of m grid steps, whose classes chain
+    # through shared points
+    @example("chain-2", 12, 1, None)
+    @example("chain-4", 12, 1, None)
+    @example("chain-2", 20, 1, None)
+    @example("chain-4", 20, 1, None)
+    @example("chain-2", 40, 1, None)
+    @example("chain-4", 40, 1, None)
+    # "diam": the class through block j's evaluation point reads delta wide
+    @example("interval", 20, 1, "diam")
+    @example("circle", 30, 2, "diam")
     def test_extract_cover_matches_per_class(self, kind, npts, n, broken):
         if kind == "interval":
             space = interval_grid(npts)
             U = interval_chain_cover(space)
-        else:
+        elif kind == "circle":
             space = circle_grid(npts)
             U = three_arcs_cover(npts)
+        else:
+            space = interval_grid(npts)
+            U = Cover([frozenset(range(npts))])
         n = 2 if broken == "(*)" else n  # room in the strict order for the extra block
         targets = extraction_targets(space, U, n)
         funcs = targets.target_functions()
-        approx = build_cp_approx(space, funcs, eps=targets.constants.eta / (2 * len(funcs)))
+        if kind.startswith("chain"):
+            m = int(kind.split("-")[1])
+            approx = build_cp_approx(space, funcs, eps=1.0, base_radius=m / (npts - 1))
+        else:
+            approx = build_cp_approx(space, funcs, eps=targets.constants.eta / (2 * len(funcs)))
         j = approx.F.num_blocks // 2
-        if broken:
-            approx = _break(approx, broken, j, approx.evaluation_points[j])
+        x = approx.evaluation_points[j]
+        if broken in ("eta", "(1)", "(*)"):
+            approx = _break(approx, broken, j, x)
         outcomes = []
         for extract, module in ((extract_cover, cprank.approx), (extract_cover_per_class, oracles)):
             ortho = _shrinking(j + 1, targets.constants.beta) if broken == "(*)" else orthogonalize_family
+            diameter = _wide_through(x, targets.delta) if broken == "diam" else member_diameter
             with mock.patch.object(module, "orthogonalize_family", ortho):
-                outcomes.append(_outcome(extract, space, U, n, approx, targets))
+                with mock.patch.object(module, "member_diameter", diameter):
+                    outcomes.append(_outcome(extract, space, U, n, approx, targets))
         got, want = outcomes
         assert repr(got) == repr(want)
-        if broken:
+        if kind.startswith("chain") and npts != 20:
+            assert got[:2] == ("failure", "eta")
+        elif broken:
             assert got[:2] == ("failure", broken)
             assert "(0,0)" not in got[2] and "full index set" not in got[2]
+            if broken == "diam":
+                assert "chain_points" in got[3]
         else:
             assert got[1] and all(c.ok for c in got[1])
 

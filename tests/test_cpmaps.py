@@ -210,6 +210,16 @@ class TestStinespring:
         with pytest.raises(ValueError, match="not completely positive"):
             stinespring(transpose_map(2))
 
+    @pytest.mark.parametrize("scale", [1e8, 1e12])
+    def test_large_maps_dilate(self, scale):
+        # the rounding the self-checks measure grows with ||phi(1)||, and so do their bounds
+        rng = np.random.default_rng(34)
+        for _ in range(20):
+            phi = rand_cp_contraction(rng, [2, 3], 4)
+            big = CPMap(phi.domain, phi.codomain, {key: a * scale for key, a in phi.images.items()})
+            dil = stinespring(big)
+            assert dilation_defect_per_unit(big, dil) <= 1e-9 * scale
+
 
 class TestSchwarzAndMultiplicativity:
     def test_homomorphism_has_zero_defect(self):

@@ -258,6 +258,16 @@ class TestCLI:
         assert code == 0
         assert json.loads(out)["isometry"] is True
 
+    def test_cpmap_stinespring_large_map(self, tmp_path):
+        # phi(x) = 1e150 tr(x) 1 on M_2: its dilation's rounding is far above 1e-9
+        alg = FiniteDimAlgebra([2])
+        arr = np.zeros((2, 2, 2, 2), complex)
+        arr[0, 0] = arr[1, 1] = 1e150 * np.eye(2)
+        payload = {"map": jsonio.cpmap_to_json(CPMap(alg, alg, {(0, 0): arr}))}
+        code, out = run_cli(tmp_path, "big", payload, "cpmap", "stinespring")
+        assert code == 0
+        assert json.loads(out)["multiplicities"] == [4]
+
     def test_cpmap_order_bounds_trace(self, tmp_path):
         from test_cpmaps import trace_map
 
