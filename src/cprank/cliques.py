@@ -4,9 +4,12 @@ Vertices are 0..n-1; adjacency is a symmetric boolean matrix, in which
 diagonal entries do not count as edges.  Desk-scale graphs only (hundreds
 of vertices); the search is single-threaded and deterministic.
 
-Vertex sets are Python ints used as bitmasks.  At each node the candidate
-set is split greedily into colour classes, each an independent set built as
-one bitmask; a clique takes at most one vertex per class, so the number of
+Vertex sets are Python ints used as bitmasks.  The search starts from the
+clique of one greedy dive (take the highest-degree candidate left, keep its
+neighbours, repeat) and replaces it only with a strictly larger clique, so
+the bounds below prune from the root.  At each node the candidate set is
+split greedily into colour classes, each an independent set built as one
+bitmask; a clique takes at most one vertex per class, so the number of
 classes bounds it (Tomita et al., MCS 2010; San Segundo et al., BBMC 2011).
 Before branching on a vertex whose colour clears that bound, unit
 propagation runs from its neighbourhood over the classes coloured below the
@@ -101,16 +104,20 @@ def max_clique(adj: np.ndarray) -> list[int]:
     if adj.shape != (n, n):
         raise ValueError("adjacency matrix must be square")
     # order vertices by degree descending for better pruning
-    degs = adj.sum(axis=1)
-    perm = sorted(range(n), key=lambda v: (-degs[v], v))
+    perm = np.argsort(-adj.sum(axis=1), kind="stable").tolist()
     pmask = _to_masks(adj[np.ix_(perm, perm)])
 
     def frame(cand: int) -> list:
         classes = _color_classes(cand, pmask)
         return [cand, classes, set(), len(classes), classes[-1]]
 
+    # the incumbent: one greedy dive, taking the highest-degree candidate left
     best: list[int] = []
-    size = 0  # a clique is kept only when it has more vertices than this
+    cand = (1 << n) - 1
+    while cand:
+        best.append((cand & -cand).bit_length() - 1)
+        cand &= pmask[best[-1]]
+    size = len(best)  # a clique is kept only when it has more vertices than this
     current: list[int] = []
     stack = [frame((1 << n) - 1)]
     while stack:

@@ -40,6 +40,18 @@ def random_graph(rng, n, density):
     return upper | upper.T
 
 
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def graphs(draw):
+    """A symmetric matrix on 0-12 vertices, self-loops allowed."""
+    n = draw(st.integers(0, 12))
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    adj = np.array(bits, dtype=bool).reshape(n, n)
+    return adj | adj.T
+
+
 class TestMaxClique:
     def test_brute_force_agreement(self):
         rng = np.random.default_rng(71)
@@ -78,6 +90,24 @@ class TestMaxClique:
                     expect, _ = nx.max_weight_clique(graph, weight=None)
                     assert len(clique) == len(expect)
 
+    def test_beats_a_poor_greedy_dive(self):
+        # the dive takes hub 4 (degree 7), then vertex 0, its only neighbour
+        # in the K4 on 0-3; the leaves 5-10 are pairwise non-adjacent
+        adj = np.zeros((11, 11), dtype=bool)
+        for a, b in combinations(range(4), 2):
+            adj[a, b] = adj[b, a] = True
+        for leaf in (0, *range(5, 11)):
+            adj[4, leaf] = adj[leaf, 4] = True
+        assert max_clique(adj) == [0, 1, 2, 3]
+
+    @PROPERTY
+    @given(graphs())
+    def test_drawn_graphs_against_brute_force(self, adj):
+        clique = max_clique(adj)
+        assert clique == sorted(clique)
+        assert all(adj[a, b] for a, b in combinations(clique, 2))
+        assert len(clique) == max_clique_brute(adj)
+
     def test_clique_of_1100_vertices(self):
         # one search frame per clique vertex, none of them a Python call frame
         assert max_clique(~np.eye(1100, dtype=bool)) == list(range(1100))
@@ -104,9 +134,6 @@ def covers(draw):
     if any(len(a & b) > 255 for a, b in combinations(members, 2)):
         event("two members share more than 255 points")
     return Cover(members)
-
-
-PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 class TestCoverProperties:

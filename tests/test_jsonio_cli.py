@@ -1,6 +1,7 @@
 """Serialization round trips and the CLI contract (schemas, exit codes, determinism)."""
 
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from cprank import (
     AlgebraElement,
     CPMap,
     FiniteDimAlgebra,
+    ball_cover,
     build_cp_approx,
     circle_grid,
     interval_grid,
+    torus_grid,
 )
 from cprank import cli, jsonio
 from cprank.cli import main
@@ -137,6 +140,17 @@ class TestCLI:
         code, out = run_cli(tmp_path, "arcs", payload, "cover", "strict-order")
         assert code == 0
         assert json.loads(out)["strict_order"] == 2
+
+    def test_strict_order_clique_is_a_maximum_clique(self, tmp_path):
+        # which maximum clique is printed is not pinned, only that it is one
+        cover = ball_cover(torus_grid(10, 10), 0.35)
+        code, out = run_cli(tmp_path, "torus", {"cover": jsonio.cover_to_json(cover)}, "cover", "strict-order")
+        assert code == 0
+        result = json.loads(out)
+        assert result["strict_order"] == 40
+        assert len(set(result["clique"])) == 41
+        for a, b in combinations(result["clique"], 2):
+            assert cover.members[a] & cover.members[b]
 
     def test_cover_refine_drops_strict_order(self, tmp_path):
         c = circle_grid(60)

@@ -2,6 +2,8 @@
 
 ``perfbench/run.py`` reports 0 calls for a span that never opened, so a
 renamed or deleted function would leave its metrics at 0 without an error.
+The sizers read what a traced function takes and returns, so a change to
+that contract fails the sizer tests here instead of mis-sizing traced runs.
 This reads ``perfbench/tracer.py`` and edits nothing there.
 """
 
@@ -11,9 +13,11 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cprank import WitnessSearchResult
+from cprank.cliques import max_clique
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -52,3 +56,17 @@ def test_witness_sizer_reads_samples_used():
     assert "samples_used" in {f.name for f in dataclasses.fields(WitnessSearchResult)}
     ((_, _, sizer, _),) = tracer.SIZES["cpmaps.witness_elementary_set"]
     assert sizer((), {}, WitnessSearchResult(None, 0.0, 7)) == 7
+
+
+def test_clique_sizers_read_the_matrix_and_the_clique():
+    # a K4 on 0-3 and a pendant vertex 4 with a self-loop, which is no edge
+    adj = np.zeros((5, 5), dtype=bool)
+    adj[:4, :4] = ~np.eye(4, dtype=bool)
+    adj[0, 4] = adj[4, 0] = adj[4, 4] = True
+    clique = max_clique(adj)
+    readings = {key: sizer((adj,), {}, clique) for key, _, sizer, _ in tracer.SIZES["cliques.max_clique"]}
+    assert readings == {
+        "cliques.max_clique.vertices": 5,
+        "cliques.max_clique.edges": 7,
+        "cliques.max_clique.clique_size": 4,
+    }
