@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AlgebraElement, Check, FiniteDimAlgebra, eigh_canonical
+from .algebra import DEFAULT_TOL, AlgebraElement, Check, FiniteDimAlgebra, eigh_canonical
 from .covers import (
     Cover,
     FiniteMetricSpace,
@@ -40,7 +40,7 @@ from .cpmaps import (
     strict_order_bounds,
     tensor_with_identity,
 )
-from .projections import alpha_for, orthogonalize_family
+from .projections import alpha_for, family_check, orthogonalize_family
 
 #: closed-comparison slack for strict thresholds on computed doubles
 SNAP = 1e-12
@@ -567,15 +567,19 @@ def extract_cover(
         [weights[classes[j][i]].sum(axis=0) for j, i in class_keys], (len(class_keys), space.npts)
     )
     images, composed = approx._through_F(sums)
-    psi_blocks = images.blocks
     errors = np.abs(composed - sums).max(axis=1).tolist()
-    # q is needed only up to the first class that fails eta
+    # q is needed only up to the first class that fails eta; one eigh per block size
     reached = next((k for k, err in enumerate(errors) if err >= eta), len(class_keys))
-    q_mats: dict[tuple[int, int], np.ndarray] = {}
-    for k, (j, i) in enumerate(class_keys[:reached]):
-        blk = psi_blocks[j][k]
-        w, vecs = eigh_canonical((blk + blk.conj().T) / 2)
-        q_mats[(j, i)] = (vecs * _above(w, theta).astype(float)) @ vecs.conj().T
+    slots = [F.block_slots[j] for j, _ in class_keys[:reached]]
+    q_mats: dict[tuple[int, int], np.ndarray] = dict.fromkeys(class_keys[:reached])  # in class order
+    live: set[tuple[int, int]] = set()  # the classes whose q is not zero
+    for g, stack in enumerate(images.stacks):
+        ks = [k for k, (h, _) in enumerate(slots) if h == g]
+        blk = stack[[slots[k][1] for k in ks], ks]
+        w, vecs = eigh_canonical((blk + blk.conj().swapaxes(1, 2)) / 2)
+        qs = (vecs * _above(w, theta)[:, None, :].astype(float)) @ vecs.conj().swapaxes(1, 2)
+        q_mats.update(zip([class_keys[k] for k in ks], qs))
+        live.update(class_keys[k] for k, on in zip(ks, np.abs(qs).max(axis=(1, 2)) > 1e-12) if on)
     rests = _values_of(phi, [(j, np.eye(len(q), dtype=complex) - q) for (j, _), q in q_mats.items()])
 
     V_tilde: dict[tuple[int, int], frozenset[int]] = {}
@@ -594,32 +598,40 @@ def extract_cover(
     worst_lam = max((len(cls) for j in range(m_blocks) for cls in classes[j]), default=1)
     linearity = individual * max(worst_lam, nlam)
 
-    # orthogonalize the q's blockwise
+    # orthogonalize the q's blockwise, with the nonzero q's checked as families
+    # stacked per block and family size; only a family that is not orthogonal
+    # as it stands runs the stagewise repair, which raises on a non-projection
+    idxs = [[i for i in range(len(classes[j])) if (j, i) in live] for j in range(m_blocks)]
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for j in (j for j, idx in enumerate(idxs) if idx):
+        shapes.setdefault((F.block_sizes[j], len(idxs[j])), []).append(j)
+    tested: dict[int, tuple[float, bool]] = {}
+    for js in shapes.values():
+        sums, keep = family_check(np.array([[q_mats[j, i] for i in idxs[j]] for j in js]), DEFAULT_TOL)
+        tested.update(zip(js, zip(sums.tolist(), keep.tolist())))
     p_mats: dict[tuple[int, int], np.ndarray] = {}
     p_devs: dict[tuple[int, int], float] = {}
     nontrivial = False
-    for j in range(m_blocks):
-        idxs = [i for i in range(len(classes[j])) if np.abs(q_mats[(j, i)]).max() > 1e-12]
+    for j, idx in enumerate(idxs):
         require(
-            Check("class-count", float(len(idxs)), float(n + 1), len(idxs) <= n + 1, f"block {j}"),
-            lambda: f"block {j} carries {len(idxs)} classes > n+1 = {n + 1}",
+            Check("class-count", float(len(idx)), float(n + 1), len(idx) <= n + 1, f"block {j}"),
+            lambda: f"block {j} carries {len(idx)} classes > n+1 = {n + 1}",
         )
-        if not idxs:
+        if not idx:
             continue
-        r = F.block_sizes[j]
-        sub = FiniteDimAlgebra((r,), max_block=r)
-        qs = [AlgebraElement(sub, [q_mats[(j, i)]]) for i in idxs]
-        sup_norm = sum(qs[1:], qs[0]).norm()
+        sup_norm, keep = tested[j]
         require(
             Check("sum-alpha", sup_norm, alpha, sup_norm <= alpha + SNAP, f"block {j}"),
             lambda: f"||sum_i q_{j}^(i)|| = {sup_norm:.8g} exceeds alpha = {alpha:.8g}",
         )
-        fam = orthogonalize_family(qs, alpha)
-        nontrivial = nontrivial or not fam.unchanged
-        for pos, i in enumerate(idxs):
-            p = fam.projections[pos].blocks[0]
-            p_mats[(j, i)] = p
-            dev = p_devs[(j, i)] = fam.deviations[pos]
+        ps, devs = [q_mats[(j, i)] for i in idx], [0.0] * len(idx)
+        if not keep:
+            sub = FiniteDimAlgebra((F.block_sizes[j],), max_block=F.block_sizes[j])
+            fam = orthogonalize_family([AlgebraElement(sub, [p]) for p in ps], alpha)
+            nontrivial = nontrivial or not fam.unchanged
+            ps, devs = [p.blocks[0] for p in fam.projections], fam.deviations
+        for i, p, dev in zip(idx, ps, devs):
+            p_mats[(j, i)], p_devs[(j, i)] = p, dev
             require(
                 Check("beta", dev, beta, dev <= beta + 1e-9, f"({j},{i})"),
                 lambda: f"||p - q|| = {dev:.6g} exceeds beta = {beta:.6g}",

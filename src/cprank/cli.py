@@ -84,18 +84,28 @@ def _integer(data: dict, key: str, low: int) -> int:
 
 
 def _functions_from(data: Any) -> list[np.ndarray]:
+    """Value vectors, each read by one ``np.array`` once the types of its
+    entries are checked: real, or complex when some entry is an ``[re, im]`` pair."""
     if not isinstance(data, list) or not all(isinstance(f, list) for f in data):
         raise SchemaError("functions must be a list of value vectors")
     out = []
     for f in data:
-        vals = [complex(*map(_finite, v)) if isinstance(v, list) and len(v) == 2 else _finite(v) for v in f]
-        out.append(np.array(vals))
+        pairs = list in set(map(type, f))
+        if pairs:
+            f = [v if type(v) is list else [v, 0.0] for v in f]
+        entries = [x for v in f for x in v] if pairs and {len(v) for v in f} == {2} else f
+        try:
+            vals = np.array(f, dtype=float) if set(map(type, entries)) <= {int, float} else None
+        except OverflowError:  # an integer beyond the float range
+            vals = None
+        if vals is None or not np.isfinite(vals).all():
+            raise SchemaError("function values must be finite numbers or [re, im] pairs")
+        out.append(vals.view(complex).reshape(-1) if pairs else vals)
     return out
 
 
-def _finite(v: Any, what: str = "function values must be finite numbers or [re, im] pairs") -> float:
-    """A JSON number in the float range: a function value or one of its parts,
-    or a field such as ``epsilon``."""
+def _finite(v: Any, what: str) -> float:
+    """A JSON number in the float range, such as ``epsilon``."""
     if type(v) in (int, float) and abs(v) <= sys.float_info.max:  # NaN fails too
         return float(v)
     raise SchemaError(f"{what}, got {v!r}")

@@ -29,9 +29,7 @@ import numpy as np
 
 
 def _to_masks(adj: np.ndarray) -> list[int]:
-    cleaned = adj.copy()
-    np.fill_diagonal(cleaned, False)
-    packed = np.packbits(cleaned, axis=1, bitorder="little")
+    packed = np.packbits(adj, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
@@ -97,12 +95,13 @@ def max_clique(adj: np.ndarray) -> list[int]:
     and the colour and class members still to branch on.  So it needs no
     Python recursion, however large the clique.
     """
-    adj = np.asarray(adj, dtype=bool)
+    adj = np.array(adj, dtype=bool)
     n = adj.shape[0]
     if n == 0:
         return []
     if adj.shape != (n, n):
         raise ValueError("adjacency matrix must be square")
+    np.fill_diagonal(adj, False)  # self-loops are no edges
     # order vertices by degree descending for better pruning
     perm = np.argsort(-adj.sum(axis=1), kind="stable").tolist()
     pmask = _to_masks(adj[np.ix_(perm, perm)])

@@ -13,6 +13,7 @@ compact form with sorted keys, the same bytes for the same values.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from typing import Any
 
 import numpy as np
@@ -74,33 +75,38 @@ def element_to_json(a: AlgebraElement) -> dict:
 def element_from_json(algebra: FiniteDimAlgebra, data: Any) -> AlgebraElement:
     """An element from its dense form, every block in order, or its sparse form,
     the blocks that are not zero as ``[block, matrix]`` pairs, blocks ascending."""
-    if not isinstance(data, dict) or ("blocks" in data) == ("sparse" in data):
-        raise SchemaError("element needs one of blocks and sparse")
-    if "sparse" in data:
-        return AlgebraElement.from_stacks(algebra, _sparse_stacks(algebra, data["sparse"]))
-    blocks = data["blocks"]
-    if not isinstance(blocks, list) or len(blocks) != algebra.num_blocks:
-        raise SchemaError(f"element needs a list of {algebra.num_blocks} blocks")
-    groups = zip(algebra.group_sizes, algebra.group_blocks)
-    stacks = [matrix_from_json([blocks[b] for b in idx], (len(idx), r, r)) for r, idx in groups]
+    index, mats = _listed_blocks(algebra, data)
+    stacks = algebra.zero_stacks()
+    for g, at, parsed in _parse_groups(algebra, index, mats):
+        stacks[g][[algebra.block_slots[index[q]][1] for q in at]] = parsed
     return AlgebraElement.from_stacks(algebra, stacks)
 
 
-def _sparse_stacks(algebra: FiniteDimAlgebra, pairs: Any) -> list[np.ndarray]:
-    """Zero stacks with the listed blocks scattered in, parsed by one
-    :func:`matrix_from_json` per size group."""
+def _listed_blocks(algebra: FiniteDimAlgebra, data: Any) -> tuple[list[int], list]:
+    """The block indices an element's JSON lists and their unparsed matrices:
+    every block of the dense form, or the pairs of the sparse form."""
+    if not isinstance(data, dict) or ("blocks" in data) == ("sparse" in data):
+        raise SchemaError("element needs one of blocks and sparse")
+    if "blocks" in data:
+        blocks = data["blocks"]
+        if not isinstance(blocks, list) or len(blocks) != algebra.num_blocks:
+            raise SchemaError(f"element needs a list of {algebra.num_blocks} blocks")
+        return list(range(algebra.num_blocks)), blocks
+    pairs = data["sparse"]
     if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 and type(p[0]) is int for p in pairs):
         raise SchemaError("sparse must be a list of [block, matrix] pairs with integer blocks")
     index = [b for b, _ in pairs]
     if not all(a < b for a, b in zip([-1] + index, index + [algebra.num_blocks])):
         raise SchemaError(f"sparse blocks must ascend strictly in 0..{algebra.num_blocks - 1}, got {index}")
-    slots = [algebra.block_slots[b] for b in index]
-    stacks = algebra.zero_stacks()
+    return index, [m for _, m in pairs]
+
+
+def _parse_groups(algebra: FiniteDimAlgebra, index: list[int], mats: list) -> Iterator[tuple]:
+    """The matrices listed for blocks ``index``, one :func:`matrix_from_json` per
+    size group: per group listed, its places in the list and their stack."""
     for g, r in enumerate(algebra.group_sizes):
-        at = [q for q, (h, _) in enumerate(slots) if h == g]
-        if at:
-            stacks[g][[slots[q][1] for q in at]] = matrix_from_json([pairs[q][1] for q in at], (len(at), r, r))
-    return stacks
+        if at := [q for q, b in enumerate(index) if algebra.block_slots[b][0] == g]:
+            yield g, at, matrix_from_json([mats[q] for q in at], (len(at), r, r))
 
 
 def space_to_json(space: FiniteMetricSpace) -> dict:
@@ -222,7 +228,7 @@ def cpmap_from_json(data: Any, max_block: int = 64) -> CPMap:
     if not isinstance(units, list):
         raise SchemaError("unit_images must be a list of records")
     sizes = domain.block_sizes
-    images: dict[tuple[int, int], np.ndarray] = {}
+    units_at, index, mats = [], [], []  # per listed block of every record: unit, block, matrix
     for rec in units:
         try:
             i, j, k = rec["block"], rec["row"], rec["col"]
@@ -233,19 +239,19 @@ def cpmap_from_json(data: Any, max_block: int = 64) -> CPMap:
             raise SchemaError(f"unit index ({i!r},{j!r},{k!r}) must be integers")
         if not (0 <= i < len(sizes) and 0 <= j < sizes[i] and 0 <= k < sizes[i]):
             raise SchemaError(f"unit index ({i},{j},{k}) outside the domain")
-        stacks = element_from_json(codomain, value).stacks
-        slots = codomain.block_slots
-        if "sparse" in value:  # the listed blocks are the only ones that can be nonzero
-            live = [c for c, _ in value["sparse"] if np.any(stacks[slots[c][0]][slots[c][1]])]
-        else:
-            nonzero = np.empty(codomain.num_blocks, bool)
-            for s, idx in zip(stacks, codomain.group_blocks):
-                nonzero[idx] = np.any(s, axis=(1, 2))
-            live = np.flatnonzero(nonzero).tolist()
-        for c in live:
-            g, n = slots[c]
-            arr = images.setdefault((i, c), np.zeros((sizes[i],) * 2 + stacks[g].shape[1:], complex))
-            arr[j, k] += stacks[g][n]
+        listed, blocks = _listed_blocks(codomain, value)
+        units_at += [(i, j, k)] * len(listed)
+        index += listed
+        mats += blocks
+    # blocks not all zero sum in record order, keyed (i, c) where the first appears
+    live: dict[int, np.ndarray] = {}
+    for _, at, stack in _parse_groups(codomain, index, mats):
+        live.update((q, blk) for q, blk, on in zip(at, stack, np.any(stack, axis=(1, 2)).tolist()) if on)
+    images: dict[tuple[int, int], np.ndarray] = {}
+    for q in sorted(live):
+        (i, j, k), c = units_at[q], index[q]
+        arr = images.setdefault((i, c), np.zeros((sizes[i],) * 2 + live[q].shape, complex))
+        arr[j, k] += live[q]
     return CPMap(domain, codomain, images, codomain_space=space, codomain_matdim=matdim)
 
 

@@ -157,6 +157,24 @@ class FamilyOrthogonalization:
         return worst
 
 
+def family_check(fams: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack ``(count, m, r, r)`` of families, from stacked SVD norms: each
+    family's ||q_1 + ... + q_m||, added in that order, and whether it is an
+    orthogonal family of projections as it stands: max(||q - q*||, ||q^2 - q||)
+    at most 1e-7, the sum at most 1 + tol and ||q_a q_b||, a < b, at most 1e-10."""
+
+    def norms(a: np.ndarray) -> np.ndarray:
+        return np.linalg.svd(a, compute_uv=False).max(axis=-1, initial=0.0)
+
+    total = fams[:, 0]
+    for t in range(1, fams.shape[1]):
+        total = total + fams[:, t]
+    a, b = np.triu_indices(fams.shape[1], 1)
+    defects = np.maximum(norms(fams - fams.conj().swapaxes(-1, -2)), norms(fams @ fams - fams)).max(axis=1)
+    sums, pairs = norms(total), norms(fams[:, a] @ fams[:, b]).max(axis=1, initial=0.0)
+    return sums, (defects <= 1e-7) & (sums <= 1.0 + tol) & (pairs <= 1e-10)
+
+
 def orthogonalize_family(
     qs: list[AlgebraElement], alpha: float, tol: float = DEFAULT_TOL
 ) -> FamilyOrthogonalization:
@@ -164,24 +182,18 @@ def orthogonalize_family(
 
     Follows the recursive schedule exactly: stage i repairs q_i against the sum
     of the already-produced projections, which costs at most
-    ``14 (sum_{l<i} delta_l + delta)``.  If ``||sum q_i|| <= 1`` the family is
-    verified to be orthogonal already and returned unchanged.
+    ``14 (sum_{l<i} delta_l + delta)``.  A family that is orthogonal as it
+    stands (see :func:`family_check`) is returned unchanged.
     """
     if not qs:
         return FamilyOrthogonalization([], [], True)
     _require_projections((f"member {idx}", q) for idx, q in enumerate(qs))
-    total = qs[0]
-    for q in qs[1:]:
-        total = total + q
-    sum_norm = total.norm()
+    checked = [family_check(np.stack([q.stacks[g] for q in qs], axis=1), tol) for g in range(len(qs[0].stacks))]
+    sum_norm = max(float(sums.max()) for sums, _ in checked)
     if sum_norm > alpha + tol:
         raise ValueError(f"||sum q_i|| = {sum_norm:.6g} exceeds alpha = {alpha:.6g}")
-
-    if sum_norm <= 1.0 + tol:
-        fam = FamilyOrthogonalization(list(qs), [0.0] * len(qs), True)
-        if fam.max_pairwise_product() <= 1e-10:
-            return fam
-        # overlaps at tolerance scale: repair like any other admissible family
+    if all(orthogonal.all() for _, orthogonal in checked):
+        return FamilyOrthogonalization(list(qs), [0.0] * len(qs), True)
 
     delta = float(np.sqrt(alpha * (alpha - 1.0)))
     ps: list[AlgebraElement] = [qs[0]]

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cprank.approx
+import cprank.projections
 import oracles
 from cprank import (
     CPApproximation,
@@ -372,7 +373,10 @@ def _outcome(extract, space, U, n, approx, targets):
         W, rep = extract(space, U, n, approx, targets)
     except StepFailure as exc:
         return ("failure", exc.step, str(exc), repr(exc.data))
-    return (W, rep.checks, rep.eta_checks, rep.p_deviations, rep.A_sets, rep.classes, rep.V_tilde)
+    return (
+        W, rep.checks, rep.eta_checks, rep.p_deviations, rep.A_sets, rep.classes, rep.V_tilde,
+        rep.orthogonalization_nontrivial,
+    )
 
 
 def _break(approx, kind, j, x):
@@ -383,7 +387,7 @@ def _break(approx, kind, j, x):
     ``(1)``: psi halved and phi doubled on block j; phi psi is unchanged but q
     vanishes.  ``(*)``: an extra block evaluating where j does carries -K at x
     and j carries +K, which phi psi cannot see; with p shrunk (see
-    :func:`_shrinking`), phi(1_j - p) sees K.
+    :func:`_shrinking` and :func:`_never_orthogonal`), phi(1_j - p) sees K.
     """
     psi, phi, F, space = approx.psi.images, approx.phi.images, approx.F, approx.space
     if kind == "eta":
@@ -419,6 +423,15 @@ def _shrinking(call, beta):
     return ortho
 
 
+def _never_orthogonal(fams, tol):
+    """``family_check`` finding no family orthogonal as it stands, so that
+    ``extract_cover`` sends each block through ``orthogonalize_family``, as
+    the per-class walk does, and :func:`_shrinking` meets the same calls in
+    both."""
+    sums, orthogonal = cprank.projections.family_check(fams, tol)
+    return sums, np.zeros_like(orthogonal)
+
+
 def _wide_through(x, delta):
     """``member_diameter`` reporting delta for every set through the point x."""
 
@@ -447,7 +460,19 @@ class TestBatchedExtraction:
     # "diam": the class through block j's evaluation point reads delta wide
     @example("interval", 20, 1, "diam")
     @example("circle", 30, 2, "diam")
+    # "matrix": the two 2x2 blocks of the matrix path, one whose family needs
+    # the stagewise repair and one whose family is orthogonal already
+    @example("matrix", 4, 1, None)
     def test_extract_cover_matches_per_class(self, kind, npts, n, broken):
+        if kind == "matrix":
+            space, U, approx = matrix_path_approximation(1e-6)
+            targets = extraction_targets(space, U, n)
+            got, want = (_outcome(f, space, U, n, approx, targets) for f in (extract_cover, extract_cover_per_class))
+            assert repr(got) == repr(want)
+            _, checks, _, devs, *_, nontrivial = got
+            assert all(c.ok for c in checks) and nontrivial
+            assert devs[(0, 0)] == devs[(1, 0)] == devs[(1, 1)] == 0.0 < devs[(0, 1)]
+            return
         if kind == "interval":
             space = interval_grid(npts)
             U = interval_chain_cover(space)
@@ -473,9 +498,11 @@ class TestBatchedExtraction:
         for extract, module in ((extract_cover, cprank.approx), (extract_cover_per_class, oracles)):
             ortho = _shrinking(j + 1, targets.constants.beta) if broken == "(*)" else orthogonalize_family
             diameter = _wide_through(x, targets.delta) if broken == "diam" else member_diameter
+            check = _never_orthogonal if broken == "(*)" else cprank.projections.family_check
             with mock.patch.object(module, "orthogonalize_family", ortho):
                 with mock.patch.object(module, "member_diameter", diameter):
-                    outcomes.append(_outcome(extract, space, U, n, approx, targets))
+                    with mock.patch.object(cprank.approx, "family_check", check):
+                        outcomes.append(_outcome(extract, space, U, n, approx, targets))
         got, want = outcomes
         assert repr(got) == repr(want)
         if kind.startswith("chain") and npts != 20:

@@ -108,6 +108,17 @@ class TestMaxClique:
         assert all(adj[a, b] for a, b in combinations(clique, 2))
         assert len(clique) == max_clique_brute(adj)
 
+    @PROPERTY
+    @given(graphs(), st.data())
+    def test_self_loops_leave_the_clique_unchanged(self, adj, data):
+        # self-loops are no edges, so they change neither the degree order
+        # nor which maximum clique the search returns
+        loops = data.draw(st.lists(st.booleans(), min_size=len(adj), max_size=len(adj)))
+        bare, looped = adj.copy(), adj.copy()
+        np.fill_diagonal(bare, False)
+        np.fill_diagonal(looped, loops)
+        assert max_clique(looped) == max_clique(bare)
+
     def test_clique_of_1100_vertices(self):
         # one search frame per clique vertex, none of them a Python call frame
         assert max_clique(~np.eye(1100, dtype=bool)) == list(range(1100))

@@ -418,6 +418,10 @@ BAD_INPUT = {
     "value_overflow": (("approx", "build"), {"space": SPACE3, "functions": [[1.0, "OVERFLOW", 0.0]], "epsilon": 0.5}, 2),
     "value_huge_int": (("approx", "build"), {"space": SPACE3, "functions": [[1.0, 10**400, 0.0]], "epsilon": 0.5}, 2),
     "pair_overflow": (("approx", "build"), {"space": SPACE3, "functions": [[[0.0, "OVERFLOW"], 0.0, 0.0]], "epsilon": 0.5}, 2),
+    "value_bool": (("approx", "build"), {"space": SPACE3, "functions": [[1.0, True, 0.0]], "epsilon": 0.5}, 2),
+    "pair_bool": (("approx", "build"), {"space": SPACE3, "functions": [[[1, True], 0.0, 0.0]], "epsilon": 0.5}, 2),
+    "pair_too_long": (("approx", "build"), {"space": SPACE3, "functions": [[[1, 2, 3], 0.0, 0.0]], "epsilon": 0.5}, 2),
+    "pair_huge_int": (("approx", "build"), {"space": SPACE3, "functions": [[[10**399, 0.0], 0.0, 0.0]], "epsilon": 0.5}, 2),
     "points_string": (("approx", "verify"), _verify(points=["1", 2, 0]), 2),
     "points_fraction": (("approx", "verify"), _verify(points=[0, 2.9]), 2),
     "points_bool": (("approx", "verify"), _verify(points=[True]), 2),
@@ -530,24 +534,40 @@ class TestDifferential:
     @PROPERTY
     @given(algebras_and_rng())
     def test_reader_matches_per_entry_reader(self, case):
+        # records in the dense or the sparse form, mixed in one map, some of
+        # them repeated; the per-entry reader reads the dense form of each,
+        # whose blocks left out of a sparse record are +0.0
         dom, cod, rng = case
-        records = []
+        records, dense = [], []
         for _ in range(int(rng.integers(0, 9))):
             if records and rng.random() < 0.25:
-                records.append(records[int(rng.integers(len(records)))])
+                at = int(rng.integers(len(records)))
+                records.append(records[at])
+                dense.append(dense[at])
                 continue
             i = int(rng.integers(dom.num_blocks))
             j, k = rng.integers(dom.block_sizes[i], size=2).tolist()
             blocks = sparse_complex(rng, (cod.num_blocks, 3, 3))
             value = [jsonio.matrix_to_json(b[:r, :r]) for b, r in zip(blocks, cod.block_sizes)]
-            records.append({"block": i, "row": j, "col": k, "value": {"blocks": value}})
-        codomain = {"algebra": {"block_sizes": list(cod.block_sizes)}}
-        data = json.loads(json.dumps({"domain": {"block_sizes": list(dom.block_sizes)}, "codomain": codomain, "unit_images": records}))
-        got, ref = jsonio.cpmap_from_json(data), cpmap_from_json_per_entry(data)
+            unit = {"block": i, "row": j, "col": k}
+            dense.append({**unit, "value": {"blocks": value}})
+            if rng.random() < 0.5:
+                listed = np.flatnonzero(rng.random(cod.num_blocks) < 0.6).tolist()
+                value = [jsonio.matrix_to_json(np.zeros((r, r))) for r in cod.block_sizes]
+                for c in listed:
+                    value[c] = dense[-1]["value"]["blocks"][c]
+                dense[-1] = {**unit, "value": {"blocks": value}}
+                records.append({**unit, "value": {"sparse": [[c, value[c]] for c in listed]}})
+            else:
+                records.append(dense[-1])
+        head = {"domain": {"block_sizes": list(dom.block_sizes)}, "codomain": {"algebra": {"block_sizes": list(cod.block_sizes)}}}
+        data = json.loads(json.dumps({**head, "unit_images": records}))
+        dense = json.loads(json.dumps({**head, "unit_images": dense}))
+        got, ref = jsonio.cpmap_from_json(data), cpmap_from_json_per_entry(dense)
         assert list(got.images) == list(ref.images)
         assert same_bits(list(got.images.values()), list(ref.images.values()))
-        for rec in data["unit_images"]:
-            ref = element_from_json_per_entry(cod, rec["value"])
+        for rec, dense_rec in zip(data["unit_images"], dense["unit_images"]):
+            ref = element_from_json_per_entry(cod, dense_rec["value"])
             assert same_bits(jsonio.element_from_json(cod, rec["value"]).stacks, ref.stacks)
 
     @PROPERTY
