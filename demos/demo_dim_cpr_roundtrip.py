@@ -32,7 +32,7 @@ print("algebra size:", approx.F.num_blocks)
 print("approximation error:", approx.error_on(xs))
 print("strict order of phi:", strict_order_abelian(approx.phi))
 rep = verify_cp_approx(approx, [xs], 0.3)
-print("psi c.p. and contractive:", rep.psi_cp, rep.psi_contractive)
+print("psi c.p. and contractive:", rep.psi_cp, rep.psi_contractive.ok)
 
 # matrix-valued functions come along by tensoring
 big = tensor_approx(approx, 2)

@@ -43,7 +43,7 @@ print("non-projection unit:", check_projection_case(phi).verdict)
 # an almost-unital order-zero map snaps to a homomorphism within 12g + 2 sqrt(g)
 near = tensor_diag([0.97, 1.0])
 rep = perturb_to_hom(near, gamma=0.03 + 1e-9)
-print("snap moved:", rep.norm_measured, " bound:", rep.norm_bound)
+print("snap moved:", rep.moved.measured, " bound:", rep.moved.bound)
 print("homomorphism defect:", rep.hom_defect)
 
 # the local AF step: cut psi(u) at sqrt(eps), restrict, snap, measure distances

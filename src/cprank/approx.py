@@ -33,6 +33,7 @@ from .covers import (
     strict_refinement,
 )
 from .cpmaps import (
+    CP_TOL,
     CPMap,
     OrderBounds,
     certify_order_zero,
@@ -70,7 +71,8 @@ def function_algebra(space: FiniteMetricSpace, matdim: int = 1) -> FiniteDimAlge
 
 @lru_cache(maxsize=32)
 def _equal_blocks(count: int, r: int) -> FiniteDimAlgebra:
-    return FiniteDimAlgebra((r,) * count)
+    # r passed its cap where it was read, which may be above the default
+    return FiniteDimAlgebra((r,) * count, max_block=r)
 
 
 def _function_rows(space: FiniteMetricSpace, values, matdim: int) -> np.ndarray:
@@ -237,7 +239,7 @@ def build_cp_approx(
     psi_images = {(exclusive[l], l): fun_alg_unit for l in range(s)}
     psi = CPMap(function_algebra(space), F, psi_images)
     phi_images = {(int(l), int(x)): weights[l, x] * fun_alg_unit for l, x in np.argwhere(weights > 0)}
-    phi = CPMap(F, function_algebra(space), phi_images, codomain_space=space, codomain_matdim=1)
+    phi = CPMap(F, function_algebra(space), phi_images, codomain_space=space)
 
     approx = CPApproximation(space, 1, F, psi, phi, exclusive)
     errors = approx.errors_on(funcs)
@@ -252,30 +254,28 @@ def build_cp_approx(
 @dataclass
 class VerifyReport:
     errors: list[float]
-    within: bool
+    within: Check  # the largest error against epsilon
     psi_cp: bool
-    psi_contractive: bool
-    psi_norm: float
+    psi_contractive: Check  # ||psi(1)|| against 1 + CP_TOL, as is_contractive checks it
     phi_cp: bool
-    phi_contractive: bool
-    phi_norm: float
+    phi_contractive: Check
     phi_order: OrderBounds
 
 
 def verify_cp_approx(approx: CPApproximation, a_list: list[np.ndarray], eps: float) -> VerifyReport:
-    """Errors on the given functions plus the structural verdicts for psi and phi."""
+    """Errors on the given functions plus the structural verdicts for psi and phi;
+    a map that is not c.p. is reported here, where :func:`is_contractive` raises."""
     errors = approx.errors_on(a_list)
     psi_norm = approx.psi.apply_one().norm()
     phi_norm = approx.phi.apply_one().norm()
     return VerifyReport(
         errors,
-        all(e <= eps for e in errors),
+        # np.max, not max: a NaN error is the measured value wherever it stands
+        Check("within", float(np.max(errors, initial=0.0)), eps, all(e <= eps for e in errors)),
         approx.psi.is_completely_positive(),
-        psi_norm <= 1.0 + 1e-9,
-        psi_norm,
+        Check("contractive", psi_norm, 1.0 + CP_TOL, psi_norm <= 1.0 + CP_TOL),
         approx.phi.is_completely_positive(),
-        phi_norm <= 1.0 + 1e-9,
-        phi_norm,
+        Check("contractive", phi_norm, 1.0 + CP_TOL, phi_norm <= 1.0 + CP_TOL),
         strict_order_bounds(approx.phi),
     )
 
@@ -316,7 +316,7 @@ def direct_sum_approx(a: CPApproximation, b: CPApproximation) -> CPApproximation
 
     phi_images = dict(a.phi.images)
     phi_images.update({(l + sa, x + na): arr for (l, x), arr in b.phi.images.items()})
-    phi = CPMap(F, fun_alg, phi_images, codomain_space=space, codomain_matdim=m)
+    phi = CPMap(F, fun_alg, phi_images, codomain_space=space)
 
     eval_pts = None
     if a.evaluation_points is not None and b.evaluation_points is not None:
@@ -408,7 +408,6 @@ class ExtractionReport:
     A_sets: list[frozenset[int]]
     classes: list[list[list[int]]]
     V_tilde: dict[tuple[int, int], frozenset[int]]
-    p_deviations: dict[tuple[int, int], float]
     orthogonalization_nontrivial: bool
     W: Cover
     W_order: int
@@ -610,7 +609,6 @@ def extract_cover(
         sums, keep = family_check(np.array([[q_mats[j, i] for i in idxs[j]] for j in js]), DEFAULT_TOL)
         tested.update(zip(js, zip(sums.tolist(), keep.tolist())))
     p_mats: dict[tuple[int, int], np.ndarray] = {}
-    p_devs: dict[tuple[int, int], float] = {}
     nontrivial = False
     for j, idx in enumerate(idxs):
         require(
@@ -631,7 +629,7 @@ def extract_cover(
             nontrivial = nontrivial or not fam.unchanged
             ps, devs = [p.blocks[0] for p in fam.projections], fam.deviations
         for i, p, dev in zip(idx, ps, devs):
-            p_mats[(j, i)], p_devs[(j, i)] = p, dev
+            p_mats[(j, i)] = p
             require(
                 Check("beta", dev, beta, dev <= beta + 1e-9, f"({j},{i})"),
                 lambda: f"||p - q|| = {dev:.6g} exceeds beta = {beta:.6g}",
@@ -700,7 +698,6 @@ def extract_cover(
         A_sets,
         classes,
         V_tilde,
-        p_devs,
         nontrivial,
         W,
         order_W,

@@ -183,9 +183,9 @@ def _cmd_approx(args: argparse.Namespace, data: Any) -> Any:
         rep = verify_cp_approx(approx, funcs, eps)
         return {
             "errors": [float(e) for e in rep.errors],
-            "within": rep.within,
-            "psi": {"cp": rep.psi_cp, "contractive": rep.psi_contractive, "norm": rep.psi_norm},
-            "phi": {"cp": rep.phi_cp, "contractive": rep.phi_contractive, "norm": rep.phi_norm},
+            "within": rep.within.ok,
+            "psi": {"cp": rep.psi_cp, "contractive": rep.psi_contractive.ok, "norm": rep.psi_contractive.measured},
+            "phi": {"cp": rep.phi_cp, "contractive": rep.phi_contractive.ok, "norm": rep.phi_contractive.measured},
             "order_bounds": {
                 "lower": rep.phi_order.lower,
                 "upper": rep.phi_order.upper,
@@ -308,8 +308,8 @@ def _cmd_cpmap(args: argparse.Namespace, data: Any) -> Any:
             rep = perturb_to_hom(phi, gamma)
             return {
                 "map": jsonio.cpmap_to_json(rep.phi_prime),
-                "norm_measured": rep.norm_measured,
-                "norm_bound": rep.norm_bound,
+                "norm_measured": rep.moved.measured,
+                "norm_bound": rep.moved.bound,
                 "cb_upper": rep.cb_upper,
                 "hom_defect": rep.hom_defect,
             }
@@ -366,6 +366,9 @@ def main(argv: list[str] | None = None) -> int:
         # under NaN every test ``v > tol`` is false, and every map would pass
         if args.tol is not None and not 0.0 <= args.tol <= sys.float_info.max:
             raise SchemaError(f"--tol must be a finite number >= 0, got {args.tol!r}")
+        for flag, value, low in (("--seed", args.seed, 0), ("--max-block", args.max_block, 1)):
+            if value < low:
+                raise SchemaError(f"{flag} must be an integer >= {low}, got {value}")
         try:
             data = _load(args.infile)
         except (OSError, json.JSONDecodeError) as exc:

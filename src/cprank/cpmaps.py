@@ -62,12 +62,10 @@ class CPMap:
         codomain: FiniteDimAlgebra,
         images: dict[tuple[int, int], np.ndarray],
         codomain_space: Any = None,
-        codomain_matdim: int = 1,
     ):
         self.domain = domain
         self.codomain = codomain
         self.codomain_space = codomain_space
-        self.codomain_matdim = codomain_matdim
         store: dict[tuple[int, int], np.ndarray] = {}
         for key, arr in images.items():
             ints = isinstance(key, tuple) and len(key) == 2
@@ -107,6 +105,12 @@ class CPMap:
 
     # -- basic structure ---------------------------------------------------
 
+    @property
+    def codomain_matdim(self) -> int:
+        """The matrix size of the functions the codomain holds over
+        ``codomain_space``, its block size; 1 without a space."""
+        return self.codomain.block_sizes[0] if self.codomain_space is not None else 1
+
     def image_array(self, i: int, c: int) -> np.ndarray:
         d = self.domain.block_sizes[i]
         r = self.codomain.block_sizes[c]
@@ -144,7 +148,7 @@ class CPMap:
         d = self.domain.block_sizes[i]
         # d passed the cap of self.domain, which may be above the default
         sub_domain = FiniteDimAlgebra((d,), max_block=d)
-        return CPMap(sub_domain, self.codomain, images, self.codomain_space, self.codomain_matdim)
+        return CPMap(sub_domain, self.codomain, images, self.codomain_space)
 
     def _stacked_images(self) -> list[np.ndarray]:
         """The ``(count, d, d, r, r)`` image stacks of :attr:`layout`."""
@@ -212,7 +216,7 @@ def compress(phi: CPMap, h: AlgebraElement) -> CPMap:
     if h.algebra.block_sizes != phi.codomain.block_sizes:
         raise ValueError("compression element must live in the codomain")
     images = {(i, c): h.blocks[c].conj().T @ arr @ h.blocks[c] for (i, c), arr in phi.images.items()}
-    out = CPMap(phi.domain, phi.codomain, images, phi.codomain_space, phi.codomain_matdim)
+    out = CPMap(phi.domain, phi.codomain, images, phi.codomain_space)
     if phi.is_completely_positive() and not out.is_completely_positive():
         raise AssertionError("compression broke complete positivity")
     return out
@@ -234,7 +238,7 @@ def unitize(phi: CPMap) -> CPMap:
     m = phi.domain.num_blocks
     # the constructor drops the zero blocks
     images.update({(m, c): b.reshape(1, 1, *b.shape) for c, b in enumerate(defect.blocks)})
-    out = CPMap(new_domain, phi.codomain, images, phi.codomain_space, phi.codomain_matdim)
+    out = CPMap(new_domain, phi.codomain, images, phi.codomain_space)
     if not out.is_completely_positive():
         raise AssertionError("unitization broke complete positivity")
     return out
@@ -551,7 +555,7 @@ def certify_order_zero(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificat
 
         sub_domain = FiniteDimAlgebra((d,), max_block=d)
         sig_arr = {(0, c): sc @ phi.image_array(i, c) @ sc for c, sc in enumerate(s_half.blocks)}
-        sigma = CPMap(sub_domain, phi.codomain, sig_arr, phi.codomain_space, phi.codomain_matdim)
+        sigma = CPMap(sub_domain, phi.codomain, sig_arr, phi.codomain_space)
         sigmas.append(sigma)
 
         sig = unit_stacks(sigma, 0)
@@ -795,13 +799,7 @@ def tensor_with_identity(phi: CPMap, r: int) -> CPMap:
         a, b = np.arange(r)[:, None], np.arange(r)
         out[:, a, :, b, :, a, :, b] = arr
         images[(i, c)] = out.reshape(d * r, d * r, n * r, n * r)
-    return CPMap(
-        new_domain,
-        new_codomain,
-        images,
-        phi.codomain_space,
-        phi.codomain_matdim * r,
-    )
+    return CPMap(new_domain, new_codomain, images, phi.codomain_space)
 
 
 def tensor_strict_order_exact(phi: CPMap, r: int) -> tuple[int, ElementarySet]:

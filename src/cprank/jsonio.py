@@ -213,12 +213,13 @@ def cpmap_from_json(data: Any, max_block: int = 64) -> CPMap:
     if not isinstance(codomain_spec, dict):
         raise SchemaError("codomain must be an object")
     space = None
-    matdim = 1
     if "matrix" in codomain_spec:
         codomain = FiniteDimAlgebra((_size(codomain_spec, "matrix"),), max_block=max_block)
     elif "space" in codomain_spec:
         space = space_from_json(codomain_spec["space"])
         matdim = _size(codomain_spec, "matdim")
+        if matdim > max_block:  # as FiniteDimAlgebra words it for a matrix codomain
+            raise ValueError(f"block size {matdim} exceeds cap {max_block}")
         codomain = function_algebra(space, matdim)
     elif "algebra" in codomain_spec:
         codomain = algebra_from_json(codomain_spec["algebra"], max_block)
@@ -252,7 +253,7 @@ def cpmap_from_json(data: Any, max_block: int = 64) -> CPMap:
         (i, j, k), c = units_at[q], index[q]
         arr = images.setdefault((i, c), np.zeros((sizes[i],) * 2 + live[q].shape, complex))
         arr[j, k] += live[q]
-    return CPMap(domain, codomain, images, codomain_space=space, codomain_matdim=matdim)
+    return CPMap(domain, codomain, images, codomain_space=space)
 
 
 def _size(codomain_spec: dict, key: str) -> int:

@@ -148,8 +148,7 @@ def check_projection_case(phi: CPMap) -> ProjectionCaseVerdict:
 class PerturbationReport:
     phi_prime: CPMap
     hom_defect: float           # multiplicativity of phi'
-    norm_measured: float        # max difference over the probe family
-    norm_bound: float           # 12 gamma + 2 sqrt(gamma)
+    moved: Check                # max difference over the probe family against 12 gamma + 2 sqrt(gamma)
     cb_upper: float             # Choi-based completely bounded upper bound
 
 
@@ -240,11 +239,12 @@ def perturb_to_hom(phi: CPMap, gamma: float) -> PerturbationReport:
     if hom_defect > 1e-8:
         raise AssertionError(f"perturbed map is not a homomorphism: defect {hom_defect:.3e}")
     measured = map_norm_lower_bound(phi_prime, phi)
-    bound = 12.0 * gamma + 2.0 * np.sqrt(gamma)
-    if measured > bound + 1e-9:
+    bound = float(12.0 * gamma + 2.0 * np.sqrt(gamma))
+    moved = Check("perturbation", measured, bound, measured <= bound + 1e-9)
+    if not moved:
         raise AssertionError(f"perturbation moved {measured:.6g} > 12 gamma + 2 sqrt(gamma)")
     cb = _cb_upper_bound(phi_prime, phi)
-    return PerturbationReport(phi_prime, hom_defect, measured, bound, cb)
+    return PerturbationReport(phi_prime, hom_defect, moved, cb)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,7 @@ class AFLocalReport:
     hypotheses: dict[str, Check]
     subalgebra: FiniteDimAlgebra
     perturbation: PerturbationReport
-    distances: list[dict[str, float]]
+    distances: list[Check]  # per element a_idx: certified, then direct
 
 
 def af_local_step(
@@ -307,9 +307,9 @@ def af_local_step(
     """Produce a homomorphism onto a compression of F close to the given elements.
 
     Diagonalizes psi(u), cuts at sqrt(eps) to get the projection q, restricts
-    phi to qFq, snaps the restriction to a homomorphism, and certifies the
-    distances dist(a_i, phi'(F')).  Each numerical hypothesis is measured and
-    a failing one is reported by name.
+    phi to qFq, snaps the restriction to a homomorphism, and checks the
+    distances dist(a_i, phi'(F')) against the distance chain.  Each numerical
+    hypothesis is measured and a failing one is reported by name.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -372,27 +372,21 @@ def af_local_step(
         raise HypothesisFailure(
             "gamma", f"||phi(q) - phi(q)^2|| = {gamma:.6g} leaves the perturbation regime"
         )
-    perturbation = perturb_to_hom(CPMap(sub, codomain, images, phi.codomain_space, phi.codomain_matdim), gamma)
+    perturbation = perturb_to_hom(CPMap(sub, codomain, images, phi.codomain_space), gamma)
     phi_prime = perturbation.phi_prime
 
-    bound_chain = 2.0 * np.sqrt(2.0) * eps ** 0.25 + eps + 2.0 * eps ** 0.125
-    distances = []
+    bound_chain = float(2.0 * np.sqrt(2.0) * eps ** 0.25 + eps + 2.0 * eps ** 0.125)
+    # the direct distance also carries the move from phi to phi'
+    bound_direct = bound_chain + perturbation.moved.measured
+    distances: list[Check] = []
     for idx, a in enumerate(a_list):
         # compress psi(a) to the cut subalgebra
         pa = psi.apply(a)
-        comp_blocks = []
-        for new_i, (i, W) in enumerate(live):
-            comp_blocks.append(W.conj().T @ pa.blocks[i] @ W)
-        comp = AlgebraElement(sub, comp_blocks)
-        b_i = phi_prime.apply(comp)
-        direct = (a - b_i).norm()
+        comp = AlgebraElement(sub, [W.conj().T @ pa.blocks[i] @ W for i, W in live])
+        direct = (a - phi_prime.apply(comp)).norm()
         certified = dist_to_hom_image(a, phi_prime)
-        distances.append(
-            {
-                "direct": direct,
-                "certified": certified,
-                "chain_bound": bound_chain,
-                "chain_bound_with_perturbation": bound_chain + perturbation.norm_measured,
-            }
-        )
+        distances += [
+            Check("certified", certified, bound_chain, certified <= bound_chain, f"a_{idx}"),
+            Check("direct", direct, bound_direct, direct <= bound_direct, f"a_{idx}"),
+        ]
     return AFLocalReport(hyp, sub, perturbation, distances)

@@ -228,7 +228,6 @@ def matrix_path_approximation(overlap: float = 1e-6):
         fun,
         {(0, 0): arr0, (0, 1): arr1, (1, 2): arr2, (1, 3): arr3},
         codomain_space=space,
-        codomain_matdim=1,
     )
     approx = CPApproximation(space, 1, F, psi, phi)
     return space, cover, approx
@@ -238,5 +237,5 @@ def with_scaled_psi_image(approx: CPApproximation, scale: float) -> CPApproximat
     """The approximation with psi's (0, 0) image multiplied by ``scale``."""
     psi = approx.psi
     images = {**psi.images, (0, 0): psi.images[0, 0] * scale}
-    psi = CPMap(psi.domain, psi.codomain, images, psi.codomain_space, psi.codomain_matdim)
+    psi = CPMap(psi.domain, psi.codomain, images, psi.codomain_space)
     return dataclasses.replace(approx, psi=psi)

@@ -215,13 +215,12 @@ def cpmap_from_json_per_entry(data: Any, max_block: int = 64) -> CPMap:
     except KeyError as exc:
         raise SchemaError(f"map needs domain, codomain, unit_images: missing {exc}") from exc
     space = None
-    matdim = 1
     if "matrix" in codomain_spec:
         codomain = FiniteDimAlgebra((int(codomain_spec["matrix"]),), max_block=max_block)
     elif "space" in codomain_spec:
         space = space_from_json(codomain_spec["space"])
         matdim = int(codomain_spec.get("matdim", 1))
-        codomain = function_algebra(space, matdim)
+        codomain = FiniteDimAlgebra((matdim,) * space.npts, max_block=max_block)
     elif "algebra" in codomain_spec:
         codomain = algebra_from_json(codomain_spec["algebra"], max_block)
     else:
@@ -244,7 +243,7 @@ def cpmap_from_json_per_entry(data: Any, max_block: int = 64) -> CPMap:
             r = codomain.block_sizes[c]
             arr = images.setdefault((i, c), np.zeros((d, d, r, r), complex))
             arr[j, k] += blk
-    return CPMap(domain, codomain, images, codomain_space=space, codomain_matdim=matdim)
+    return CPMap(domain, codomain, images, codomain_space=space)
 
 
 def unit_records_dense(phi: CPMap) -> list[dict]:
@@ -371,7 +370,7 @@ def certify_order_zero_per_unit(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroC
             arr = phi.image_array(i, c)
             sc = s_half.blocks[c]
             sig_arr[(0, c)] = sc @ arr @ sc
-        sigma = CPMap(sub_domain, phi.codomain, sig_arr, phi.codomain_space, phi.codomain_matdim)
+        sigma = CPMap(sub_domain, phi.codomain, sig_arr, phi.codomain_space)
         sigmas.append(sigma)
 
         sig = unit_stacks(sigma, 0)
@@ -643,7 +642,6 @@ def extract_cover_per_class(
     linearity = individual * max(worst_lam, nlam)
 
     p_mats: dict[tuple[int, int], np.ndarray] = {}
-    p_devs: dict[tuple[int, int], float] = {}
     nontrivial = False
     for j in range(m_blocks):
         idxs = [i for i in range(len(classes[j])) if np.abs(q_mats[(j, i)]).max() > 1e-12]
@@ -666,7 +664,6 @@ def extract_cover_per_class(
             p = fam.projections[pos].blocks[0]
             p_mats[(j, i)] = p
             dev = float(np.linalg.norm(p - q_mats[(j, i)], 2))
-            p_devs[(j, i)] = dev
             checks.append(Check("beta", dev, beta, dev <= beta + 1e-9, f"({j},{i})"))
             if dev > beta + 1e-9:
                 raise StepFailure("beta", f"||p - q|| = {dev:.6g} exceeds beta = {beta:.6g}")
@@ -716,6 +713,6 @@ def extract_cover_per_class(
             raise StepFailure("refines", f"class support {key} fits in no member of U")
     report = ExtractionReport(
         constants, identities, targets.delta, checks, eta_checks, linearity, A_sets, classes,
-        V_tilde, p_devs, nontrivial, W, order_W,
+        V_tilde, nontrivial, W, order_W,
     )
     return W, report

@@ -194,7 +194,7 @@ def test_05_order_zero_structure():
         gamma = min(defect * 1.01 + 1e-9, 0.2499)
         rep = perturb_to_hom(phi, gamma)
         assert rep.hom_defect <= 1e-9
-        assert rep.norm_measured <= 12 * gamma + 2 * np.sqrt(gamma)
+        assert rep.moved.measured <= 12 * gamma + 2 * np.sqrt(gamma)
     report(5, "order-zero structure", t0, 30.0)
 
 
@@ -367,8 +367,8 @@ def test_11_af_local_step():
     approx = LocalApproximation(F, idm, idm)
     a = AlgebraElement(F, [np.diag([0.15, 0.35, 0.65, 0.95]).astype(complex)])
     rep = af_local_step([a], approx, AlgebraElement.identity(F), eps=0.02)
-    assert all(d["certified"] <= 1e-9 for d in rep.distances)
-    assert all(d["direct"] <= 1e-9 for d in rep.distances)
+    assert all(d.measured <= 1e-9 for d in rep.distances if d.step == "certified")
+    assert all(d.measured <= 1e-9 for d in rep.distances if d.step == "direct")
     # near-AF instance honors the distance chain
     from test_orderzero import tensor_diag_map
 
@@ -387,7 +387,8 @@ def test_11_af_local_step():
     rep2 = af_local_step(a_list, near, AlgebraElement.identity(phi.codomain), eps=eps)
     bound = 2 * np.sqrt(2) * eps**0.25 + eps + 2 * eps**0.125
     for d in rep2.distances:
-        assert d["certified"] <= bound
+        if d.step == "certified":
+            assert d.measured <= bound
     report(11, "AF local step", t0, 10.0)
 
 

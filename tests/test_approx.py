@@ -37,7 +37,7 @@ from cprank import (
     verify_cp_approx,
 )
 from cprank.approx import ExtractionConstants, _real, _values_of
-from cprank.cpmaps import tensor_strict_order_exact
+from cprank.cpmaps import is_contractive, tensor_strict_order_exact
 
 from conftest import interval_chain_cover, matrix_path_approximation, three_arcs_cover, with_scaled_psi_image
 from oracles import (
@@ -132,7 +132,6 @@ class TestBuilder:
             approx.phi.codomain,
             bad_images,
             approx.phi.codomain_space,
-            approx.phi.codomain_matdim,
         )
         rep = verify_cp_approx(approx, [xs], 0.3)
         assert not rep.phi_contractive
@@ -246,7 +245,7 @@ class TestExtractCover:
         assert refines(W, U)[0]
         # the q projections genuinely overlapped and were repaired
         assert rep.orthogonalization_nontrivial
-        assert any(v > 0 for v in rep.p_deviations.values())
+        assert any(c.measured > 0 for c in rep.checks if c.step == "beta")
         assert all(c.ok for c in rep.checks)
 
     def test_failure_names_the_step(self):
@@ -334,8 +333,57 @@ def random_approximations(draw):
     F = FiniteDimAlgebra(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
     fun = function_algebra(space, m)
     psi = CPMap(fun, F, random_images(rng, fun, F))
-    phi = CPMap(F, fun, random_images(rng, F, fun), codomain_space=space, codomain_matdim=m)
+    phi = CPMap(F, fun, random_images(rng, F, fun), codomain_space=space)
     return CPApproximation(space, m, F, psi, phi), rng
+
+
+def random_cp_images(rng, dom, cod):
+    """Images of every block pair whose Choi matrix is a random positive
+    semidefinite one of rank at most 2, so the map is c.p."""
+    images = {}
+    for i, d in enumerate(dom.block_sizes):
+        for c, r in enumerate(cod.block_sizes):
+            g = rng.normal(size=(d * r, 2)) + 1j * rng.normal(size=(d * r, 2))
+            images[(i, c)] = (g @ g.conj().T).reshape(d, r, d, r).transpose(0, 2, 1, 3)
+    return images
+
+
+@st.composite
+def random_cp_approximations(draw):
+    """A triple over 1-6 points with F of 1-3 blocks of sizes 1-3, psi and
+    phi c.p. with ||psi(1)|| and ||phi(1)|| drawn below, at and just above
+    1 + CP_TOL, and a seeded generator."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    space = interval_grid(draw(st.integers(1, 6)))
+    F = FiniteDimAlgebra(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    fun = function_algebra(space)
+    maps = []
+    for dom, cod, where in ((fun, F, None), (F, fun, space)):
+        images = random_cp_images(rng, dom, cod)
+        scale = draw(st.sampled_from([0.5, 1.0, 1.0 + 1e-9, 1.0 + 2e-9, 2.0]))
+        scale /= CPMap(dom, cod, images).apply_one().norm()
+        maps.append(CPMap(dom, cod, {key: scale * arr for key, arr in images.items()}, where))
+    return CPApproximation(space, 1, F, *maps), rng
+
+
+class TestVerifyChecks:
+    @PROPERTY
+    @given(random_cp_approximations(), st.sampled_from([1e-3, 0.5, 2.0]))
+    def test_checks_match_their_verdicts(self, case, eps):
+        approx, rng = case
+        rep = verify_cp_approx(approx, rng.normal(size=(int(rng.integers(1, 4)), approx.space.npts)), eps)
+        assert rep.psi_cp and rep.phi_cp
+        assert rep.psi_contractive == is_contractive(approx.psi)
+        assert rep.phi_contractive == is_contractive(approx.phi)
+        assert rep.within == ("within", max(rep.errors), eps, all(e <= eps for e in rep.errors), "")
+
+    def test_nan_error_fails_within(self):
+        sp = interval_grid(5)
+        xs = sp.coords[:, 0]
+        approx = build_cp_approx(sp, [xs], eps=0.3)
+        rep = verify_cp_approx(approx, [xs, np.where(xs > 0.5, np.nan, xs)], 0.3)
+        assert rep.errors[0] <= 0.3 and np.isnan(rep.errors[1])
+        assert not rep.within.ok and np.isnan(rep.within.measured)
 
 
 class TestBatchedEvaluation:
@@ -374,7 +422,7 @@ def _outcome(extract, space, U, n, approx, targets):
     except StepFailure as exc:
         return ("failure", exc.step, str(exc), repr(exc.data))
     return (
-        W, rep.checks, rep.eta_checks, rep.p_deviations, rep.A_sets, rep.classes, rep.V_tilde,
+        W, rep.checks, rep.eta_checks, rep.A_sets, rep.classes, rep.V_tilde,
         rep.orthogonalization_nontrivial,
     )
 
@@ -402,7 +450,7 @@ def _break(approx, kind, j, x):
         psi = {**psi, **{(p, s): v for (p, b), v in psi.items() if b == j}}
         phi = {**phi, (j, x): phi[(j, x)] + K, (s, x): -K}
     fun = function_algebra(space)
-    return CPApproximation(space, 1, F, CPMap(fun, F, psi), CPMap(F, fun, phi, space, 1))
+    return CPApproximation(space, 1, F, CPMap(fun, F, psi), CPMap(F, fun, phi, space))
 
 
 def _shrinking(call, beta):
@@ -469,9 +517,10 @@ class TestBatchedExtraction:
             targets = extraction_targets(space, U, n)
             got, want = (_outcome(f, space, U, n, approx, targets) for f in (extract_cover, extract_cover_per_class))
             assert repr(got) == repr(want)
-            _, checks, _, devs, *_, nontrivial = got
+            _, checks, *_, nontrivial = got
             assert all(c.ok for c in checks) and nontrivial
-            assert devs[(0, 0)] == devs[(1, 0)] == devs[(1, 1)] == 0.0 < devs[(0, 1)]
+            devs = {c.context: c.measured for c in checks if c.step == "beta"}
+            assert devs["(0,0)"] == devs["(1,0)"] == devs["(1,1)"] == 0.0 < devs["(0,1)"]
             return
         if kind == "interval":
             space = interval_grid(npts)

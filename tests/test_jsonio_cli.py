@@ -135,6 +135,36 @@ class TestCLI:
         code, out = run_cli(tmp_path, "trace", payload, "cpmap", action)
         assert code == 0 and want.items() <= json.loads(out).items()
 
+    @pytest.mark.parametrize("flag, value, low", [("--seed", "-1", 0), ("--max-block", "0", 1), ("--max-block", "-3", 1)])
+    def test_seed_and_max_block_bounds_name_the_flag(self, tmp_path, capsys, flag, value, low):
+        assert run_cli(tmp_path, "flag", {"cover": CHAIN3}, flag, value, "cover", "order") == (2, b"")
+        assert f"schema error: {flag} must be an integer >= {low}, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("codomain", [{"matrix": 65}, {"space": {"metric": [[0.0]]}, "matdim": 65}])
+    def test_codomain_block_size_obeys_max_block(self, tmp_path, capsys, codomain):
+        # C into one 65x65 block: a matrix codomain, or the 65x65 functions on one point
+        unit = {"block": 0, "row": 0, "col": 0, "value": {"sparse": [[0, jsonio.matrix_to_json(np.eye(65))]]}}
+        payload = {"map": {"domain": {"block_sizes": [1]}, "codomain": codomain, "unit_images": [unit]}}
+        assert run_cli(tmp_path, "capped", payload, "cpmap", "choi") == (3, b"")
+        assert "precondition failure: block size 65 exceeds cap 64" in capsys.readouterr().err
+        code, out = run_cli(tmp_path, "wide", payload, "--max-block", "128", "cpmap", "choi")
+        assert code == 0 and json.loads(out)["psd"]
+
+    def test_tensor_output_above_64_reads_back_under_its_max_block(self, tmp_path):
+        # an approximation of 65x65 functions on one point through C, as tensor writes it for r = 65
+        approx = {
+            "F": {"block_sizes": [1]},
+            "psi": {"domain": {"block_sizes": [65]}, "codomain": {"matrix": 1}, "unit_images": []},
+            "phi": {
+                "domain": {"block_sizes": [1]},
+                "codomain": {"space": {"metric": [[0.0]]}, "matdim": 65},
+                "unit_images": [],
+            },
+        }
+        code, out = run_cli(tmp_path, "wide", {"approximation": approx, "r": 1}, "--max-block", "128", "approx", "tensor")
+        assert code == 0 and json.loads(out)["phi"]["codomain"]["matdim"] == 65
+        assert run_cli(tmp_path, "capped", {"approximation": approx, "r": 1}, "approx", "tensor") == (3, b"")
+
     def test_cover_strict_order(self, tmp_path):
         payload = {"cover": jsonio.cover_to_json(three_arcs_cover(60))}
         code, out = run_cli(tmp_path, "arcs", payload, "cover", "strict-order")
@@ -355,6 +385,8 @@ CHAIN3 = {"members": [[0, 2], [1, 2]]}
 APPROX3 = json.loads(json.dumps(jsonio.approximation_to_json(
     build_cp_approx(jsonio.space_from_json(SPACE3), [np.arange(3.0)], eps=0.5)
 )))
+# a map out of M_2 + C that is not order zero: order-bounds runs the seeded witness search
+MAP21 = json.loads(json.dumps(jsonio.cpmap_to_json(rand_cp_contraction(np.random.default_rng(0), [2, 1], 2))))
 SPACE4 = {"metric": [[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0, 2.0], [2.0, 1.0, 0.0, 1.0], [3.0, 2.0, 1.0, 0.0]]}
 
 
@@ -441,6 +473,10 @@ BAD_INPUT = {
     "r_fraction": (("approx", "tensor"), {"approximation": APPROX3, "r": 1.9}, 2),
     "r_zero": (("approx", "tensor"), {"approximation": APPROX3, "r": 0}, 2),
     "r_above_max_block": (("--max-block", "2", "approx", "tensor"), {"approximation": APPROX3, "r": 3}, 2),
+    "seed_negative_witness_search": (("--seed", "-1", "cpmap", "order-bounds"), {"map": MAP21}, 2),
+    "seed_negative_unused": (("--seed", "-1", "cover", "order"), {"cover": CHAIN3}, 2),
+    "max_block_zero": (("--max-block", "0", "cpmap", "choi"), {"map": MAP1}, 2),
+    "max_block_negative": (("--max-block", "-1", "approx", "verify"), _verify(), 2),
     "sparse_repeated": _sparse(sparse=[[0, ONE], [0, ONE]]),
     "sparse_out_of_range": _sparse(sparse=[[0, ONE], [3, ONE]]),
     "sparse_huge_index": _sparse(sparse=[[10**30, ONE]]),

@@ -114,8 +114,8 @@ class TestPerturbToHom:
         gamma = 0.09 + 1e-9
         rep = perturb_to_hom(phi, gamma)
         assert rep.hom_defect <= 1e-9
-        assert rep.norm_measured == pytest.approx(0.1, abs=1e-9)
-        assert rep.norm_measured <= 12 * gamma + 2 * np.sqrt(gamma)
+        assert rep.moved.measured == pytest.approx(0.1, abs=1e-9)
+        assert rep.moved.measured <= 12 * gamma + 2 * np.sqrt(gamma)
         # phi' is the exact conjugation
         x = rand_complex(rng, (3, 3))
         got = rep.phi_prime.apply_to_block(0, x).blocks[0]
@@ -124,7 +124,7 @@ class TestPerturbToHom:
     def test_homomorphism_unchanged(self):
         phi = identity_map(2)
         rep = perturb_to_hom(phi, 0.1)
-        assert rep.norm_measured <= 1e-10
+        assert rep.moved.measured <= 1e-10
 
     def test_spectral_snap(self):
         phi = tensor_diag_map([0.97, 1.0])
@@ -137,7 +137,7 @@ class TestPerturbToHom:
         phi = tensor_diag_map([0.9, 1.0])
         rep = perturb_to_hom(phi, 0.09 + 1e-9)
         again = perturb_to_hom(rep.phi_prime, 0.2)
-        assert again.norm_measured <= 1e-9
+        assert again.moved.measured <= 1e-9
 
     def test_bound_suite(self):
         rng = np.random.default_rng(53)
@@ -149,8 +149,8 @@ class TestPerturbToHom:
             gamma = min(defect * 1.01 + 1e-9, 0.2499)
             rep = perturb_to_hom(phi, gamma)
             assert rep.hom_defect <= 1e-9
-            assert rep.norm_measured <= rep.norm_bound + 1e-9
-            assert rep.norm_measured <= rep.cb_upper + 1e-9
+            assert rep.moved.measured <= rep.moved.bound + 1e-9
+            assert rep.moved.measured <= rep.cb_upper + 1e-9
 
     def test_gamma_regime_enforced(self):
         phi = tensor_diag_map([0.5, 1.0])
@@ -158,6 +158,16 @@ class TestPerturbToHom:
             perturb_to_hom(phi, 0.3)
         with pytest.raises(ValueError, match="not below gamma"):
             perturb_to_hom(phi, 0.2)  # defect 0.25 >= gamma
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 3), min_size=1, max_size=2), st.integers(1, 3))
+    def test_moved_is_the_probe_norm_against_the_bound(self, seed, sizes, mult):
+        phi = rand_order_zero(np.random.default_rng(seed), sizes, mult, spectrum_range=(0.8, 1.0))
+        h = phi.apply_one()
+        gamma = min((h @ h - h).norm() * 1.01 + 1e-9, 0.2499)
+        rep = perturb_to_hom(phi, gamma)
+        want = (map_norm_lower_bound(rep.phi_prime, phi), 12 * gamma + 2 * np.sqrt(gamma))
+        assert (rep.moved.measured, rep.moved.bound) == want and rep.moved.ok
 
 
 class TestDistToHomImage:
@@ -210,6 +220,17 @@ def block_embedding_m2_m3() -> tuple[LocalApproximation, FiniteDimAlgebra]:
     return LocalApproximation(F, psi, phi), A
 
 
+def assert_distance_checks(rep, count, eps):
+    """Per element a_idx, in order: dist(a_idx, phi'(F')) against the chain
+    bound, then ||a_idx - phi'(psi(a_idx))|| against it plus the move from phi
+    to phi'; every one holds."""
+    chain = 2 * np.sqrt(2) * eps**0.25 + eps + 2 * eps**0.125
+    direct = chain + rep.perturbation.moved.measured
+    want = [(step, bound, f"a_{idx}") for idx in range(count) for step, bound in (("certified", chain), ("direct", direct))]
+    assert [(c.step, c.bound, c.context) for c in rep.distances] == want
+    assert all(c.ok is True for c in rep.distances)
+
+
 class TestAFLocalStep:
     def test_exact_identity_instance(self):
         F = FiniteDimAlgebra([4])
@@ -218,9 +239,10 @@ class TestAFLocalStep:
         a = AlgebraElement(F, [np.diag([0.1, 0.4, 0.7, 1.0]).astype(complex)])
         rep = af_local_step([a], approx, AlgebraElement.identity(F), eps=0.01)
         assert rep.subalgebra.block_sizes == (4,)
-        assert all(d["direct"] <= 1e-9 for d in rep.distances)
-        assert all(d["certified"] <= 1e-9 for d in rep.distances)
+        assert all(d.measured <= 1e-9 for d in rep.distances if d.step == "direct")
+        assert all(d.measured <= 1e-9 for d in rep.distances if d.step == "certified")
         assert all(c.ok for c in rep.hypotheses.values())
+        assert_distance_checks(rep, 1, 0.01)
 
     def test_block_embedding_instance(self):
         approx, A = block_embedding_m2_m3()
@@ -234,7 +256,8 @@ class TestAFLocalStep:
         a_list = [AlgebraElement(A, [b]) for b in blocks]
         u = AlgebraElement(A, [np.eye(5, dtype=complex)])
         rep = af_local_step(a_list, approx, u, eps=0.05)
-        assert all(d["certified"] <= 1e-9 for d in rep.distances)
+        assert all(d.measured <= 1e-9 for d in rep.distances if d.step == "certified")
+        assert_distance_checks(rep, 2, 0.05)
 
     def test_near_af_instance(self):
         # x -> x (x) diag(0.99, 1): approximating x (x) 1 within eps
@@ -257,8 +280,11 @@ class TestAFLocalStep:
         rep = af_local_step(a_list, approx, u, eps=eps)
         bound = 2 * np.sqrt(2) * eps**0.25 + eps + 2 * eps**0.125
         for d in rep.distances:
-            assert d["certified"] <= bound
-            assert d["direct"] <= bound + rep.perturbation.norm_measured
+            if d.step == "certified":
+                assert d.measured <= bound
+            else:
+                assert d.step == "direct" and d.measured <= bound + rep.perturbation.moved.measured
+        assert_distance_checks(rep, 2, eps)
         # the snapped homomorphism reproduces x (x) 1 exactly
         got = rep.perturbation.phi_prime.apply_to_block(0, np.eye(2)).blocks[0]
         assert np.linalg.norm(got - np.eye(4), 2) <= 1e-9
