@@ -170,10 +170,12 @@ class AlgebraElement:
 
     def norm(self) -> float:
         """Operator norm: max over blocks of the largest singular value."""
-        return max(_spectral_norm(s) for s in self.stacks)
+        return max(float(spectral_norms(s).max()) for s in self.stacks)
 
     def hermitian_defect(self) -> float:
-        return max(_spectral_norm(s - _dagger(s)) for s in self.stacks)
+        with np.errstate(over="ignore"):  # an asymmetry beyond the double range is inf
+            diffs = [s - _dagger(s) for s in self.stacks]
+        return max(float(spectral_norms(d).max()) if np.isfinite(d).all() else np.inf for d in diffs)
 
     def copy(self) -> "AlgebraElement":
         return AlgebraElement.from_stacks(self.algebra, [s.copy() for s in self.stacks])
@@ -187,9 +189,9 @@ def _dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value over a stack of matrices."""
-    return float(np.linalg.svd(a, compute_uv=False).max())
+def spectral_norms(a: np.ndarray) -> np.ndarray:
+    """The largest singular value of each matrix in a stack."""
+    return np.linalg.svd(a, compute_uv=False).max(axis=-1)
 
 
 def matrix_unit(algebra: FiniteDimAlgebra, block: int, row: int, col: int) -> AlgebraElement:
@@ -230,14 +232,14 @@ def eigh_canonical(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _require_hermitian(a: AlgebraElement, tol: float) -> None:
-    """Reject a non-hermitian element, reporting the asymmetry magnitude."""
-    defect = a.hermitian_defect()
-    if defect > tol:
+    """Reject a non-hermitian element, reporting the asymmetry magnitude; measure nothing at ``tol = inf``."""
+    if tol < np.inf and (defect := a.hermitian_defect()) > tol:
         raise ValueError(f"element is not hermitian: asymmetry {defect:.3e} > tol {tol:.1e}")
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    return (a + _dagger(a)) / 2
+    """``(a + a*) / 2``, halved first so that no finite entry overflows."""
+    return a / 2 + _dagger(a) / 2
 
 
 def spectrum(a: AlgebraElement, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -255,11 +257,6 @@ def block_spectra(a: AlgebraElement, tol: float = DEFAULT_TOL) -> list[np.ndarra
     return [w[g][s] for g, s in a.algebra.block_slots]
 
 
-def _in_block_order(a: AlgebraElement, group_values: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-group ``(count, r)`` eigenvalues as one vector in block order."""
-    return np.concatenate([group_values[g][s] for g, s in a.algebra.block_slots])
-
-
 # ---------------------------------------------------------------------------
 # scalar function specifications
 # ---------------------------------------------------------------------------
@@ -268,7 +265,7 @@ def _in_block_order(a: AlgebraElement, group_values: Sequence[np.ndarray]) -> np
 class ScalarFunctionSpec:
     """Scalar function to be applied eigenvalue-wise to a hermitian element.
 
-    Kinds:
+    Kinds (the last three are defined on positive elements only):
       ``piecewise-linear``      continuous interpolant through (knots, values);
                                 the stated domain is [knots[0], knots[-1]]
       ``threshold``             indicator of [alpha, inf); optional ``gap``
@@ -276,6 +273,7 @@ class ScalarFunctionSpec:
       ``inverse-gap``           0 below eps, t -> 1/t above 1-eps; requires the
                                 two-cluster spectrum hypothesis
       ``inverse-sqrt-support``  t^(-1/2) above the rank cut, 0 below
+      ``support``               1 above the rank cut, 0 below
     """
 
     kind: str
@@ -332,7 +330,9 @@ def inverse_sqrt_on_support(rank_tol: float = RANK_TOL) -> ScalarFunctionSpec:
     return ScalarFunctionSpec("inverse-sqrt-support", rank_tol=float(rank_tol))
 
 
-def _eval_spec(spec: ScalarFunctionSpec, w: np.ndarray) -> np.ndarray:
+def _eval_spec(spec: ScalarFunctionSpec, w: np.ndarray, tol: float) -> np.ndarray:
+    if spec.kind in ("inverse-gap", "inverse-sqrt-support", "support") and np.any(w < -tol):
+        raise ValueError(f"element is not positive: eigenvalue {w[w < -tol][0]:.3e}")
     if spec.kind == "piecewise-linear":
         lo, hi = spec.knots[0], spec.knots[-1]
         bad = (w < lo - DEFAULT_TOL) | (w > hi + DEFAULT_TOL)
@@ -366,12 +366,30 @@ def _eval_spec(spec: ScalarFunctionSpec, w: np.ndarray) -> np.ndarray:
         upper = w >= 1.0 - spec.eps - THRESHOLD_SNAP
         out[upper] = 1.0 / w[upper]
         return out
-    if spec.kind == "inverse-sqrt-support":
+    if spec.kind in ("inverse-sqrt-support", "support"):
         out = np.zeros_like(w)
         on = w > spec.rank_tol
-        out[on] = w[on] ** -0.5
+        out[on] = w[on] ** -0.5 if spec.kind == "inverse-sqrt-support" else 1.0
         return out
     raise ValueError(f"unknown scalar function kind {spec.kind!r}")
+
+
+class SpectralDecomposition:
+    """A hermitian element decomposed once for all its functions: one :func:`eigh_canonical` per size
+    group, after rejecting asymmetry above ``tol``; ``values`` in block order, each block's ascending."""
+
+    def __init__(self, a: AlgebraElement, tol: float = DEFAULT_TOL):
+        _require_hermitian(a, tol)
+        self.algebra, self.tol = a.algebra, tol
+        self.w, self.v = zip(*(eigh_canonical(_hermitian_part(s)) for s in a.stacks))
+        self.values = np.concatenate([self.w[g][s] for g, s in a.algebra.block_slots])
+
+    def function(self, spec: ScalarFunctionSpec) -> AlgebraElement:
+        """``v f(w) v*``, once ``spec`` has checked ``values`` (positivity within ``tol``,
+        domain, gap) in block order, so that a violation names the first offending block."""
+        _eval_spec(spec, self.values, self.tol)
+        out = [(vg * _eval_spec(spec, wg, self.tol)[:, None, :]) @ _dagger(vg) for wg, vg in zip(self.w, self.v)]
+        return AlgebraElement.from_stacks(self.algebra, out)
 
 
 def apply_function(a: AlgebraElement, spec: ScalarFunctionSpec) -> AlgebraElement:
@@ -381,16 +399,7 @@ def apply_function(a: AlgebraElement, spec: ScalarFunctionSpec) -> AlgebraElemen
     Inverse-gap and gapped-threshold kinds reject operands whose spectrum
     enters the forbidden band, naming the offending eigenvalue.
     """
-    _require_hermitian(a, DEFAULT_TOL)
-    if spec.kind in ("inverse-gap", "inverse-sqrt-support"):
-        low = float(spectrum(a, tol=np.inf)[0])
-        if low < -DEFAULT_TOL:
-            raise ValueError(f"element is not positive: eigenvalue {low:.3e}")
-    w, v = zip(*(eigh_canonical(_hermitian_part(s)) for s in a.stacks))
-    # checked in block order first, so a violation names the first offending block
-    _eval_spec(spec, _in_block_order(a, w))
-    out = [(vg * _eval_spec(spec, wg)[:, None, :]) @ _dagger(vg) for wg, vg in zip(w, v)]
-    return AlgebraElement.from_stacks(a.algebra, out)
+    return SpectralDecomposition(a).function(spec)
 
 
 def support_projection(a: AlgebraElement, tol: float = DEFAULT_TOL) -> AlgebraElement:
@@ -398,16 +407,7 @@ def support_projection(a: AlgebraElement, tol: float = DEFAULT_TOL) -> AlgebraEl
 
     Satisfies P a = a P = a, with rank equal to the numerical rank of ``a``.
     """
-    _require_hermitian(a, tol)
-    w, v = zip(*(eigh_canonical(_hermitian_part(s)) for s in a.stacks))
-    # ascending per block: the first eigenvalue below -tol is its block's minimum
-    neg = _in_block_order(a, w)
-    neg = neg[neg < -tol]
-    if neg.size:
-        raise ValueError(f"element is not positive: eigenvalue {neg[0]:.3e}")
-    return AlgebraElement.from_stacks(
-        a.algebra, [(vg * (wg > RANK_TOL)[:, None, :]) @ _dagger(vg) for wg, vg in zip(w, v)]
-    )
+    return SpectralDecomposition(a, tol).function(ScalarFunctionSpec("support"))
 
 
 # ---------------------------------------------------------------------------

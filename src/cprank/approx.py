@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraElement, Check, FiniteDimAlgebra, eigh_canonical
+from .algebra import DEFAULT_TOL, AlgebraElement, Check, FiniteDimAlgebra, eigh_canonical, spectral_norms
 from .covers import (
     Cover,
     FiniteMetricSpace,
@@ -155,7 +155,7 @@ class CPApproximation:
         diff = self.compose_values(vals) - vals
         if self.matdim == 1:
             return np.abs(diff).max(axis=1).tolist()
-        return np.linalg.svd(diff, compute_uv=False).max(axis=(1, 2)).tolist()
+        return spectral_norms(diff).max(axis=1).tolist()
 
     def error_on(self, values: np.ndarray) -> float:
         """sup-norm error ||phi psi (f) - f|| of one function."""

@@ -27,13 +27,14 @@ from .algebra import (
     AlgebraElement,
     Check,
     FiniteDimAlgebra,
+    ScalarFunctionSpec,
+    SpectralDecomposition,
     _dagger,
-    apply_function,
     eigh_canonical,
     inverse_sqrt_on_support,
     matrix_unit,
     projection_from_vector,
-    support_projection,
+    spectral_norms,
 )
 from .cliques import max_clique
 
@@ -411,9 +412,9 @@ def _norms(stacks: list[np.ndarray], floor: float = 0.0) -> np.ndarray:
         fro = np.linalg.norm(s, axis=(-2, -1))
         big = fro > floor * (1 - 1e-8) if floor > 1e-150 else np.any(s, axis=(-2, -1))
         if big.all():
-            out.append(np.linalg.svd(s, compute_uv=False).max(axis=(0, -1)))
+            out.append(spectral_norms(s).max(axis=0))
         else:
-            fro[big] = np.linalg.svd(s[big], compute_uv=False).max(axis=-1)
+            fro[big] = spectral_norms(s[big])
             out.append(fro.max(axis=0))
     return np.max(out, axis=0)
 
@@ -429,7 +430,7 @@ def _max_norm(stacks: list[np.ndarray], floor: float = 0.0) -> float:
     for s, fro in zip(stacks, fros):
         big = fro > floor * (1 - 1e-8) if floor > 1e-150 else np.any(s, axis=(-2, -1))
         if big.any():
-            worst = max(worst, float(np.linalg.svd(s[big], compute_uv=False).max()))
+            worst = max(worst, float(spectral_norms(s[big]).max()))
     return worst
 
 
@@ -533,10 +534,9 @@ def certify_order_zero(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificat
     sigmas = []
     recon_defect = 0.0
     thr = max(tol, 1e-7)
-    for i, d in enumerate(phi.domain.block_sizes):
-        h = hs[i]
-        supp = support_projection(h, tol=1e-7)
-        s_half = apply_function(h, inverse_sqrt_on_support())
+    for i, (d, h) in enumerate(zip(phi.domain.block_sizes, hs)):
+        spectral = SpectralDecomposition(h)
+        supp, s_half = spectral.function(ScalarFunctionSpec("support")), spectral.function(inverse_sqrt_on_support())
 
         # stacked like the codomain: units[g][n, j, k] is block n of group g of phi(e_jk)
         units = unit_stacks(phi, i)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import scipy.linalg as sla
@@ -17,10 +18,12 @@ from .algebra import (
     DEFAULT_TOL,
     AlgebraElement,
     Check,
-    apply_function,
+    SpectralDecomposition,
+    _dagger,
     eigh_canonical,
     indicator_above,
     inverse_sqrt_on_support,
+    spectral_norms,
     validate,
 )
 
@@ -47,18 +50,23 @@ def repair_almost_projection(h: AlgebraElement, eps: float) -> tuple[AlgebraElem
     """
     if not 0 < eps < 0.25:
         raise ValueError(f"eps must lie in (0, 1/4), got {eps}")
-    pos = validate(h, "positive", DEFAULT_TOL)
-    if not pos:
-        raise ValueError(f"input is not positive: {pos.context}")
+    # validate(h, "positive")'s verdict, from the one decomposition p and c come from
+    herm = validate(h, "hermitian", DEFAULT_TOL)
+    if not herm:
+        raise ValueError(f"input is not positive: {herm.context}")
+    spectral = SpectralDecomposition(h, np.inf)
+    low = spectral.values.min()
+    if low < -DEFAULT_TOL:
+        raise ValueError(f"input is not positive: most negative eigenvalue {low:.3e}")
     if h.norm() > 1.0 + DEFAULT_TOL:
         raise ValueError(f"input norm {h.norm():.6g} exceeds 1")
     idem = (h @ h - h).norm()
     if idem >= eps:
         raise ValueError(f"||h - h^2|| = {idem:.6g} is not below eps = {eps}")
     delta = 0.5 * np.sqrt(1.0 - 4.0 * eps)
-    p = apply_function(h, indicator_above(0.5, gap=delta * 0.999))
+    p = spectral.function(indicator_above(0.5, gap=delta * 0.999))
     # c = f(h) with f = 0 below the gap and t^(-1/2) above it
-    c = apply_function(h, inverse_sqrt_on_support(rank_tol=0.5 - delta * 0.999))
+    c = spectral.function(inverse_sqrt_on_support(rank_tol=0.5 - delta * 0.999))
     dist_ph = (p - h).norm()
     if dist_ph >= 2 * eps:
         raise AssertionError(f"repair bound violated: ||p-h|| = {dist_ph:.6g} >= 2 eps")
@@ -150,11 +158,7 @@ class FamilyOrthogonalization:
     unchanged: bool
 
     def max_pairwise_product(self) -> float:
-        worst = 0.0
-        for i in range(len(self.projections)):
-            for j in range(i + 1, len(self.projections)):
-                worst = max(worst, (self.projections[i] @ self.projections[j]).norm())
-        return worst
+        return max(((p @ q).norm() for p, q in combinations(self.projections, 2)), default=0.0)
 
 
 def family_check(fams: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -162,16 +166,12 @@ def family_check(fams: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     family's ||q_1 + ... + q_m||, added in that order, and whether it is an
     orthogonal family of projections as it stands: max(||q - q*||, ||q^2 - q||)
     at most 1e-7, the sum at most 1 + tol and ||q_a q_b||, a < b, at most 1e-10."""
-
-    def norms(a: np.ndarray) -> np.ndarray:
-        return np.linalg.svd(a, compute_uv=False).max(axis=-1, initial=0.0)
-
     total = fams[:, 0]
     for t in range(1, fams.shape[1]):
         total = total + fams[:, t]
     a, b = np.triu_indices(fams.shape[1], 1)
-    defects = np.maximum(norms(fams - fams.conj().swapaxes(-1, -2)), norms(fams @ fams - fams)).max(axis=1)
-    sums, pairs = norms(total), norms(fams[:, a] @ fams[:, b]).max(axis=1, initial=0.0)
+    defects = np.maximum(spectral_norms(fams - _dagger(fams)), spectral_norms(fams @ fams - fams)).max(axis=1)
+    sums, pairs = spectral_norms(total), spectral_norms(fams[:, a] @ fams[:, b]).max(axis=1, initial=0.0)
     return sums, (defects <= 1e-7) & (sums <= 1.0 + tol) & (pairs <= 1e-10)
 
 

@@ -6,7 +6,10 @@ set-based partition of unity and level-set faces of the strict refinement;
 the pairwise oscillation scale; the entry-by-entry reader of a map's unit
 records and their dense writer; the image of a matrix unit computed by
 ``CPMap.apply``; the order-zero defects with an SVD for every block, one
-element at a time; the order-zero certificate, uncapped, with one product
+element at a time; the functional calculus, the support projection and the
+projection repair with one eigendecomposition per function, and the
+hermitian part summed before it is halved; the order-zero certificate,
+uncapped, built on them, with one product
 defect call per (j, k), the decomposition's reconstruction defect, the
 orthogonality defect, the elementary-set check and the worst pair one pair
 at a time, the Stinespring self-check one matrix unit at a time, and the
@@ -44,11 +47,19 @@ from cprank import (
     strict_order_abelian,
 )
 from cprank.algebra import (
-    apply_function,
+    DEFAULT_TOL,
+    RANK_TOL,
+    THRESHOLD_SNAP,
+    GapHypothesisError,
+    ScalarFunctionSpec,
+    _dagger,
+    _require_hermitian,
     eigh_canonical,
+    indicator_above,
     inverse_sqrt_on_support,
     matrix_unit,
-    support_projection,
+    spectrum,
+    validate,
 )
 from cprank.approx import SNAP, _above
 from cprank.covers import PartitionOfUnity, mask_indices, point_member_masks
@@ -319,6 +330,129 @@ def unit_product_defects_per_unit(
     return _norms(out, floor)
 
 
+# ---------------------------------------------------------------------------
+# the functional calculus with one decomposition per function
+# ---------------------------------------------------------------------------
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    return (a + _dagger(a)) / 2
+
+
+def _in_block_order(a: AlgebraElement, group_values) -> np.ndarray:
+    """Per-group ``(count, r)`` eigenvalues as one vector in block order."""
+    return np.concatenate([group_values[g][s] for g, s in a.algebra.block_slots])
+
+
+def _eval_spec_per_call(spec: ScalarFunctionSpec, w: np.ndarray) -> np.ndarray:
+    if spec.kind == "piecewise-linear":
+        lo, hi = spec.knots[0], spec.knots[-1]
+        bad = (w < lo - DEFAULT_TOL) | (w > hi + DEFAULT_TOL)
+        if np.any(bad):
+            t = w[bad][0]
+            raise ValueError(
+                f"eigenvalue {t:.6g} outside function domain [{lo:.6g}, {hi:.6g}]"
+            )
+        return np.interp(np.clip(w, lo, hi), spec.knots, spec.values)
+    if spec.kind == "threshold":
+        if spec.gap > 0:
+            inside = (w > spec.alpha - spec.gap + THRESHOLD_SNAP) & (
+                w < spec.alpha + spec.gap - THRESHOLD_SNAP
+            )
+            if np.any(inside):
+                t = w[inside][0]
+                raise GapHypothesisError(
+                    f"eigenvalue {t:.6g} inside forbidden band "
+                    f"({spec.alpha - spec.gap:.6g}, {spec.alpha + spec.gap:.6g})"
+                )
+        return (w >= spec.alpha - THRESHOLD_SNAP).astype(float)
+    if spec.kind == "inverse-gap":
+        inside = (w > spec.eps + THRESHOLD_SNAP) & (w < 1.0 - spec.eps - THRESHOLD_SNAP)
+        if np.any(inside):
+            t = w[inside][0]
+            raise GapHypothesisError(
+                f"eigenvalue {t:.6g} violates the gap hypothesis "
+                f"spectrum in [0,{spec.eps:.4g}] u [{1 - spec.eps:.4g},1]"
+            )
+        out = np.zeros_like(w)
+        upper = w >= 1.0 - spec.eps - THRESHOLD_SNAP
+        out[upper] = 1.0 / w[upper]
+        return out
+    if spec.kind == "inverse-sqrt-support":
+        out = np.zeros_like(w)
+        on = w > spec.rank_tol
+        out[on] = w[on] ** -0.5
+        return out
+    raise ValueError(f"unknown scalar function kind {spec.kind!r}")
+
+
+def apply_function_per_call(a: AlgebraElement, spec: ScalarFunctionSpec) -> AlgebraElement:
+    """Apply a scalar function eigenvalue-wise in each block of a hermitian element.
+
+    The result commutes with ``a`` and is hermitian for real-valued specs.
+    Inverse-gap and gapped-threshold kinds reject operands whose spectrum
+    enters the forbidden band, naming the offending eigenvalue.
+    """
+    _require_hermitian(a, DEFAULT_TOL)
+    if spec.kind in ("inverse-gap", "inverse-sqrt-support"):
+        low = float(spectrum(a, tol=np.inf)[0])
+        if low < -DEFAULT_TOL:
+            raise ValueError(f"element is not positive: eigenvalue {low:.3e}")
+    w, v = zip(*(eigh_canonical(_hermitian_part(s)) for s in a.stacks))
+    # checked in block order first, so a violation names the first offending block
+    _eval_spec_per_call(spec, _in_block_order(a, w))
+    out = [(vg * _eval_spec_per_call(spec, wg)[:, None, :]) @ _dagger(vg) for wg, vg in zip(w, v)]
+    return AlgebraElement.from_stacks(a.algebra, out)
+
+
+def support_projection_per_call(a: AlgebraElement, tol: float = DEFAULT_TOL) -> AlgebraElement:
+    """Spectral projection onto the range of a positive element.
+
+    Satisfies P a = a P = a, with rank equal to the numerical rank of ``a``.
+    """
+    _require_hermitian(a, tol)
+    w, v = zip(*(eigh_canonical(_hermitian_part(s)) for s in a.stacks))
+    # ascending per block: the first eigenvalue below -tol is its block's minimum
+    neg = _in_block_order(a, w)
+    neg = neg[neg < -tol]
+    if neg.size:
+        raise ValueError(f"element is not positive: eigenvalue {neg[0]:.3e}")
+    return AlgebraElement.from_stacks(
+        a.algebra, [(vg * (wg > RANK_TOL)[:, None, :]) @ _dagger(vg) for wg, vg in zip(w, v)]
+    )
+
+
+def repair_almost_projection_per_call(h: AlgebraElement, eps: float) -> tuple[AlgebraElement, AlgebraElement]:
+    """Turn an almost-projection into a projection, with quantitative bounds.
+
+    Requires ``||h - h^2|| < eps < 1/4`` and ``||h|| <= 1``; the spectrum then
+    splits around 1/2 with gap ``delta = sqrt(1 - 4 eps)/2``.  Returns the
+    spectral projection ``p`` above 1/2 together with ``c``, the inverse square
+    root of ``h`` on the range of ``p``, satisfying ``||p - h|| < 2 eps``,
+    ``c h c = p`` and ``||p - c|| < 4 eps``.
+    """
+    if not 0 < eps < 0.25:
+        raise ValueError(f"eps must lie in (0, 1/4), got {eps}")
+    pos = validate(h, "positive", DEFAULT_TOL)
+    if not pos:
+        raise ValueError(f"input is not positive: {pos.context}")
+    if h.norm() > 1.0 + DEFAULT_TOL:
+        raise ValueError(f"input norm {h.norm():.6g} exceeds 1")
+    idem = (h @ h - h).norm()
+    if idem >= eps:
+        raise ValueError(f"||h - h^2|| = {idem:.6g} is not below eps = {eps}")
+    delta = 0.5 * np.sqrt(1.0 - 4.0 * eps)
+    p = apply_function_per_call(h, indicator_above(0.5, gap=delta * 0.999))
+    # c = f(h) with f = 0 below the gap and t^(-1/2) above it
+    c = apply_function_per_call(h, inverse_sqrt_on_support(rank_tol=0.5 - delta * 0.999))
+    dist_ph = (p - h).norm()
+    if dist_ph >= 2 * eps:
+        raise AssertionError(f"repair bound violated: ||p-h|| = {dist_ph:.6g} >= 2 eps")
+    dist_pc = (p - c).norm()
+    if dist_pc >= 4 * eps:
+        raise AssertionError(f"repair bound violated: ||p-c|| = {dist_pc:.6g} >= 4 eps")
+    return p, c
+
+
 def certify_order_zero_per_unit(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificate:
     """The order-zero certificate with every witness: one product defect call per (j, k),
     one orthogonality defect per pair of blocks."""
@@ -347,8 +481,8 @@ def certify_order_zero_per_unit(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroC
     recon_defect = 0.0
     for i, d in enumerate(phi.domain.block_sizes):
         h = hs[i]
-        supp = support_projection(h, tol=1e-7)
-        s_half = apply_function(h, inverse_sqrt_on_support())
+        supp = support_projection_per_call(h, tol=1e-7)
+        s_half = apply_function_per_call(h, inverse_sqrt_on_support())
 
         units = unit_stacks(phi, i)
         hg = [x[:, None, None] for x in h.stacks]

@@ -1,5 +1,7 @@
 """Block elements, spectra, and the scalar functional calculus."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,19 +12,24 @@ from cprank import (
     CPMap,
     FiniteDimAlgebra,
     GapHypothesisError,
+    ScalarFunctionSpec,
     apply_function,
+    certify_order_zero,
     cutoff_below,
     indicator_above,
     inverse_above_gap,
     inverse_sqrt_on_support,
+    piecewise_linear,
+    repair_almost_projection,
     soft_indicator,
     spectrum,
     support_projection,
     validate,
 )
-from cprank.algebra import RANK_TOL, block_spectra
+from cprank.algebra import DEFAULT_TOL, RANK_TOL, block_spectra, eigh_canonical
 
-from conftest import rand_complex, rand_hermitian, rand_psd, rand_unitary
+from conftest import rand_complex, rand_hermitian, rand_order_zero, rand_psd, rand_unitary, two_cluster_hermitian
+from oracles import apply_function_per_call, repair_almost_projection_per_call, support_projection_per_call
 
 
 def diag_elem(*vals, algebra=None):
@@ -333,3 +340,124 @@ class TestStackedMatchesPerBlock:
         with pytest.raises(ValueError):
             x.blocks[2][0, 0] = 0.0
 
+
+# ---------------------------------------------------------------------------
+# one decomposition per element, against one decomposition per function
+# ---------------------------------------------------------------------------
+
+# eigenvalues at the cuts: the rank cut, 1/2 and 1/2 +- GAP, slightly negative
+# ones on both sides of -DEFAULT_TOL, and the ends of a near-projection
+GAP = 0.2
+NEGATIVE = [-1e-8, -3e-9, -3e-10, -1e-11]
+EDGES = [0.0, RANK_TOL, 0.5, 0.5 - GAP, 0.5 + GAP, 1.0, 1e-3, 1.0 - 1e-3, 1.0 + 1e-10] + NEGATIVE
+NEAR_PROJECTION = [0.0, 1.0, 1e-3, 0.02, 0.98, 1.0 - 1e-3, 1.0 + 1e-10, 0.5] + NEGATIVE
+
+
+@st.composite
+def calculus_elements(draw, edges=EDGES):
+    """An element of 1-5 blocks of repeated sizes 1-4 with eigenvalues drawn from
+    ``edges`` and [-0.2, 1.2]: a diagonal block keeps them exact, a rotated one
+    within rounding; one block in four elements carries an asymmetry of 1e-12 or 1e-3."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    value = st.one_of(st.sampled_from(edges), st.sampled_from(edges), st.floats(-0.2, 1.2))
+    blocks = []
+    for r in sizes:
+        b = np.diag(np.array(draw(st.lists(value, min_size=r, max_size=r)), dtype=complex))
+        if draw(st.booleans()):
+            u = rand_unitary(rng, r)
+            b = u @ b @ u.conj().T
+        blocks.append(b)
+    asym = draw(st.sampled_from([0.0] * 6 + [1e-12, 1e-3]))
+    if asym:
+        b = int(rng.integers(len(sizes)))
+        blocks[b] = blocks[b] + asym * rand_complex(rng, (sizes[b], sizes[b]))
+    return AlgebraElement(FiniteDimAlgebra(sizes), blocks)
+
+
+# per kind, the specs drawn
+SPECS = {
+    "threshold": st.builds(
+        indicator_above, st.sampled_from([0.5, RANK_TOL, 0.9]), st.sampled_from([0.0, GAP, 0.999 * GAP])
+    ),
+    "inverse-gap": st.builds(inverse_above_gap, st.sampled_from([1e-3, 0.1, 0.3, 0.49])),
+    "inverse-sqrt-support": st.builds(inverse_sqrt_on_support, st.sampled_from([RANK_TOL, 0.5 - 0.999 * GAP, 0.0])),
+    "support": st.just(ScalarFunctionSpec("support")),
+    "piecewise-linear": st.one_of(
+        st.builds(cutoff_below, st.sampled_from([0.0, 0.2, 0.5]), st.sampled_from([0.1, 0.3])),
+        st.builds(soft_indicator, st.sampled_from([0.0, 0.2, 0.5]), st.sampled_from([0.1, 0.3])),
+        st.lists(st.floats(-1.0, 2.0), min_size=2, max_size=5, unique=True).map(
+            lambda k: piecewise_linear(sorted(k), [np.sin(7 * t) for t in sorted(k)])
+        ),
+    ),
+}
+# inside (0, 1/4) three times in four
+EPSILONS = st.sampled_from([1e-3, 0.01, 0.05, 0.1, 0.2, 0.249, 0.05, 0.1, 0.2, 0.0, 0.25, 0.3])
+
+
+def outcome(call, *args):
+    """The exception type and text a call raises, or the bytes of each element it returns."""
+    try:
+        out = call(*args)
+    except Exception as exc:  # the comparison is of any failure, whatever its type
+        return type(exc), str(exc)
+    return [s.tobytes() for x in (out if isinstance(out, tuple) else (out,)) for s in x.stacks]
+
+
+class TestOneDecomposition:
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_apply_function_matches_one_decomposition_per_call(self, kind, data):
+        h, spec = data.draw(calculus_elements()), data.draw(SPECS[kind])
+        want = (
+            outcome(support_projection_per_call, h) if spec.kind == "support"
+            else outcome(apply_function_per_call, h, spec)
+        )
+        got = outcome(apply_function, h, spec)
+        if isinstance(want, tuple) and want[1].startswith("element is not positive"):
+            # only the text changes: it names the first offending block's eigenvalue
+            assert got[0] is want[0] and got[1].startswith("element is not positive")
+        else:
+            assert got == want
+
+    @PROPERTY
+    @given(calculus_elements(), st.sampled_from([DEFAULT_TOL, 1e-7, 1e-12]))
+    def test_support_projection_matches_one_decomposition_per_call(self, h, tol):
+        assert outcome(support_projection, h, tol) == outcome(support_projection_per_call, h, tol)
+
+    @PROPERTY
+    @given(calculus_elements(NEAR_PROJECTION), EPSILONS)
+    def test_repair_matches_one_decomposition_per_call(self, h, eps):
+        assert outcome(repair_almost_projection, h, eps) == outcome(repair_almost_projection_per_call, h, eps)
+
+    def test_repair_checks_positivity_first(self):
+        # negative, not idempotent and of norm above 1: the positivity verdict comes first
+        h = diag_elem(-0.5, 1.5)
+        for call in (repair_almost_projection, repair_almost_projection_per_call):
+            with pytest.raises(ValueError, match="input is not positive: most negative eigenvalue -5.000e-01"):
+                call(h, 0.1)
+        asym = AlgebraElement(FiniteDimAlgebra([2]), [[[0.3, 1e-3], [0.0, 0.7]]])
+        with pytest.raises(ValueError, match="input is not positive: asymmetry 1.000e-03"):
+            repair_almost_projection(asym, 0.1)
+
+    @pytest.mark.parametrize("sizes", [[2], [1, 3], [2, 2, 1]])
+    def test_certificate_decomposes_each_h_once(self, sizes):
+        phi = rand_order_zero(np.random.default_rng(len(sizes)), sizes, 2)
+        with mock.patch("cprank.algebra.eigh_canonical", wraps=eigh_canonical) as eigh:
+            assert certify_order_zero(phi).ok
+        assert eigh.call_count == len(sizes)
+
+    def test_repair_decomposes_once(self):
+        h = AlgebraElement(FiniteDimAlgebra([4]), [two_cluster_hermitian(np.random.default_rng(3), 4, 0.05)])
+        with mock.patch("cprank.algebra.eigh_canonical", wraps=eigh_canonical) as eigh:
+            repair_almost_projection(h, 0.1)
+        assert eigh.call_count == 1
+
+    def test_check_at_infinite_tol_measures_nothing(self):
+        h = diag_elem(0.2, -0.1)
+        real = AlgebraElement.hermitian_defect
+        with mock.patch.object(AlgebraElement, "hermitian_defect", autospec=True, side_effect=real) as herm:
+            assert not validate(h, "positive")
+            assert list(spectrum(h, tol=np.inf)) == [-0.1, 0.2]
+        assert herm.call_count == 1

@@ -496,6 +496,12 @@ BAD_INPUT = {
     "sparse_long_pair": _sparse(sparse=[[0, ONE, 1]]),
     "sparse_and_blocks": _sparse(sparse=[[0, ONE]], blocks=[ONE, TWO, ONE]),
     "neither_sparse_nor_blocks": _sparse(),
+    # entries past half the largest double, where the hermitian part and the asymmetry must not overflow
+    "element_huge": (("cpmap", "repair"), {**ALMOST_PROJECTION, "element": {"blocks": [[[[1.7e308, 0.0]]]]}, "epsilon": 0.1}, 3),
+    "element_huge_asymmetric": (("cpmap", "repair"), {
+        **ALMOST_PROJECTION, "algebra": {"block_sizes": [2]}, "epsilon": 0.1,
+        "element": {"blocks": [[[[0.5, 0.0], [1e308, 0.0]], [[-1e308, 0.0], [0.5, 0.0]]]]},
+    }, 3),
     "element_sparse_repeated": (("cpmap", "repair"), {**ALMOST_PROJECTION, "element": {"sparse": [[0, ONE], [0, ONE]]}, "epsilon": 0.1}, 2),
     "epsilon_string": (("approx", "build"), {"space": SPACE3, "functions": [[0.0, 1.0, 2.0]], "epsilon": "0.5"}, 2),
     "epsilon_bool": (("approx", "build"), {"space": SPACE3, "functions": [[0.0, 1.0, 2.0]], "epsilon": True}, 2),
@@ -701,7 +707,48 @@ FUZZ_SPACE = st.one_of(
 ).map(lambda c: {"metric": "euclidean", "coords": c})
 FUZZ_COVER = st.lists(st.lists(st.integers(0, 6), max_size=4), max_size=4).map(lambda m: {"members": m})
 FUZZ_VALUES = st.lists(st.lists(st.floats(-10, 10), max_size=6), min_size=1, max_size=2)
-# per command, inputs valid and invalid over the fields coords, n and r
+
+
+@st.composite
+def fuzz_matrix(draw, r: int):
+    """An r x r matrix in JSON: a near-projection, a non-hermitian, negative or huge one, or malformed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["near-projection"] * 3 + ["non-hermitian", "negative", "huge", "wrong size", "not a number"]))
+    q, _ = np.linalg.qr(rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))
+    keep = q[:, : draw(st.integers(0, r))]
+    m = keep @ keep.conj().T + draw(st.sampled_from([0.0, 1e-3, 0.05, 0.3])) * np.diag(rng.uniform(-1, 1, r))
+    if kind == "non-hermitian":
+        m = m + draw(st.sampled_from([1e-12, 1e-3, 0.5])) * rng.normal(size=(r, r))
+    elif kind == "negative":
+        m = m - draw(st.sampled_from([1e-8, 0.5])) * np.eye(r)
+    elif kind == "huge":
+        # hermitian or not, with entries near the largest double
+        m = m + draw(st.sampled_from([0.0, 0.5])) * rng.normal(size=(r, r))
+        m = m * (draw(st.sampled_from([1e300, -1e300, 1e308])) / max(1.0, np.abs(m).max()))
+    value = m.view(float).reshape(r, r, 2).tolist()
+    if kind == "wrong size":
+        value = value[:-1] if r > 1 else value + value
+    elif kind == "not a number":
+        value[0][0][0] = draw(st.sampled_from(["x", None, True, [0.0]]))
+    return value
+
+
+@st.composite
+def fuzz_repair(draw):
+    """A cpmap repair input: 1-3 blocks of sizes 1-4, a dense or sparse element and an epsilon."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    mats = [draw(fuzz_matrix(r)) for r in sizes]
+    listed = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    element = draw(st.sampled_from([
+        {"blocks": mats},
+        {"sparse": [[b, m] for b, (m, on) in enumerate(zip(mats, listed)) if on]},
+    ]))
+    epsilon = draw(st.one_of(st.floats(1e-6, 0.2499), st.sampled_from([0.0, 0.25, -0.1, 0.3, 1.0, 1e300])))
+    return {"kind": "almost-projection", "algebra": {"block_sizes": sizes}, "element": element, "epsilon": epsilon}
+
+
+# per command, inputs valid and invalid over the fields coords, n and r, and a
+# repair's element and epsilon
 FUZZ = {
     "cover refine": st.fixed_dictionaries({"space": FUZZ_SPACE, "cover": FUZZ_COVER}),
     "approx build": st.fixed_dictionaries({"space": FUZZ_SPACE, "functions": FUZZ_VALUES, "epsilon": st.just(0.5)}),
@@ -709,6 +756,7 @@ FUZZ = {
         lambda space, n: _extract(space=space, n=n), st.one_of(st.just(SPACE3), FUZZ_SPACE), st.integers(0, 10**6)
     ),
     "--max-block 2 approx tensor": st.builds(lambda r: {"approximation": APPROX3, "r": r}, st.integers(1, 4)),
+    "cpmap repair": fuzz_repair(),
 }
 
 
