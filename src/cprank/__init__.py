@@ -56,7 +56,7 @@ from .covers import (
     disjoint_union,
     greedy_net,
     interval_grid,
-    member_diameter,
+    member_diameters,
     nerve,
     net_ball_cover,
     partition_of_unity,

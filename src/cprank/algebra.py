@@ -11,6 +11,7 @@ phase convention so repeated runs give identical bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -57,6 +58,11 @@ class FiniteDimAlgebra:
         object.__setattr__(self, "group_sizes", tuple(groups))
         object.__setattr__(self, "group_blocks", tuple(np.array(b) for b in groups.values()))
         object.__setattr__(self, "block_slots", tuple(slots[b] for b in range(len(sizes))))
+
+    @cached_property
+    def slot_array(self) -> np.ndarray:
+        """``block_slots`` as one ``(num_blocks, 2)`` array, built on first use."""
+        return np.array(self.block_slots)
 
     @property
     def num_blocks(self) -> int:
@@ -239,7 +245,8 @@ def _require_hermitian(a: AlgebraElement, tol: float) -> None:
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
     """``(a + a*) / 2``, halved first so that no finite entry overflows."""
-    return a / 2 + _dagger(a) / 2
+    half = a / 2
+    return half + _dagger(half)
 
 
 def spectrum(a: AlgebraElement, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -402,12 +409,13 @@ def apply_function(a: AlgebraElement, spec: ScalarFunctionSpec) -> AlgebraElemen
     return SpectralDecomposition(a).function(spec)
 
 
-def support_projection(a: AlgebraElement, tol: float = DEFAULT_TOL) -> AlgebraElement:
-    """Spectral projection onto the range of a positive element.
+def support_projection(a: AlgebraElement) -> AlgebraElement:
+    """Spectral projection onto the range of a positive element, whose
+    asymmetry and negative eigenvalues are rejected above ``DEFAULT_TOL``.
 
     Satisfies P a = a P = a, with rank equal to the numerical rank of ``a``.
     """
-    return SpectralDecomposition(a, tol).function(ScalarFunctionSpec("support"))
+    return SpectralDecomposition(a).function(ScalarFunctionSpec("support"))
 
 
 # ---------------------------------------------------------------------------

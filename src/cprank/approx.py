@@ -16,14 +16,22 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraElement, Check, FiniteDimAlgebra, eigh_canonical, spectral_norms
+from .algebra import (
+    DEFAULT_TOL,
+    AlgebraElement,
+    Check,
+    FiniteDimAlgebra,
+    _hermitian_part,
+    eigh_canonical,
+    spectral_norms,
+)
 from .covers import (
     Cover,
     FiniteMetricSpace,
     cover_order,
     disjoint_union,
     mask_indices,
-    member_diameter,
+    member_diameters,
     net_ball_cover,
     oscillation_scale,
     partition_of_unity,
@@ -234,12 +242,12 @@ def build_cp_approx(
     weights = pou.weights
     s = len(cover.members)
     F = FiniteDimAlgebra((1,) * s)
-    fun_alg_unit = np.ones((1, 1, 1, 1), dtype=complex)
-
-    psi_images = {(exclusive[l], l): fun_alg_unit for l in range(s)}
-    psi = CPMap(function_algebra(space), F, psi_images)
-    phi_images = {(int(l), int(x)): weights[l, x] * fun_alg_unit for l, x in np.argwhere(weights > 0)}
-    phi = CPMap(F, function_algebra(space), phi_images, codomain_space=space)
+    # psi evaluates member l at its exclusive point, phi weighs it by its partition function
+    psi_keys = np.column_stack([exclusive, range(s)])
+    psi = CPMap.from_stacks(function_algebra(space), F, [(np.arange(s), psi_keys, np.ones((s, 1, 1, 1, 1), complex))])
+    phi_keys = np.argwhere(weights > 0)
+    phi_images = weights[tuple(phi_keys.T)].astype(complex).reshape(-1, 1, 1, 1, 1)
+    phi = CPMap.from_stacks(F, function_algebra(space), [(np.arange(len(phi_keys)), phi_keys, phi_images)], space)
 
     approx = CPApproximation(space, 1, F, psi, phi, exclusive)
     errors = approx.errors_on(funcs)
@@ -390,7 +398,7 @@ def extraction_targets(space: FiniteMetricSpace, U: Cover, n: int) -> Extraction
     diam_bound = delta / (3.0 * (n + 1))
     radius = 0.49 * diam_bound
     V = net_ball_cover(space, radius)
-    worst = max(member_diameter(space, m) for m in V.members)
+    worst = float(member_diameters(space, V.members).max())
     if worst >= diam_bound:
         raise AssertionError(f"fine cover diameter {worst:.6g} reached the bound {diam_bound:.6g}")
     pou = partition_of_unity(space, V)
@@ -575,7 +583,7 @@ def extract_cover(
     for g, stack in enumerate(images.stacks):
         ks = [k for k, (h, _) in enumerate(slots) if h == g]
         blk = stack[[slots[k][1] for k in ks], ks]
-        w, vecs = eigh_canonical((blk + blk.conj().swapaxes(1, 2)) / 2)
+        w, vecs = eigh_canonical(_hermitian_part(blk))
         qs = (vecs * _above(w, theta)[:, None, :].astype(float)) @ vecs.conj().swapaxes(1, 2)
         q_mats.update(zip([class_keys[k] for k in ks], qs))
         live.update(class_keys[k] for k, on in zip(ks, np.abs(qs).max(axis=(1, 2)) > 1e-12) if on)
@@ -642,6 +650,7 @@ def extract_cover(
     # phi(p) and phi(1_j - p) of every class in one batch
     p_items = [(j, p) for (j, _), p in p_mats.items()]
     p_vals = _values_of(phi, p_items + [(j, np.eye(len(p), dtype=complex) - p) for j, p in p_items])
+    diams = member_diameters(space, [V_tilde[key] for key in p_mats]).tolist()
     for k, ((j, i), p) in enumerate(p_mats.items()):
         vals = _real(p_vals[k])
         w_set = frozenset(np.flatnonzero(_above(vals, C)).tolist())
@@ -656,7 +665,7 @@ def extract_cover(
             Check("W-inside-V", float(len(w_set - vt)), 0.0, w_set <= vt, f"({j},{i})"),
             lambda: f"W_{j}^{({i})} leaves its class support at {sorted(w_set - vt)[:4]}",
         )
-        diam = member_diameter(space, vt)
+        diam = diams[k]
         require(
             Check("diam", diam, targets.delta, diam < targets.delta, f"({j},{i})"),
             lambda: f"diam of the class support ({j},{i}) is {diam:.6g} >= delta = {targets.delta:.6g}",

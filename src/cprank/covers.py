@@ -233,9 +233,18 @@ def net_ball_cover(space: FiniteMetricSpace, radius: float) -> Cover:
     return ball_cover(space, radius, centers=greedy_net(space, radius))
 
 
-def member_diameter(space: FiniteMetricSpace, member: frozenset[int]) -> float:
-    pts = list(member)
-    return float(space.metric[np.ix_(pts, pts)].max(initial=0.0))
+def member_diameters(space: FiniteMetricSpace, members: list[frozenset[int]]) -> np.ndarray:
+    """The diameter of each member, 0 without two points: one gather of the distances
+    within the members of each size, so no array is larger than those distances."""
+    out = np.zeros(len(members))
+    by_size: dict[int, list[int]] = {}
+    for n, m in enumerate(members):
+        by_size.setdefault(len(m), []).append(n)
+    for size, at in by_size.items():
+        if size > 1:
+            pts = np.array([list(members[n]) for n in at])
+            out[at] = space.metric[pts[:, :, None], pts[:, None, :]].max(axis=(1, 2))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Completely positive maps out of finite-dimensional block algebras.
 
-A map is stored through its matrix-unit images, block pair by block pair, in
-a sparse dictionary (missing pairs are zero).  The codomain is always another
+A map is stored through its matrix-unit images, stacked per pair of a domain
+and a codomain block size and read block pair by block pair through a sparse
+dictionary (missing pairs are zero).  The codomain is always another
 block algebra; a matrix codomain is the single-block case and a function
 system over a finite space is the many-small-blocks case, tagged with the
 space so callers can recover pointwise values.
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import cached_property
+from itertools import accumulate, chain, islice
 from types import MappingProxyType
 from typing import Any
 
@@ -30,6 +32,7 @@ from .algebra import (
     ScalarFunctionSpec,
     SpectralDecomposition,
     _dagger,
+    _hermitian_part,
     eigh_canonical,
     inverse_sqrt_on_support,
     matrix_unit,
@@ -50,11 +53,13 @@ class CPMap:
     ``images[(i, c)]`` is a complex array of shape ``(d_i, d_i, r_c, r_c)``
     holding, at ``[j, k]``, the block-c component of the image of the matrix
     unit ``e^{(i)}_{jk}``.  Pairs absent from the mapping are zero.  A map is
-    immutable: the constructor copies the images once into read-only stacks,
-    and ``images`` is a read-only mapping, in the order given, of read-only
-    views into them.  ``layout`` holds, per codomain size group, the codomain
-    slots of the pairs in that order and, per domain size group, their domain
-    slots, places in that order and stacked images.
+    immutable and is built from one form, its image stacks (see
+    :meth:`from_stacks`); this constructor checks a dictionary of images and
+    stacks copies of them in its order.  ``images`` is a read-only mapping, in
+    the order given, of read-only views into the stacks.  ``parts`` holds the
+    stacks as :meth:`from_stacks` keeps them, and ``layout``, per codomain size
+    group, the codomain slots of the pairs in that order and, per domain size
+    group, their domain slots, places in that order and stacked images.
     """
 
     def __init__(
@@ -64,13 +69,10 @@ class CPMap:
         images: dict[tuple[int, int], np.ndarray],
         codomain_space: Any = None,
     ):
-        self.domain = domain
-        self.codomain = codomain
-        self.codomain_space = codomain_space
-        store: dict[tuple[int, int], np.ndarray] = {}
-        for key, arr in images.items():
+        groups: dict[tuple[int, int], list] = {}  # per shape, each pair's place, key and image
+        for n, (key, arr) in enumerate(images.items()):
             ints = isinstance(key, tuple) and len(key) == 2
-            ints = ints and all(isinstance(n, (int, np.integer)) for n in key)
+            ints = ints and all(isinstance(m, (int, np.integer)) for m in key)
             if not ints or not (0 <= key[0] < domain.num_blocks and 0 <= key[1] < codomain.num_blocks):
                 raise ValueError(f"image key {key!r} is not a (domain block, codomain block) pair")
             i, c = int(key[0]), int(key[1])
@@ -81,28 +83,59 @@ class CPMap:
                 raise ValueError(
                     f"image block ({i},{c}) has shape {a.shape}, expected {(d, d, r, r)}"
                 )
-            if np.any(a):
-                store[(i, c)] = a
-        groups: dict[int, tuple[list, dict]] = {}
-        for i, c in store:
-            (gd, sd), (gc, sc) = domain.block_slots[i], codomain.block_slots[c]
-            slots, parts = groups.setdefault(gc, ([], {}))
-            dom_slots, at, keys = parts.setdefault(gd, ([], [], []))
-            dom_slots.append(sd)
-            at.append(len(slots))
-            keys.append((i, c))
-            slots.append(sc)
+            groups.setdefault((d, r), []).append((n, (i, c), a))
+        self._set(domain, codomain, [tuple(map(np.array, zip(*group))) for group in groups.values()], codomain_space)
+
+    @classmethod
+    def from_stacks(
+        cls, domain: FiniteDimAlgebra, codomain: FiniteDimAlgebra, parts: Iterable[tuple], codomain_space: Any = None
+    ) -> "CPMap":
+        """Map whose images come stacked, one part ``(order, keys, stack)`` per pair of
+        a domain and a codomain size group that holds any: the ``(count, d, d, r, r)``
+        stack of the images of the pairs ``keys[n] = (i, c)``, and each pair's place
+        ``order[n]`` in the image order, ascending within the part.  Pairs whose images
+        are all zero are dropped; the stacks are taken over, not copied, and become
+        read-only, and nothing is checked."""
+        out = cls.__new__(cls)
+        out._set(domain, codomain, parts, codomain_space)
+        return out
+
+    def _set(self, domain: FiniteDimAlgebra, codomain: FiniteDimAlgebra, parts: Iterable[tuple], space: Any) -> None:
+        self.domain, self.codomain, self.codomain_space = domain, codomain, space
+        self.parts = []
+        for order, keys, stack in parts:
+            if not (live := stack.any(axis=(1, 2, 3, 4))).all():
+                order, keys, stack = order[live], keys[live], stack[live]
+            if len(stack):
+                stack.flags.writeable = False
+                self.parts.append((order, keys, stack))
+        # parts by their first pair, so each codomain group comes first where its first pair does
+        self.parts.sort(key=lambda part: part[0][0])
+        dom_slots, cod_slots = domain.slot_array, codomain.slot_array
+        groups: dict[int, list] = {}
+        for part in self.parts:
+            groups.setdefault(int(cod_slots[part[1][0, 1], 0]), []).append(part)
         self.layout = []
-        for gc, (slots, parts) in groups.items():
-            stacked = []
-            for gd, (dom_slots, at, keys) in parts.items():
-                arrays = np.stack([store[key] for key in keys])
-                arrays.flags.writeable = False
-                # updating existing keys keeps the order given
-                store.update(zip(keys, arrays))
-                stacked.append((gd, dom_slots, at, arrays))
+        for gc, group in groups.items():
+            # each pair's place among the pairs of the group, in image order: the number of
+            # the group's places up to its own (a count, where a sort would run one more numpy kernel)
+            orders = np.concatenate([order for order, _, _ in group])
+            at = (np.cumsum(np.bincount(orders)) - 1)[orders]
+            slots = np.empty_like(at)
+            slots[at] = cod_slots[np.concatenate([keys[:, 1] for _, keys, _ in group]), 1]
+            ends = list(accumulate(len(order) for order, _, _ in group))
+            stacked = [
+                (int(dom_slots[keys[0, 0], 0]), dom_slots[keys[:, 0], 1], at[end - len(keys) : end], arrays)
+                for (_, keys, arrays), end in zip(group, ends)
+            ]
             self.layout.append((gc, slots, stacked))
-        self.images = MappingProxyType(store)
+
+    @cached_property
+    def images(self) -> MappingProxyType:
+        """The images by ``(i, c)`` in image order, read-only views into the stacks,
+        set up on first use."""
+        pairs = chain.from_iterable(zip(o.tolist(), map(tuple, k.tolist()), a) for o, k, a in self.parts)
+        return MappingProxyType({key: view for _, key, view in sorted(pairs)})
 
     # -- basic structure ---------------------------------------------------
 
@@ -144,20 +177,21 @@ class CPMap:
         return self.apply(x)
 
     def restrict_to_block(self, i: int) -> "CPMap":
-        """The map on domain block i alone, as a map out of M_{d_i}."""
-        images = {(0, c): arr for (i2, c), arr in sorted(self.images.items()) if i2 == i}
+        """The map on domain block i alone, as a map out of M_{d_i}, its pairs in this
+        map's image order."""
         d = self.domain.block_sizes[i]
         # d passed the cap of self.domain, which may be above the default
         sub_domain = FiniteDimAlgebra((d,), max_block=d)
-        return CPMap(sub_domain, self.codomain, images, self.codomain_space)
-
-    def _stacked_images(self) -> list[np.ndarray]:
-        """The ``(count, d, d, r, r)`` image stacks of :attr:`layout`."""
-        return [arrays for _, _, parts in self.layout for _, _, _, arrays in parts]
+        parts = []
+        for order, keys, arrays in self.parts:
+            # a comprehension, where an int64 comparison would run one more numpy kernel
+            if on := [n for n, b in enumerate(keys[:, 0].tolist()) if b == i]:
+                parts.append((order[on], keys[on] * [0, 1], arrays[on]))
+        return CPMap.from_stacks(sub_domain, self.codomain, parts, self.codomain_space)
 
     def adjoint_symmetry_defect(self) -> float:
         """max over blocks of || phi(e_kj) - phi(e_jk)^* ||_max, one stack at a time."""
-        diffs = [a - np.conj(a.transpose(0, 2, 1, 4, 3)) for a in self._stacked_images()]
+        diffs = [a - np.conj(a.transpose(0, 2, 1, 4, 3)) for *_, a in self.parts]
         return max((float(np.abs(x).max()) for x in diffs), default=0.0)
 
     # -- verification --------------------------------------------------------
@@ -172,10 +206,10 @@ class CPMap:
         """Smallest Choi eigenvalue over the stored block pairs, 0 when none is stored:
         one ``eigvalsh`` per stack of same-shape pairs."""
         lows = []
-        for a in self._stacked_images():
+        for *_, a in self.parts:
             n, d, _, r, _ = a.shape
             ch = a.transpose(0, 1, 3, 2, 4).reshape(n, d * r, d * r)
-            lows.append(float(np.linalg.eigvalsh((ch + _dagger(ch)) / 2).min()))
+            lows.append(float(np.linalg.eigvalsh(_hermitian_part(ch)).min()))
         return min(lows, default=0.0)
 
     def is_completely_positive(self) -> bool:
@@ -200,7 +234,7 @@ def choi_blocks(phi: CPMap) -> tuple[list[np.ndarray], bool, float]:
     for i in range(phi.domain.num_blocks):
         big = block_diag(*[phi.choi_block(i, c) for c in range(phi.codomain.num_blocks)])
         blocks.append(big)
-        worst = min(worst, float(np.linalg.eigvalsh((big + big.conj().T) / 2).min()))
+        worst = min(worst, float(np.linalg.eigvalsh(_hermitian_part(big)).min()))
     return blocks, worst >= -CP_TOL, worst
 
 
@@ -216,8 +250,12 @@ def compress(phi: CPMap, h: AlgebraElement) -> CPMap:
     """The compression h^* phi(.) h, completely positive whenever phi is."""
     if h.algebra.block_sizes != phi.codomain.block_sizes:
         raise ValueError("compression element must live in the codomain")
-    images = {(i, c): h.blocks[c].conj().T @ arr @ h.blocks[c] for (i, c), arr in phi.images.items()}
-    out = CPMap(phi.domain, phi.codomain, images, phi.codomain_space)
+    slots = phi.codomain.slot_array
+    parts = []
+    for order, keys, arrays in phi.parts:
+        hx = h.stacks[slots[keys[0, 1], 0]][slots[keys[:, 1], 1], None, None]
+        parts.append((order, keys, _dagger(hx) @ arrays @ hx))
+    out = CPMap.from_stacks(phi.domain, phi.codomain, parts, phi.codomain_space)
     if phi.is_completely_positive() and not out.is_completely_positive():
         raise AssertionError("compression broke complete positivity")
     return out
@@ -295,7 +333,7 @@ def stinespring(phi: CPMap) -> StinespringDilation:
     v_parts = []
     for i, d in enumerate(phi.domain.block_sizes):
         ch = phi.choi_block(i, 0)
-        w, vecs = eigh_canonical((ch + ch.conj().T) / 2)
+        w, vecs = eigh_canonical(_hermitian_part(ch))
         if w.size and w.min() < -CP_TOL:
             raise ValueError(f"map is not completely positive: Choi eigenvalue {w.min():.3e}")
         keep = np.flatnonzero(w > 1e-12)
@@ -334,9 +372,7 @@ def schwarz_defect(phi: CPMap, x: AlgebraElement) -> Check:
     phi(x*x) >= phi(x)*phi(x) up to CP_TOL."""
     fx = phi.apply(x)
     diff = phi.apply(x.adjoint() @ x) - fx.adjoint() @ fx
-    lam = min(
-        float(np.linalg.eigvalsh((b + b.conj().T) / 2).min()) for b in diff.blocks
-    )
+    lam = min(float(np.linalg.eigvalsh(_hermitian_part(b)).min()) for b in diff.blocks)
     return Check("schwarz", -lam, CP_TOL, -lam <= CP_TOL)
 
 
@@ -360,8 +396,9 @@ def _generator_graph(phi: CPMap, tol: float) -> np.ndarray:
     if phi.codomain.is_abelian():
         # scalar values: stack generators and compare pointwise products
         gmat = np.zeros((s, phi.codomain.num_blocks))
-        for (i, c), arr in phi.images.items():
-            gmat[i, c] = abs(arr[0, 0, 0, 0])
+        for _, keys, arrays in phi.parts:
+            # hypot, as abs takes it of one complex number; the vectorised abs can differ in the last bit
+            gmat[keys[:, 0], keys[:, 1]] = np.hypot(arrays.real, arrays.imag)[:, 0, 0, 0, 0]
         for i in range(s):
             prods = (gmat * gmat[i]).max(axis=1)
             adj[i] = prods > tol
@@ -554,11 +591,12 @@ def certify_order_zero(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificat
             return OrderZeroCertificate(False, witnesses)
 
         sub_domain = FiniteDimAlgebra((d,), max_block=d)
-        sig_arr = {(0, c): sc @ phi.image_array(i, c) @ sc for c, sc in enumerate(s_half.blocks)}
-        sigma = CPMap(sub_domain, phi.codomain, sig_arr, phi.codomain_space)
+        conj = [sx[:, None, None] @ u @ sx[:, None, None] for sx, u in zip(s_half.stacks, units)]
+        parts = [(c, np.stack([0 * c, c], axis=1), x) for c, x in zip(phi.codomain.group_blocks, conj)]
+        sigma = CPMap.from_stacks(sub_domain, phi.codomain, parts, phi.codomain_space)
         sigmas.append(sigma)
 
-        sig = unit_stacks(sigma, 0)
+        sig = [0.0 + x for x in conj]  # the bits unit_stacks(sigma, 0) gives
         for start, prods in unit_product_defects(sig, sig, True):
             defect = _norms(prods, thr)
             if full(

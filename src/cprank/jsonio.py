@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -189,15 +190,18 @@ def cpmap_to_json(phi: CPMap) -> dict:
 def unit_records(phi: CPMap) -> list[dict]:
     """One record per matrix unit whose stored images are not all zero, in the
     sparse form: each codomain block that is not all zero, as ``0.0 + x`` for
-    the stored x, the bits :func:`cpmaps.unit_stacks` gives."""
-    units: dict[tuple[int, int, int], list] = {}
-    for i, c in sorted(phi.images):
-        arr = phi.images[i, c]
-        for j, k in np.argwhere(np.any(arr, axis=(2, 3))).tolist():
-            units.setdefault((int(i), j, k), []).append([int(c), matrix_to_json(0.0 + arr[j, k])])
+    the stored x, the bits :func:`cpmaps.unit_stacks` gives.  Each image stack
+    is written by one ``tolist``."""
+    records: dict[tuple[int, int, int], list] = {}
+    for _, keys, arrays in phi.parts:
+        n, row, col = arrays.any(axis=(3, 4)).nonzero()
+        listed = np.array([keys[n, 0], row, col, keys[n, 1]]).T.tolist()
+        for (i, j, k, c), mat in zip(listed, matrix_to_json(0.0 + arrays[n, row, col])):
+            records.setdefault((i, j, k), []).append([c, mat])
+    # a unit's codomain blocks are distinct, so sorting never compares matrices
     return [
-        {"block": i, "row": j, "col": k, "value": {"sparse": blocks}}
-        for (i, j, k), blocks in sorted(units.items())
+        {"block": i, "row": j, "col": k, "value": {"sparse": sorted(blocks)}}
+        for (i, j, k), blocks in sorted(records.items())
     ]
 
 
@@ -228,32 +232,69 @@ def cpmap_from_json(data: Any, max_block: int = 64) -> CPMap:
 
     if not isinstance(units, list):
         raise SchemaError("unit_images must be a list of records")
-    sizes = domain.block_sizes
-    units_at, index, mats = [], [], []  # per listed block of every record: unit, block, matrix
-    for rec in units:
-        try:
-            i, j, k = rec["block"], rec["row"], rec["col"]
-            value = rec["value"]
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"unit image needs block,row,col,value: {exc}") from exc
-        if not all(type(v) is int for v in (i, j, k)):
-            raise SchemaError(f"unit index ({i!r},{j!r},{k!r}) must be integers")
-        if not (0 <= i < len(sizes) and 0 <= j < sizes[i] and 0 <= k < sizes[i]):
-            raise SchemaError(f"unit index ({i},{j},{k}) outside the domain")
-        listed, blocks = _listed_blocks(codomain, value)
-        units_at += [(i, j, k)] * len(listed)
-        index += listed
-        mats += blocks
-    # blocks not all zero sum in record order, keyed (i, c) where the first appears
-    live: dict[int, np.ndarray] = {}
+    sizes, heads = domain.block_sizes, []
+    try:
+        for rec in units:
+            try:
+                i, j, k = rec["block"], rec["row"], rec["col"]
+                value = rec["value"]
+            except (KeyError, TypeError) as exc:
+                raise SchemaError(f"unit image needs block,row,col,value: {exc}") from exc
+            if not type(i) is type(j) is type(k) is int:
+                raise SchemaError(f"unit index ({i!r},{j!r},{k!r}) must be integers")
+            if not (0 <= i < len(sizes) and 0 <= j < sizes[i] and 0 <= k < sizes[i]):
+                raise SchemaError(f"unit index ({i},{j},{k}) outside the domain")
+            heads.append(((i, j, k), value))
+    except SchemaError:
+        _listed_values(codomain, [value for _, value in heads])  # a bad value before the record comes first
+        raise
+    counts, index, mats = _listed_values(codomain, [value for _, value in heads])
+    units = [unit for (unit, _), n in zip(heads, counts) for _ in range(n)]  # per listed block
+    # the blocks not all zero go into one image stack per codomain and domain size group;
+    # a pair (i, c) takes its place in the image order from its first such block
+    parts = []
     for _, at, stack in _parse_groups(codomain, index, mats):
-        live.update((q, blk) for q, blk, on in zip(at, stack, np.any(stack, axis=(1, 2)).tolist()) if on)
-    images: dict[tuple[int, int], np.ndarray] = {}
-    for q in sorted(live):
-        (i, j, k), c = units_at[q], index[q]
-        arr = images.setdefault((i, c), np.zeros((sizes[i],) * 2 + live[q].shape, complex))
-        arr[j, k] += live[q]
-    return CPMap(domain, codomain, images, codomain_space=space)
+        # per domain size group: each pair's place and first block, and per block kept
+        # its row in the parsed stack and its place, row and column in the image stack
+        groups: dict[int, tuple[dict, list, list]] = {}
+        for row, (q, on) in enumerate(zip(at, stack.any(axis=(1, 2)).tolist())):
+            if on:
+                (i, j, k), c = units[q], index[q]
+                pairs, rows, targets = groups.setdefault(domain.block_slots[i][0], ({}, [], []))
+                rows.append(row)
+                targets.append((pairs.setdefault((i, c), (len(pairs), q))[0], j, k))
+        for gd, (pairs, rows, targets) in groups.items():
+            d = domain.group_sizes[gd]
+            arrays = np.zeros((len(pairs), d, d) + stack.shape[1:], complex)
+            # a repeated unit's blocks add one after the other, in record order
+            np.add.at(arrays, tuple(np.array(targets).T), stack[rows])
+            parts.append((np.array([q for _, q in pairs.values()]), np.array(list(pairs)), arrays))
+    return CPMap.from_stacks(domain, codomain, parts, space)
+
+
+def _listed_values(algebra: FiniteDimAlgebra, values: list) -> tuple:
+    """What :func:`_listed_blocks` gives for each of ``values``, joined: per value the
+    number of blocks listed, then all listed block indices and all their matrices.
+    Values all in the dense form, or all in the sparse form, are checked with array
+    tests; others are read one by one, which raises the SchemaError of the first value
+    that is not well formed."""
+    count = algebra.num_blocks
+    dense = [v["blocks"] for v in values if type(v) is dict and "blocks" in v and "sparse" not in v]
+    if len(dense) == len(values) and {*map(type, dense)} <= {list} and {*map(len, dense)} <= {count}:
+        return [count] * len(dense), list(range(count)) * len(dense), list(chain.from_iterable(dense))
+    pairs = [v["sparse"] for v in values if type(v) is dict and "sparse" in v and "blocks" not in v]
+    if len(pairs) == len(values) and {*map(type, pairs)} <= {list}:
+        flat = list(chain.from_iterable(pairs))
+        if {*map(type, flat)} <= {list} and {*map(len, flat)} <= {2} and {type(p[0]) for p in flat} <= {int}:
+            index = [p[0] for p in flat]
+            counts = [*map(len, pairs)]
+            # inside 0..count-1, the indices ascend within each value when value * count + index ascends;
+            # a minimum, where a comparison of the steps would run one more numpy kernel
+            if not index or 0 <= min(index) and max(index) < count:
+                if np.diff(np.repeat(np.arange(len(pairs)) * count, counts) + index).min(initial=1) > 0:
+                    return counts, index, [p[1] for p in flat]
+    listed = [_listed_blocks(algebra, v) for v in values]
+    return [len(b) for b, _ in listed], [c for b, _ in listed for c in b], [m for _, ms in listed for m in ms]
 
 
 def _size(codomain_spec: dict, key: str) -> int:

@@ -21,6 +21,7 @@ from .algebra import (
     AlgebraElement,
     Check,
     FiniteDimAlgebra,
+    _hermitian_part,
     apply_function,
     eigh_canonical,
     inverse_sqrt_on_support,
@@ -168,7 +169,7 @@ def _cb_upper_bound(phi_a: CPMap, phi_b: CPMap) -> float:
                 continue
             r = phi_a.codomain.block_sizes[c]
             ch = diff.transpose(0, 2, 1, 3).reshape(d * r, d * r)
-            w, v = eigh_canonical((ch + ch.conj().T) / 2)
+            w, v = eigh_canonical(_hermitian_part(ch))
             cp_pos = (v * np.maximum(w, 0.0)) @ v.conj().T
             cp_neg = (v * np.maximum(-w, 0.0)) @ v.conj().T
             # a part's value at the unit sums its images of e_jj: a trace over the domain indices
@@ -211,7 +212,7 @@ def map_norm_lower_bound(phi_a: CPMap, phi_b: CPMap, seed: int = 7) -> float:
     """Certified lower bound for ||phi_a - phi_b|| from a fixed probe family."""
     probes = _norm_probe_family(phi_a.domain, seed=seed)
     diff = phi_a.apply(probes) - phi_b.apply(probes)
-    return float(_norms(diff.stacks).max())
+    return _max_norm(diff.stacks)
 
 
 def perturb_to_hom(phi: CPMap, gamma: float) -> PerturbationReport:
@@ -347,7 +348,7 @@ def af_local_step(
     bases = []
     q_blocks = []
     for b in pu.blocks:
-        w, v = eigh_canonical((b + b.conj().T) / 2)
+        w, v = eigh_canonical(_hermitian_part(b))
         W = v[:, w >= root]
         bases.append(W)
         q_blocks.append(W @ W.conj().T)

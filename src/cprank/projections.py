@@ -20,6 +20,7 @@ from .algebra import (
     Check,
     SpectralDecomposition,
     _dagger,
+    _hermitian_part,
     eigh_canonical,
     indicator_above,
     inverse_sqrt_on_support,
@@ -98,13 +99,13 @@ def orthogonalize_pair(
 
     out_blocks = []
     for pb, qb in zip(p.blocks, q.blocks):
-        wq, vq = eigh_canonical((qb + qb.conj().T) / 2)
+        wq, vq = eigh_canonical(_hermitian_part(qb))
         kernel = vq[:, wq < 0.5]  # orthonormal basis of the corner (1-q)A(1-q)
         if kernel.shape[1] == 0:
             out_blocks.append(np.zeros_like(pb))
             continue
         hc = kernel.conj().T @ pb @ kernel
-        w, v = eigh_canonical((hc + hc.conj().T) / 2)
+        w, v = eigh_canonical(_hermitian_part(hc))
         pc = (v * (w >= 0.5)) @ v.conj().T
         out_blocks.append(kernel @ pc @ kernel.conj().T)
     p_new = AlgebraElement(p.algebra, out_blocks)
@@ -323,12 +324,12 @@ def trace_rank_bound(a_list: list[np.ndarray]) -> TraceRankReport:
     for m in mats:
         if np.linalg.norm(m - m.conj().T, 2) > 1e-8:
             return TraceRankReport(n, k, 0.0, False, False, "an element is not hermitian")
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        w = np.linalg.eigvalsh(_hermitian_part(m))
         if w.min() < -1e-8:
             return TraceRankReport(n, k, 0.0, False, False, "an element is not positive")
         norms.append(float(w.max()))
     total = sum(mats)
-    top = np.linalg.eigvalsh((total + total.conj().T) / 2).max()
+    top = np.linalg.eigvalsh(_hermitian_part(total)).max()
     if top > 1.0 + 1e-8:
         return TraceRankReport(n, k, 0.0, False, False, f"sum has norm {top:.6g} > 1")
     if min(norms) <= n / (n + 1.0):
@@ -344,7 +345,7 @@ def trace_rank_bound(a_list: list[np.ndarray]) -> TraceRankReport:
 def _random_unitary_near(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     """A random unitary within ``radius`` of the identity in M_n."""
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    herm = (g + g.conj().T) / 2
+    herm = _hermitian_part(g)
     norm = np.linalg.norm(herm, 2)
     if norm > 0:
         herm /= norm
@@ -355,7 +356,7 @@ def _random_unitary_near(n: int, radius: float, rng: np.random.Generator) -> np.
 
 def sum_smallest_eigenvalue(p: np.ndarray, unitaries: list[np.ndarray]) -> float:
     total = sum(u.conj().T @ p @ u for u in unitaries)
-    return float(np.linalg.eigvalsh((total + total.conj().T) / 2).min())
+    return float(np.linalg.eigvalsh(_hermitian_part(total)).min())
 
 
 #: sampling rounds :func:`invertible_sum_witness` tries before it gives up
@@ -376,7 +377,7 @@ def invertible_sum_witness(r: int, p: np.ndarray, radius: float = 0.5, seed: int
         raise ValueError("p must live in M_r")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    w = np.linalg.eigvalsh((p + p.conj().T) / 2)
+    w = np.linalg.eigvalsh(_hermitian_part(p))
     if abs(w.sum() - 1.0) > 1e-8 or np.abs(w - np.round(w)).max() > 1e-8:
         raise ValueError("p must be a rank-one projection")
     if r == 1:

@@ -4,7 +4,9 @@ Each function here is the plain version of a kernel in ``cprank``: subset
 enumeration for clique numbers, cover orders and abelian strict order; the
 set-based partition of unity and level-set faces of the strict refinement;
 the pairwise oscillation scale; the entry-by-entry reader of a map's unit
-records and their dense writer; the image of a matrix unit computed by
+records and their dense writer, their reader and sparse writer one image
+key at a time, and a map's layout built one key at a time; the diameter of
+one member; the image of a matrix unit computed by
 ``CPMap.apply``; the order-zero defects with an SVD for every block, one
 element at a time; the functional calculus, the support projection and the
 projection repair with one eigendecomposition per function, and the
@@ -41,7 +43,6 @@ from cprank import (
     cover_order,
     extraction_targets,
     function_algebra,
-    member_diameter,
     orthogonalize_family,
     refines,
     strict_order_abelian,
@@ -72,7 +73,14 @@ from cprank.cpmaps import (
     _norms,
     unit_stacks,
 )
-from cprank.jsonio import SchemaError, algebra_from_json, space_from_json
+from cprank.jsonio import (
+    SchemaError,
+    _listed_blocks,
+    algebra_from_json,
+    matrix_from_json,
+    matrix_to_json,
+    space_from_json,
+)
 
 
 def max_clique_brute(adj: np.ndarray) -> int:
@@ -189,6 +197,12 @@ def strict_order_abelian_brute(phi: CPMap, tol: float = ORTH_TOL) -> int:
     return max(best - 1, 0)
 
 
+def member_diameter(space: FiniteMetricSpace, member: frozenset[int]) -> float:
+    """The diameter of one member, from its own block of the metric."""
+    pts = list(member)
+    return float(space.metric[np.ix_(pts, pts)].max(initial=0.0))
+
+
 def unit_image_apply(phi: CPMap, i: int, j: int, k: int) -> AlgebraElement:
     """Image of the matrix unit e^{(i)}_{jk}, by applying the map to it."""
     return phi.apply(matrix_unit(phi.domain, i, j, k))
@@ -271,16 +285,102 @@ def unit_records_dense(phi: CPMap) -> list[dict]:
     return records
 
 
+def cpmap_from_json_per_key(data: Any, max_block: int = 64) -> CPMap:
+    """The map of a JSON record list, read through a dictionary of images: each
+    record checked in turn, the listed blocks parsed per codomain block size,
+    those not all zero summed in record order into their pair's image, and the
+    pairs keyed in the order of their first such block."""
+    if not isinstance(data, dict):
+        raise SchemaError("map must be an object")
+    try:
+        domain = algebra_from_json(data["domain"], max_block)
+        codomain_spec = data["codomain"]
+        units = data["unit_images"]
+    except KeyError as exc:
+        raise SchemaError(f"map needs domain, codomain, unit_images: missing {exc}") from exc
+    space = None
+    if "matrix" in codomain_spec:
+        codomain = FiniteDimAlgebra((codomain_spec["matrix"],), max_block=max_block)
+    elif "space" in codomain_spec:
+        space = space_from_json(codomain_spec["space"])
+        codomain = function_algebra(space, codomain_spec.get("matdim", 1))
+    else:
+        codomain = algebra_from_json(codomain_spec["algebra"], max_block)
+    if not isinstance(units, list):
+        raise SchemaError("unit_images must be a list of records")
+    sizes = domain.block_sizes
+    units_at, index, mats = [], [], []  # per listed block of every record: unit, block, matrix
+    for rec in units:
+        try:
+            i, j, k = rec["block"], rec["row"], rec["col"]
+            value = rec["value"]
+        except (KeyError, TypeError) as exc:
+            raise SchemaError(f"unit image needs block,row,col,value: {exc}") from exc
+        if not all(type(v) is int for v in (i, j, k)):
+            raise SchemaError(f"unit index ({i!r},{j!r},{k!r}) must be integers")
+        if not (0 <= i < len(sizes) and 0 <= j < sizes[i] and 0 <= k < sizes[i]):
+            raise SchemaError(f"unit index ({i},{j},{k}) outside the domain")
+        listed, blocks = _listed_blocks(codomain, value)
+        units_at += [(i, j, k)] * len(listed)
+        index += listed
+        mats += blocks
+    live: dict[int, np.ndarray] = {}
+    for g, r in enumerate(codomain.group_sizes):
+        if at := [q for q, b in enumerate(index) if codomain.block_slots[b][0] == g]:
+            stack = matrix_from_json([mats[q] for q in at], (len(at), r, r))
+            live.update((q, blk) for q, blk in zip(at, stack) if np.any(blk))
+    images: dict[tuple[int, int], np.ndarray] = {}
+    for q in sorted(live):
+        (i, j, k), c = units_at[q], index[q]
+        arr = images.setdefault((i, c), np.zeros((sizes[i],) * 2 + live[q].shape, complex))
+        arr[j, k] += live[q]
+    return CPMap(domain, codomain, images, codomain_space=space)
+
+
+def unit_records_per_key(phi: CPMap) -> list[dict]:
+    """A map's unit records in the sparse form, written one image and one block at a time."""
+    units: dict[tuple[int, int, int], list] = {}
+    for i, c in sorted(phi.images):
+        arr = phi.images[i, c]
+        for j, k in np.argwhere(np.any(arr, axis=(2, 3))).tolist():
+            units.setdefault((int(i), j, k), []).append([int(c), matrix_to_json(0.0 + arr[j, k])])
+    return [
+        {"block": i, "row": j, "col": k, "value": {"sparse": blocks}}
+        for (i, j, k), blocks in sorted(units.items())
+    ]
+
+
+def layout_per_key(phi: CPMap) -> list:
+    """The layout built from ``images``, one key at a time in their order: per codomain
+    size group, in order of first appearance, the codomain slots of its pairs and, per
+    domain size group, in order of first appearance, their domain slots, places and
+    images, as lists."""
+    groups: dict[int, tuple[list, dict]] = {}
+    for i, c in phi.images:
+        (gd, sd), (gc, sc) = phi.domain.block_slots[i], phi.codomain.block_slots[c]
+        slots, parts = groups.setdefault(gc, ([], {}))
+        dom_slots, at, arrays = parts.setdefault(gd, ([], [], []))
+        dom_slots.append(sd)
+        at.append(len(slots))
+        arrays.append(phi.images[i, c])
+        slots.append(sc)
+    return [
+        (gc, slots, [(gd, dom_slots, at, np.stack(arrays)) for gd, (dom_slots, at, arrays) in parts.items()])
+        for gc, (slots, parts) in groups.items()
+    ]
+
+
 def norms_unscreened(stacks: list[np.ndarray], floor: float = 0.0) -> np.ndarray:
     """Operator norms of stacked codomain elements, one SVD per block; ``floor`` is ignored."""
     return np.max([np.linalg.svd(s, compute_uv=False).max(axis=(0, -1)) for s in stacks], axis=0)
 
 
-def apply_one_element(phi: CPMap, x: AlgebraElement) -> AlgebraElement:
+def apply_one_element(phi: CPMap, x: AlgebraElement, layout: list | None = None) -> AlgebraElement:
     """phi(x) for a single element: one einsum per group of same-shape pairs, then
-    each pair's term added into its codomain block in dictionary order."""
+    each pair's term added into its codomain block in dictionary order; through
+    ``layout`` in place of the map's when one is given."""
     stacks = phi.codomain.zero_stacks()
-    for gc, slots, parts in phi.layout:
+    for gc, slots, parts in phi.layout if layout is None else layout:
         terms = np.empty((len(slots),) + stacks[gc].shape[1:], complex)
         for gd, dom_slots, at, arrays in parts:
             terms[at] = np.einsum("njk,njkab->nab", x.stacks[gd][dom_slots], arrays)

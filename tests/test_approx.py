@@ -27,7 +27,6 @@ from cprank import (
     extraction_targets,
     function_algebra,
     interval_grid,
-    member_diameter,
     nerve,
     orthogonalize_family,
     refines,
@@ -42,6 +41,7 @@ from cprank.cpmaps import is_contractive, tensor_strict_order_exact
 from conftest import interval_chain_cover, matrix_path_approximation, three_arcs_cover, with_scaled_psi_image
 from oracles import (
     compose_values_per_function,
+    member_diameter,
     error_on_per_function,
     extract_cover_per_class,
     values_of_per_block,
@@ -481,12 +481,13 @@ def _never_orthogonal(fams, tol):
 
 
 def _wide_through(x, delta):
-    """``member_diameter`` reporting delta for every set through the point x."""
+    """``member_diameter`` reporting delta for every set through the point x, and
+    ``member_diameters`` made of it."""
 
     def diameter(space, member):
         return delta if x in member else member_diameter(space, member)
 
-    return diameter
+    return {"member_diameter": diameter, "member_diameters": lambda space, ms: np.array([diameter(space, m) for m in ms])}
 
 
 class TestBatchedExtraction:
@@ -544,12 +545,15 @@ class TestBatchedExtraction:
         if broken in ("eta", "(1)", "(*)"):
             approx = _break(approx, broken, j, x)
         outcomes = []
-        for extract, module in ((extract_cover, cprank.approx), (extract_cover_per_class, oracles)):
+        wide = _wide_through(x, targets.delta)
+        for extract, module, name in (
+            (extract_cover, cprank.approx, "member_diameters"), (extract_cover_per_class, oracles, "member_diameter")
+        ):
             ortho = _shrinking(j + 1, targets.constants.beta) if broken == "(*)" else orthogonalize_family
-            diameter = _wide_through(x, targets.delta) if broken == "diam" else member_diameter
+            diameter = wide[name] if broken == "diam" else getattr(module, name)
             check = _never_orthogonal if broken == "(*)" else cprank.projections.family_check
             with mock.patch.object(module, "orthogonalize_family", ortho):
-                with mock.patch.object(module, "member_diameter", diameter):
+                with mock.patch.object(module, name, diameter):
                     with mock.patch.object(cprank.approx, "family_check", check):
                         outcomes.append(_outcome(extract, space, U, n, approx, targets))
         got, want = outcomes

@@ -17,7 +17,7 @@ from cprank import (
     cover_order,
     cover_strict_order,
     interval_grid,
-    member_diameter,
+    member_diameters,
     nerve,
     net_ball_cover,
     partition_of_unity,
@@ -32,6 +32,7 @@ from oracles import (
     cover_order_brute,
     cover_strict_order_brute,
     level_set_refinement,
+    member_diameter,
     oscillation_scale_pairs,
     partition_of_unity_by_sets,
 )
@@ -280,7 +281,10 @@ class TestRefinesAndBalls:
             r = float(rng.uniform(0.05, 0.5))
             cov = ball_cover(sp, r)
             assert cov.is_covering(25)
-            assert all(member_diameter(sp, m) < 2 * r for m in cov.members)
+            diameters = member_diameters(sp, cov.members)
+            assert diameters.tolist() == [member_diameter(sp, m) for m in cov.members]
+            assert np.all(diameters < 2 * r)
+        assert member_diameters(sp, [frozenset(), frozenset({3})]).tolist() == [0.0, 0.0]
 
     def test_radius_must_be_positive(self):
         sp = interval_grid(5)

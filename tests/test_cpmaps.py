@@ -533,6 +533,20 @@ class TestImmutableStorage:
         with pytest.raises(ValueError, match="pair"):
             CPMap(alg, alg, {key: np.ones((1, 1, 1, 1), complex)})
 
+    def test_restrict_to_block_keeps_the_block_images_in_image_order(self):
+        # blocks of sizes 2, 1, 2 give two domain size groups; pairs in a shuffled order
+        rng = np.random.default_rng(23)
+        phi = random_map(rng, (2, 1, 2), (1, 2, 1))
+        for i, d in enumerate(phi.domain.block_sizes):
+            sub = phi.restrict_to_block(i)
+            want = [(c, arr) for (i2, c), arr in phi.images.items() if i2 == i]
+            assert sub.domain.block_sizes == (d,)
+            assert [key for key in sub.images] == [(0, c) for c, _ in want]
+            assert all(sub.images[0, c].tobytes() == arr.tobytes() for c, arr in want)
+            x = rand_complex(rng, (d, d))
+            got = sub.apply(AlgebraElement.from_block(sub.domain, 0, x))
+            assert got.norm() == phi.apply(AlgebraElement.from_block(phi.domain, i, x)).norm()
+
     def test_numpy_integer_keys_are_stored_as_ints(self):
         alg = FiniteDimAlgebra([1, 1])
         phi = CPMap(alg, alg, {(np.int64(1), np.int32(0)): np.ones((1, 1, 1, 1), complex)})

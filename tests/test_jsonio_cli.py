@@ -31,11 +31,15 @@ from conftest import (
     with_scaled_psi_image,
 )
 from oracles import (
+    apply_one_element,
     certify_order_zero_per_unit,
     cpmap_from_json_per_entry,
+    cpmap_from_json_per_key,
     element_from_json_per_entry,
+    layout_per_key,
     unit_image_apply,
     unit_records_dense,
+    unit_records_per_key,
 )
 
 
@@ -530,6 +534,17 @@ def test_bad_input_exit_code(tmp_path, case):
     assert main([*command, "--in", str(inp)]) == code
 
 
+def test_hermitian_parts_past_half_the_largest_double(tmp_path):
+    # a map from C to M_2 with phi(1) = diag(1.5e308, -0.5): the Choi matrix has
+    # eigenvalue -0.5, which a hermitian part summed before halving turns into inf
+    value = {"blocks": [[[[1.5e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]]}
+    payload = {"map": {**MAP1, "codomain": {"matrix": 2}, "unit_images": [{"block": 0, "row": 0, "col": 0, "value": value}]}}
+    code, out = run_cli(tmp_path, "choi", payload, "cpmap", "choi")
+    assert code == 0 and json.loads(out)["psd"] is False and json.loads(out)["min_eigenvalue"] == -0.5
+    for command, want in (("stinespring", 3), ("order-zero", 0), ("decompose", 3)):
+        assert run_cli(tmp_path, command, payload, "cpmap", command)[0] == want
+
+
 def test_function_values_keep_their_bits():
     data = [[0.0, -0.0, 1, 5e-324], [[-0.0, 0.0], [1, -2.5], [0.0, -0.0]], [1.0, [0.5, -0.0], -0.0], []]
     for f, got in zip(data, cli._functions_from(data)):
@@ -680,6 +695,97 @@ class TestDifferential:
         assert "blocks" not in text
         assert list(got.images) == list(ref.images) == list(cpmap_from_json_per_entry(dense).images)
         assert same_bits(list(got.images.values()), list(ref.images.values()))
+
+
+# Defects of one unit record, each given the record and the codomain's block count:
+# a missing field, an index that is not a JSON integer or leaves the domain, a value
+# in neither or both forms, a dense list of the wrong length, sparse pairs that are
+# malformed, unsorted or out of range, and a matrix of the wrong shape or not finite
+RECORD_DEFECTS = [
+    lambda rec, n: rec.pop(["block", "row", "col", "value"][n % 4]),
+    lambda rec, n: rec.update(block=True),
+    lambda rec, n: rec.update(row=0.5),
+    lambda rec, n: rec.update(col=10**30),
+    lambda rec, n: rec.update(row=3),
+    lambda rec, n: rec.update(block=-1),
+    lambda rec, n: rec.update(value=[ONE]),
+    lambda rec, n: rec.update(value={}),
+    lambda rec, n: rec.update(value={"blocks": [ONE] * n, "sparse": []}),
+    lambda rec, n: rec.update(value={"blocks": [ONE] * (n + 1)}),
+    lambda rec, n: rec.update(value={"sparse": [[0, ONE], [0, ONE]]}),
+    lambda rec, n: rec.update(value={"sparse": [[n, ONE]]}),
+    lambda rec, n: rec.update(value={"sparse": [[0]]}),
+    lambda rec, n: rec.update(value={"sparse": [[False, ONE]]}),
+    lambda rec, n: rec.update(value={"sparse": [[0, [[[1.0, 0.0]]] * 4]]}),
+    lambda rec, n: rec.update(value={"sparse": [[n - 1, [[[NAN, 0.0]] * 3] * 3]]}),
+]
+
+
+@st.composite
+def unit_record_lists(draw):
+    """Records of a map over 1-3 domain and 1-5 codomain blocks of sizes 1-3: dense
+    and sparse ones mixed, some repeated, some followed later by their negation so
+    that the pair cancels, and in about a third of the lists 1-3 defects."""
+    dom, cod, rng = draw(algebras_and_rng())
+    records = []
+    for _ in range(int(rng.integers(0, 9))):
+        if records and rng.random() < 0.3:
+            rec = records[int(rng.integers(len(records)))]
+            if rng.random() < 0.5 and "sparse" in rec["value"]:
+                negated = [[c, (-np.array(m)).tolist()] for c, m in rec["value"]["sparse"]]
+                rec = {**rec, "value": {"sparse": negated}}
+            records.append(rec)
+            continue
+        i = int(rng.integers(dom.num_blocks))
+        j, k = rng.integers(dom.block_sizes[i], size=2).tolist()
+        blocks = [sparse_complex(rng, (r, r)) for r in cod.block_sizes]
+        listed = np.flatnonzero(rng.random(cod.num_blocks) < 0.6).tolist()
+        value = (
+            {"sparse": [[c, jsonio.matrix_to_json(blocks[c])] for c in listed]} if rng.random() < 0.6
+            else {"blocks": [jsonio.matrix_to_json(b) for b in blocks]}
+        )
+        records.append({"block": i, "row": j, "col": k, "value": value})
+    records = json.loads(json.dumps(records))
+    if records and rng.random() < 0.35:
+        for _ in range(int(rng.integers(1, 4))):
+            defect = RECORD_DEFECTS[int(rng.integers(len(RECORD_DEFECTS)))]
+            defect(records[int(rng.integers(len(records)))], cod.num_blocks)
+    head = {"domain": {"block_sizes": list(dom.block_sizes)}, "codomain": {"algebra": {"block_sizes": list(cod.block_sizes)}}}
+    return {**head, "unit_images": records}, rng
+
+
+def layout_slots(layout):
+    """A layout without its image stacks, as plain lists."""
+    return [(gc, list(map(int, slots)), [(gd, list(map(int, s)), list(map(int, at))) for gd, s, at, _ in parts])
+            for gc, slots, parts in layout]
+
+
+def read_outcome(read, data):
+    """The error a reader raises, type and text, or the map it reads."""
+    try:
+        return read(data)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@PROPERTY
+@given(unit_record_lists())
+def test_stacked_reader_and_writer_match_the_per_key_ones(case):
+    data, rng = case
+    got, ref = read_outcome(jsonio.cpmap_from_json, data), read_outcome(cpmap_from_json_per_key, data)
+    if isinstance(ref, tuple):
+        assert got == ref
+        return
+    assert list(got.images) == list(ref.images)
+    assert same_bits(list(got.images.values()), list(ref.images.values()))
+    layout = layout_per_key(got)
+    assert layout_slots(got.layout) == layout_slots(layout) == layout_slots(layout_per_key(ref))
+    assert same_bits([a for *_, parts in got.layout for *_, a in parts], [a for *_, parts in layout for *_, a in parts])
+    x = AlgebraElement(got.domain, [sparse_complex(rng, (d, d)) for d in got.domain.block_sizes])
+    assert same_bits(got.apply(x).stacks, apply_one_element(got, x, layout).stacks)
+    assert jsonio.unit_records(got) == unit_records_per_key(got)
+    phi = random_map(got.domain, got.codomain, rng)
+    assert jsonio.dumps(jsonio.unit_records(phi)) == jsonio.dumps(unit_records_per_key(phi))
 
 
 def test_sparse_element_reads_as_its_dense_form(tmp_path):
