@@ -11,7 +11,7 @@ phase convention so repeated runs give identical bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -79,6 +79,11 @@ class FiniteDimAlgebra:
     def zero_stacks(self, lead: tuple[int, ...] = ()) -> list[np.ndarray]:
         """Fresh zero arrays, one ``(count, *lead, r, r)`` per size group."""
         return [np.zeros((len(b),) + lead + (r, r), complex) for r, b in zip(self.group_sizes, self.group_blocks)]
+
+
+#: ``FiniteDimAlgebra(block_sizes, max_block)`` for a tuple of sizes, built once per pair and
+#: shared, as an algebra is immutable
+shared_algebra = lru_cache(maxsize=32)(FiniteDimAlgebra)
 
 
 class AlgebraElement:

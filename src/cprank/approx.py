@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .algebra import (
     FiniteDimAlgebra,
     _hermitian_part,
     eigh_canonical,
+    shared_algebra,
     spectral_norms,
 )
 from .covers import (
@@ -74,13 +74,8 @@ def _above(values: np.ndarray, threshold: float) -> np.ndarray:
 
 def function_algebra(space: FiniteMetricSpace, matdim: int = 1) -> FiniteDimAlgebra:
     """The block algebra of matrix-valued functions on a finite point set."""
-    return _equal_blocks(space.npts, matdim)
-
-
-@lru_cache(maxsize=32)
-def _equal_blocks(count: int, r: int) -> FiniteDimAlgebra:
-    # r passed its cap where it was read, which may be above the default
-    return FiniteDimAlgebra((r,) * count, max_block=r)
+    # matdim passed its cap where it was read, which may be above the default
+    return shared_algebra((matdim,) * space.npts, matdim)
 
 
 def _function_rows(space: FiniteMetricSpace, values, matdim: int) -> np.ndarray:
@@ -244,10 +239,10 @@ def build_cp_approx(
     F = FiniteDimAlgebra((1,) * s)
     # psi evaluates member l at its exclusive point, phi weighs it by its partition function
     psi_keys = np.column_stack([exclusive, range(s)])
-    psi = CPMap.from_stacks(function_algebra(space), F, [(np.arange(s), psi_keys, np.ones((s, 1, 1, 1, 1), complex))])
+    psi = CPMap.from_stacks(function_algebra(space), F, [(psi_keys, np.ones((s, 1, 1, 1, 1), complex))])
     phi_keys = np.argwhere(weights > 0)
     phi_images = weights[tuple(phi_keys.T)].astype(complex).reshape(-1, 1, 1, 1, 1)
-    phi = CPMap.from_stacks(F, function_algebra(space), [(np.arange(len(phi_keys)), phi_keys, phi_images)], space)
+    phi = CPMap.from_stacks(F, function_algebra(space), [(phi_keys, phi_images)], space)
 
     approx = CPApproximation(space, 1, F, psi, phi, exclusive)
     errors = approx.errors_on(funcs)

@@ -217,9 +217,11 @@ def ball_cover(
 def greedy_net(space: FiniteMetricSpace, spacing: float) -> list[int]:
     """Deterministic greedy net: point joins when no chosen center is within spacing."""
     centers: list[int] = []
+    far = np.ones(space.npts, dtype=bool)  # the points at least spacing from every chosen center
     for p in range(space.npts):
-        if all(space.metric[p, c] >= spacing for c in centers):
+        if far[p]:
             centers.append(p)
+            far &= space.metric[p] >= spacing
     return centers
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, islice
+from itertools import islice
 from types import MappingProxyType
 from typing import Any
 
@@ -55,11 +55,10 @@ class CPMap:
     unit ``e^{(i)}_{jk}``.  Pairs absent from the mapping are zero.  A map is
     immutable and is built from one form, its image stacks (see
     :meth:`from_stacks`); this constructor checks a dictionary of images and
-    stacks copies of them in its order.  ``images`` is a read-only mapping, in
-    the order given, of read-only views into the stacks.  ``parts`` holds the
-    stacks as :meth:`from_stacks` keeps them, and ``layout``, per codomain size
-    group, the codomain slots of the pairs in that order and, per domain size
-    group, their domain slots, places in that order and stacked images.
+    stacks copies of them, the pairs of each stack in ascending order.
+    ``parts`` holds the stacks as :meth:`from_stacks` keeps them, ``images`` is
+    a read-only mapping, in their order, of read-only views into them, and
+    ``layout`` holds, per part, the size groups and slots of its pairs.
     """
 
     def __init__(
@@ -69,8 +68,8 @@ class CPMap:
         images: dict[tuple[int, int], np.ndarray],
         codomain_space: Any = None,
     ):
-        groups: dict[tuple[int, int], list] = {}  # per shape, each pair's place, key and image
-        for n, (key, arr) in enumerate(images.items()):
+        groups: dict[tuple[int, int], list] = {}  # per shape, each pair's key and image
+        for key, arr in images.items():
             ints = isinstance(key, tuple) and len(key) == 2
             ints = ints and all(isinstance(m, (int, np.integer)) for m in key)
             if not ints or not (0 <= key[0] < domain.num_blocks and 0 <= key[1] < codomain.num_blocks):
@@ -83,19 +82,20 @@ class CPMap:
                 raise ValueError(
                     f"image block ({i},{c}) has shape {a.shape}, expected {(d, d, r, r)}"
                 )
-            groups.setdefault((d, r), []).append((n, (i, c), a))
-        self._set(domain, codomain, [tuple(map(np.array, zip(*group))) for group in groups.values()], codomain_space)
+            groups.setdefault((d, r), []).append(((i, c), a))
+        parts = [tuple(map(np.array, zip(*sorted(group, key=lambda pair: pair[0])))) for group in groups.values()]
+        self._set(domain, codomain, parts, codomain_space)
 
     @classmethod
     def from_stacks(
         cls, domain: FiniteDimAlgebra, codomain: FiniteDimAlgebra, parts: Iterable[tuple], codomain_space: Any = None
     ) -> "CPMap":
-        """Map whose images come stacked, one part ``(order, keys, stack)`` per pair of
-        a domain and a codomain size group that holds any: the ``(count, d, d, r, r)``
-        stack of the images of the pairs ``keys[n] = (i, c)``, and each pair's place
-        ``order[n]`` in the image order, ascending within the part.  Pairs whose images
-        are all zero are dropped; the stacks are taken over, not copied, and become
-        read-only, and nothing is checked."""
+        """Map whose images come stacked, one part ``(keys, stack)`` per pair of a
+        domain and a codomain size group that holds any: the ``(count, d, d, r, r)``
+        stack of the images of the pairs ``keys[n] = (i, c)``, where pairs that share
+        a codomain block ascend by domain block.  Pairs whose images are all zero are
+        dropped and the parts are sorted by their first pair; the stacks are taken
+        over, not copied, and become read-only, and nothing is checked."""
         out = cls.__new__(cls)
         out._set(domain, codomain, parts, codomain_space)
         return out
@@ -103,39 +103,24 @@ class CPMap:
     def _set(self, domain: FiniteDimAlgebra, codomain: FiniteDimAlgebra, parts: Iterable[tuple], space: Any) -> None:
         self.domain, self.codomain, self.codomain_space = domain, codomain, space
         self.parts = []
-        for order, keys, stack in parts:
+        for keys, stack in parts:
             if not (live := stack.any(axis=(1, 2, 3, 4))).all():
-                order, keys, stack = order[live], keys[live], stack[live]
+                keys, stack = keys[live], stack[live]
             if len(stack):
                 stack.flags.writeable = False
-                self.parts.append((order, keys, stack))
-        # parts by their first pair, so each codomain group comes first where its first pair does
-        self.parts.sort(key=lambda part: part[0][0])
-        dom_slots, cod_slots = domain.slot_array, codomain.slot_array
-        groups: dict[int, list] = {}
-        for part in self.parts:
-            groups.setdefault(int(cod_slots[part[1][0, 1], 0]), []).append(part)
-        self.layout = []
-        for gc, group in groups.items():
-            # each pair's place among the pairs of the group, in image order: the number of
-            # the group's places up to its own (a count, where a sort would run one more numpy kernel)
-            orders = np.concatenate([order for order, _, _ in group])
-            at = (np.cumsum(np.bincount(orders)) - 1)[orders]
-            slots = np.empty_like(at)
-            slots[at] = cod_slots[np.concatenate([keys[:, 1] for _, keys, _ in group]), 1]
-            ends = list(accumulate(len(order) for order, _, _ in group))
-            stacked = [
-                (int(dom_slots[keys[0, 0], 0]), dom_slots[keys[:, 0], 1], at[end - len(keys) : end], arrays)
-                for (_, keys, arrays), end in zip(group, ends)
-            ]
-            self.layout.append((gc, slots, stacked))
+                self.parts.append((keys, stack))
+        self.parts.sort(key=lambda part: part[0][0].tolist())
+        dom, cod = domain.slot_array, codomain.slot_array
+        self.layout = [
+            (int(dom[keys[0, 0], 0]), dom[keys[:, 0], 1], int(cod[keys[0, 1], 0]), cod[keys[:, 1], 1], stack)
+            for keys, stack in self.parts
+        ]
 
     @cached_property
     def images(self) -> MappingProxyType:
-        """The images by ``(i, c)`` in image order, read-only views into the stacks,
-        set up on first use."""
-        pairs = chain.from_iterable(zip(o.tolist(), map(tuple, k.tolist()), a) for o, k, a in self.parts)
-        return MappingProxyType({key: view for _, key, view in sorted(pairs)})
+        """The images by ``(i, c)`` in the order of ``parts``, read-only views into
+        the stacks, set up on first use."""
+        return MappingProxyType({(i, c): a for keys, stack in self.parts for (i, c), a in zip(keys.tolist(), stack)})
 
     # -- basic structure ---------------------------------------------------
 
@@ -155,17 +140,14 @@ class CPMap:
         return AlgebraElement.from_stacks(self.codomain, unit_stacks(self, i, (j, k)))
 
     def apply(self, x: AlgebraElement) -> AlgebraElement:
-        """phi(x), elementwise on a batch: one einsum per group of same-shape pairs,
-        then each pair's term added into its codomain block in dictionary order,
-        as a pair-by-pair sum would."""
+        """phi(x), elementwise on a batch: per part, one einsum, then each pair's term
+        added into its codomain block in the part's order, so the sum follows the map
+        and not the order its images were given in."""
         if x.algebra.block_sizes != self.domain.block_sizes:
             raise ValueError("element does not live in the domain")
         stacks = self.codomain.zero_stacks(x.stacks[0].shape[1:-2])
-        for gc, slots, parts in self.layout:
-            terms = np.empty((len(slots),) + stacks[gc].shape[1:], complex)
-            for gd, dom_slots, at, arrays in parts:
-                terms[at] = np.einsum("n...jk,njkab->n...ab", x.stacks[gd][dom_slots], arrays)
-            np.add.at(stacks[gc], slots, terms)
+        for gd, dom_slots, gc, cod_slots, arrays in self.layout:
+            np.add.at(stacks[gc], cod_slots, np.einsum("n...jk,njkab->n...ab", x.stacks[gd][dom_slots], arrays))
         return AlgebraElement.from_stacks(self.codomain, stacks)
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
@@ -177,21 +159,20 @@ class CPMap:
         return self.apply(x)
 
     def restrict_to_block(self, i: int) -> "CPMap":
-        """The map on domain block i alone, as a map out of M_{d_i}, its pairs in this
-        map's image order."""
+        """The map on domain block i alone, as a map out of M_{d_i}."""
         d = self.domain.block_sizes[i]
         # d passed the cap of self.domain, which may be above the default
         sub_domain = FiniteDimAlgebra((d,), max_block=d)
         parts = []
-        for order, keys, arrays in self.parts:
+        for keys, arrays in self.parts:
             # a comprehension, where an int64 comparison would run one more numpy kernel
             if on := [n for n, b in enumerate(keys[:, 0].tolist()) if b == i]:
-                parts.append((order[on], keys[on] * [0, 1], arrays[on]))
+                parts.append((keys[on] * [0, 1], arrays[on]))
         return CPMap.from_stacks(sub_domain, self.codomain, parts, self.codomain_space)
 
     def adjoint_symmetry_defect(self) -> float:
         """max over blocks of || phi(e_kj) - phi(e_jk)^* ||_max, one stack at a time."""
-        diffs = [a - np.conj(a.transpose(0, 2, 1, 4, 3)) for *_, a in self.parts]
+        diffs = [a - np.conj(a.transpose(0, 2, 1, 4, 3)) for _, a in self.parts]
         return max((float(np.abs(x).max()) for x in diffs), default=0.0)
 
     # -- verification --------------------------------------------------------
@@ -206,7 +187,7 @@ class CPMap:
         """Smallest Choi eigenvalue over the stored block pairs, 0 when none is stored:
         one ``eigvalsh`` per stack of same-shape pairs."""
         lows = []
-        for *_, a in self.parts:
+        for _, a in self.parts:
             n, d, _, r, _ = a.shape
             ch = a.transpose(0, 1, 3, 2, 4).reshape(n, d * r, d * r)
             lows.append(float(np.linalg.eigvalsh(_hermitian_part(ch)).min()))
@@ -252,9 +233,9 @@ def compress(phi: CPMap, h: AlgebraElement) -> CPMap:
         raise ValueError("compression element must live in the codomain")
     slots = phi.codomain.slot_array
     parts = []
-    for order, keys, arrays in phi.parts:
+    for keys, arrays in phi.parts:
         hx = h.stacks[slots[keys[0, 1], 0]][slots[keys[:, 1], 1], None, None]
-        parts.append((order, keys, _dagger(hx) @ arrays @ hx))
+        parts.append((keys, _dagger(hx) @ arrays @ hx))
     out = CPMap.from_stacks(phi.domain, phi.codomain, parts, phi.codomain_space)
     if phi.is_completely_positive() and not out.is_completely_positive():
         raise AssertionError("compression broke complete positivity")
@@ -396,7 +377,7 @@ def _generator_graph(phi: CPMap, tol: float) -> np.ndarray:
     if phi.codomain.is_abelian():
         # scalar values: stack generators and compare pointwise products
         gmat = np.zeros((s, phi.codomain.num_blocks))
-        for _, keys, arrays in phi.parts:
+        for keys, arrays in phi.parts:
             # hypot, as abs takes it of one complex number; the vectorised abs can differ in the last bit
             gmat[keys[:, 0], keys[:, 1]] = np.hypot(arrays.real, arrays.imag)[:, 0, 0, 0, 0]
         for i in range(s):
@@ -592,7 +573,7 @@ def certify_order_zero(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificat
 
         sub_domain = FiniteDimAlgebra((d,), max_block=d)
         conj = [sx[:, None, None] @ u @ sx[:, None, None] for sx, u in zip(s_half.stacks, units)]
-        parts = [(c, np.stack([0 * c, c], axis=1), x) for c, x in zip(phi.codomain.group_blocks, conj)]
+        parts = [(np.stack([0 * c, c], axis=1), x) for c, x in zip(phi.codomain.group_blocks, conj)]
         sigma = CPMap.from_stacks(sub_domain, phi.codomain, parts, phi.codomain_space)
         sigmas.append(sigma)
 

@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .algebra import AlgebraElement, FiniteDimAlgebra
+from .algebra import AlgebraElement, FiniteDimAlgebra, shared_algebra
 from .approx import CPApproximation, function_algebra
 from .covers import Cover, FiniteMetricSpace, SimplicialComplex
 from .cpmaps import CPMap
@@ -63,7 +63,7 @@ def algebra_from_json(data: Any, max_block: int = 64) -> FiniteDimAlgebra:
         raise SchemaError(f"algebra needs block_sizes: {exc}") from exc
     if not isinstance(sizes, list) or not sizes or not all(type(r) is int and r >= 1 for r in sizes):
         raise SchemaError(f"block_sizes must be a list of at least one integer >= 1, got {sizes!r}")
-    return FiniteDimAlgebra(sizes, max_block=max_block)
+    return shared_algebra(tuple(sizes), max_block)
 
 
 def element_to_json(a: AlgebraElement) -> dict:
@@ -193,7 +193,7 @@ def unit_records(phi: CPMap) -> list[dict]:
     the stored x, the bits :func:`cpmaps.unit_stacks` gives.  Each image stack
     is written by one ``tolist``."""
     records: dict[tuple[int, int, int], list] = {}
-    for _, keys, arrays in phi.parts:
+    for keys, arrays in phi.parts:
         n, row, col = arrays.any(axis=(3, 4)).nonzero()
         listed = np.array([keys[n, 0], row, col, keys[n, 1]]).T.tolist()
         for (i, j, k, c), mat in zip(listed, matrix_to_json(0.0 + arrays[n, row, col])):
@@ -218,7 +218,7 @@ def cpmap_from_json(data: Any, max_block: int = 64) -> CPMap:
         raise SchemaError("codomain must be an object")
     space = None
     if "matrix" in codomain_spec:
-        codomain = FiniteDimAlgebra((_size(codomain_spec, "matrix"),), max_block=max_block)
+        codomain = shared_algebra((_size(codomain_spec, "matrix"),), max_block)
     elif "space" in codomain_spec:
         space = space_from_json(codomain_spec["space"])
         matdim = _size(codomain_spec, "matdim")
@@ -250,25 +250,25 @@ def cpmap_from_json(data: Any, max_block: int = 64) -> CPMap:
         raise
     counts, index, mats = _listed_values(codomain, [value for _, value in heads])
     units = [unit for (unit, _), n in zip(heads, counts) for _ in range(n)]  # per listed block
-    # the blocks not all zero go into one image stack per codomain and domain size group;
-    # a pair (i, c) takes its place in the image order from its first such block
+    # the blocks not all zero go into one image stack per codomain and domain size group,
+    # its pairs in ascending order
     parts = []
     for _, at, stack in _parse_groups(codomain, index, mats):
-        # per domain size group: each pair's place and first block, and per block kept
-        # its row in the parsed stack and its place, row and column in the image stack
-        groups: dict[int, tuple[dict, list, list]] = {}
+        # per domain size group, per block kept: its row in the parsed stack and its pair, row and column
+        groups: dict[int, tuple[list, list]] = {}
         for row, (q, on) in enumerate(zip(at, stack.any(axis=(1, 2)).tolist())):
             if on:
                 (i, j, k), c = units[q], index[q]
-                pairs, rows, targets = groups.setdefault(domain.block_slots[i][0], ({}, [], []))
+                rows, targets = groups.setdefault(domain.block_slots[i][0], ([], []))
                 rows.append(row)
-                targets.append((pairs.setdefault((i, c), (len(pairs), q))[0], j, k))
-        for gd, (pairs, rows, targets) in groups.items():
+                targets.append((i, c, j, k))
+        for gd, (rows, targets) in groups.items():
+            place = {pair: n for n, pair in enumerate(sorted({(i, c) for i, c, _, _ in targets}))}
             d = domain.group_sizes[gd]
-            arrays = np.zeros((len(pairs), d, d) + stack.shape[1:], complex)
+            arrays = np.zeros((len(place), d, d) + stack.shape[1:], complex)
             # a repeated unit's blocks add one after the other, in record order
-            np.add.at(arrays, tuple(np.array(targets).T), stack[rows])
-            parts.append((np.array([q for _, q in pairs.values()]), np.array(list(pairs)), arrays))
+            np.add.at(arrays, tuple(np.array([(place[i, c], j, k) for i, c, j, k in targets]).T), stack[rows])
+            parts.append((np.array(list(place)), arrays))
     return CPMap.from_stacks(domain, codomain, parts, space)
 
 

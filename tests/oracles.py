@@ -3,7 +3,7 @@
 Each function here is the plain version of a kernel in ``cprank``: subset
 enumeration for clique numbers, cover orders and abelian strict order; the
 set-based partition of unity and level-set faces of the strict refinement;
-the pairwise oscillation scale; the entry-by-entry reader of a map's unit
+the pairwise oscillation scale; the greedy net one center at a time; the entry-by-entry reader of a map's unit
 records and their dense writer, their reader and sparse writer one image
 key at a time, and a map's layout built one key at a time; the diameter of
 one member; the image of a matrix unit computed by
@@ -197,6 +197,15 @@ def strict_order_abelian_brute(phi: CPMap, tol: float = ORTH_TOL) -> int:
     return max(best - 1, 0)
 
 
+def greedy_net_per_center(space: FiniteMetricSpace, spacing: float) -> list[int]:
+    """The greedy net, each point tested against every chosen center in turn."""
+    centers: list[int] = []
+    for p in range(space.npts):
+        if all(space.metric[p, c] >= spacing for c in centers):
+            centers.append(p)
+    return centers
+
+
 def member_diameter(space: FiniteMetricSpace, member: frozenset[int]) -> float:
     """The diameter of one member, from its own block of the metric."""
     pts = list(member)
@@ -351,23 +360,18 @@ def unit_records_per_key(phi: CPMap) -> list[dict]:
 
 
 def layout_per_key(phi: CPMap) -> list:
-    """The layout built from ``images``, one key at a time in their order: per codomain
-    size group, in order of first appearance, the codomain slots of its pairs and, per
-    domain size group, in order of first appearance, their domain slots, places and
-    images, as lists."""
-    groups: dict[int, tuple[list, dict]] = {}
+    """The layout built from ``images``, one key at a time in their order: per pair of a
+    domain and a codomain size group, in order of first appearance, the domain group, the
+    domain slots of its pairs, the codomain group, their codomain slots, as lists, and
+    their stacked images."""
+    parts: dict[tuple[int, int], tuple[list, list, list]] = {}
     for i, c in phi.images:
         (gd, sd), (gc, sc) = phi.domain.block_slots[i], phi.codomain.block_slots[c]
-        slots, parts = groups.setdefault(gc, ([], {}))
-        dom_slots, at, arrays = parts.setdefault(gd, ([], [], []))
+        dom_slots, cod_slots, arrays = parts.setdefault((gd, gc), ([], [], []))
         dom_slots.append(sd)
-        at.append(len(slots))
+        cod_slots.append(sc)
         arrays.append(phi.images[i, c])
-        slots.append(sc)
-    return [
-        (gc, slots, [(gd, dom_slots, at, np.stack(arrays)) for gd, (dom_slots, at, arrays) in parts.items()])
-        for gc, (slots, parts) in groups.items()
-    ]
+    return [(gd, dom_slots, gc, cod_slots, np.stack(arrays)) for (gd, gc), (dom_slots, cod_slots, arrays) in parts.items()]
 
 
 def norms_unscreened(stacks: list[np.ndarray], floor: float = 0.0) -> np.ndarray:
@@ -376,15 +380,12 @@ def norms_unscreened(stacks: list[np.ndarray], floor: float = 0.0) -> np.ndarray
 
 
 def apply_one_element(phi: CPMap, x: AlgebraElement, layout: list | None = None) -> AlgebraElement:
-    """phi(x) for a single element: one einsum per group of same-shape pairs, then
-    each pair's term added into its codomain block in dictionary order; through
-    ``layout`` in place of the map's when one is given."""
+    """phi(x) for a single element: one einsum per part, then each pair's term added
+    into its codomain block in the part's order; through ``layout`` in place of the
+    map's when one is given."""
     stacks = phi.codomain.zero_stacks()
-    for gc, slots, parts in phi.layout if layout is None else layout:
-        terms = np.empty((len(slots),) + stacks[gc].shape[1:], complex)
-        for gd, dom_slots, at, arrays in parts:
-            terms[at] = np.einsum("njk,njkab->nab", x.stacks[gd][dom_slots], arrays)
-        np.add.at(stacks[gc], slots, terms)
+    for gd, dom_slots, gc, cod_slots, arrays in phi.layout if layout is None else layout:
+        np.add.at(stacks[gc], cod_slots, np.einsum("njk,njkab->nab", x.stacks[gd][dom_slots], arrays))
     return AlgebraElement.from_stacks(phi.codomain, stacks)
 
 

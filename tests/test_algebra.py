@@ -312,8 +312,9 @@ class TestStackedMatchesPerBlock:
         phi = CPMap(dom, cod, images)
         xb = blocks_of(dom, rng)
         ref = [np.zeros((r, r), complex) for r in cod.block_sizes]
-        for (i, c), arr in images.items():
-            ref[c] = ref[c] + np.einsum("jk,jkab->ab", xb[i], arr)
+        # in the map's order of pairs, the order its sum follows
+        for i, c in phi.images:
+            ref[c] = ref[c] + np.einsum("jk,jkab->ab", xb[i], images[i, c])
         assert same_blocks(phi.apply(AlgebraElement(dom, xb)), ref)
         i = int(rng.integers(dom.num_blocks))
         j, k = rng.integers(dom.block_sizes[i], size=2)

@@ -25,12 +25,13 @@ from cprank import (
     strict_refinement,
     torus_grid,
 )
-from cprank.covers import oscillation_scale
+from cprank.covers import greedy_net, oscillation_scale
 
 from conftest import interval_chain_cover, three_arcs_cover
 from oracles import (
     cover_order_brute,
     cover_strict_order_brute,
+    greedy_net_per_center,
     level_set_refinement,
     member_diameter,
     oscillation_scale_pairs,
@@ -365,3 +366,18 @@ def test_oscillation_scale_matches_pairs(n, k, seed, complex_rows):
         rows = rows + 1j * rng.choice([0.0, 0.5], size=(k, n))
     level = float(rng.choice([0.5, 1.0, 2.0]))
     assert oscillation_scale(space, rows, level) == oscillation_scale_pairs(space, rows, level)
+
+
+@PROPERTY
+@given(
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.sampled_from([0.0, -1.0, np.nan, np.inf, 1e-300, 0.25, 1.0]), st.floats(0, 2)),
+)
+def test_greedy_net_matches_per_center(n, seed, spacing):
+    # distances tie with the spacings, and include zero, tiny and infinite ones
+    rng = np.random.default_rng(seed)
+    choices = [0.0, 1e-300, 0.25, 1.0, 1.5, np.inf, float(rng.uniform(0, 2))]
+    dist = np.triu(rng.choice(choices, size=(n, n)), 1)
+    space = FiniteMetricSpace(dist + dist.T)
+    assert greedy_net(space, spacing) == greedy_net_per_center(space, spacing)

@@ -93,6 +93,13 @@ class TestRoundTrips:
         assert back.weights is not None
         assert np.abs(back.weights - approx.weights).max() <= 1e-15
 
+    def test_approximation_read_builds_each_algebra_once(self):
+        # one algebra per block sizes and cap, shared by F, psi and phi and by later reads
+        back = jsonio.approximation_from_json(APPROX3)
+        assert back.F is back.psi.codomain is back.phi.domain
+        again = jsonio.approximation_from_json(APPROX3)
+        assert again.F is back.F and again.psi.domain is back.psi.domain and again.phi.codomain is back.phi.codomain
+
     def test_schema_errors(self):
         with pytest.raises(jsonio.SchemaError):
             jsonio.space_from_json({"points": 3})
@@ -756,8 +763,7 @@ def unit_record_lists(draw):
 
 def layout_slots(layout):
     """A layout without its image stacks, as plain lists."""
-    return [(gc, list(map(int, slots)), [(gd, list(map(int, s)), list(map(int, at))) for gd, s, at, _ in parts])
-            for gc, slots, parts in layout]
+    return [(gd, list(map(int, dom_slots)), gc, list(map(int, cod_slots))) for gd, dom_slots, gc, cod_slots, _ in layout]
 
 
 def read_outcome(read, data):
@@ -780,12 +786,57 @@ def test_stacked_reader_and_writer_match_the_per_key_ones(case):
     assert same_bits(list(got.images.values()), list(ref.images.values()))
     layout = layout_per_key(got)
     assert layout_slots(got.layout) == layout_slots(layout) == layout_slots(layout_per_key(ref))
-    assert same_bits([a for *_, parts in got.layout for *_, a in parts], [a for *_, parts in layout for *_, a in parts])
+    assert same_bits([a for *_, a in got.layout], [a for *_, a in layout])
     x = AlgebraElement(got.domain, [sparse_complex(rng, (d, d)) for d in got.domain.block_sizes])
     assert same_bits(got.apply(x).stacks, apply_one_element(got, x, layout).stacks)
     assert jsonio.unit_records(got) == unit_records_per_key(got)
     phi = random_map(got.domain, got.codomain, rng)
     assert jsonio.dumps(jsonio.unit_records(phi)) == jsonio.dumps(unit_records_per_key(phi))
+
+
+def shuffled_records(data, rng):
+    """A map's JSON with its unit records in a random order."""
+    records = data["unit_images"]
+    return {**data, "unit_images": [records[n] for n in rng.permutation(len(records))]}
+
+
+@PROPERTY
+@given(algebras_and_rng())
+def test_dict_and_record_order_do_not_change_apply_or_writer(case):
+    # one map listed in two dictionary orders and its records in two orders: every
+    # listing sums each codomain block in the same order, so the bits agree
+    dom, cod, rng = case
+    phi = random_map(dom, cod, rng)
+    keys = list(phi.images)
+    listed = [CPMap(dom, cod, {keys[n]: phi.images[keys[n]] for n in rng.permutation(len(keys))})]
+    data = json.loads(jsonio.dumps(jsonio.cpmap_to_json(phi)))
+    listed += [jsonio.cpmap_from_json(d) for d in (data, shuffled_records(data, rng))]
+    # a batch of two plain elements, so that no sum overflows
+    x = AlgebraElement.from_stacks(dom, [s + rng.normal(size=s.shape) + 1j * rng.normal(size=s.shape) for s in dom.zero_stacks((2,))])
+    for other in listed:
+        assert same_bits(other.apply(x).stacks, phi.apply(x).stacks)
+        assert jsonio.dumps(jsonio.cpmap_to_json(other)) == jsonio.dumps(data)
+        assert list(other.images) == list(phi.images)
+
+
+@settings(
+    max_examples=25, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],  # each example overwrites its files
+)
+@given(st.lists(st.integers(1, 2), min_size=3, max_size=4), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_record_order_does_not_change_the_repaired_map(tmp_path, sizes, mult, seed):
+    rng = np.random.default_rng(seed)
+    phi = rand_order_zero(rng, sizes, mult, spectrum_range=(0.9, 1.0))
+    one = phi.apply_one()
+    gamma = float(min((one @ one - one).norm() * 1.05 + 1e-9, 0.24))
+    data = json.loads(jsonio.dumps(jsonio.cpmap_to_json(phi)))
+    listed = {"sorted": data, "shuffled": shuffled_records(data, rng), "reversed": {**data, "unit_images": data["unit_images"][::-1]}}
+    runs = [
+        run_cli(tmp_path, name, {"kind": "order-zero-map", "map": m, "gamma": gamma}, "cpmap", "repair")
+        for name, m in listed.items()
+    ]
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_sparse_element_reads_as_its_dense_form(tmp_path):
@@ -853,8 +904,23 @@ def fuzz_repair(draw):
     return {"kind": "almost-projection", "algebra": {"block_sizes": sizes}, "element": element, "epsilon": epsilon}
 
 
-# per command, inputs valid and invalid over the fields coords, n and r, and a
-# repair's element and epsilon
+@st.composite
+def fuzz_map(draw):
+    """A map input, its records shuffled: those of :func:`unit_record_lists` (valid,
+    repeated, cancelling or malformed), or those of a random c.p. or order-zero map."""
+    if draw(st.booleans()):
+        data, rng = draw(unit_record_lists())
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        cp = draw(st.booleans())
+        phi = rand_cp_contraction(rng, sizes, int(rng.integers(1, 4))) if cp else rand_order_zero(rng, sizes, 1)
+        data = json.loads(jsonio.dumps(jsonio.cpmap_to_json(phi)))
+    return {"map": shuffled_records(data, rng)}
+
+
+# per command, inputs valid and invalid over the fields coords, n and r, a
+# repair's element and epsilon, and a map's records
 FUZZ = {
     "cover refine": st.fixed_dictionaries({"space": FUZZ_SPACE, "cover": FUZZ_COVER}),
     "approx build": st.fixed_dictionaries({"space": FUZZ_SPACE, "functions": FUZZ_VALUES, "epsilon": st.just(0.5)}),
@@ -863,7 +929,11 @@ FUZZ = {
     ),
     "--max-block 2 approx tensor": st.builds(lambda r: {"approximation": APPROX3, "r": r}, st.integers(1, 4)),
     "cpmap repair": fuzz_repair(),
+    "cpmap choi": fuzz_map(),
+    "cpmap order-zero": fuzz_map(),
 }
+# the exit codes each command may end in; a map's checks fail no pipeline step
+FUZZ_EXITS = {"cpmap choi": (0, 2, 3), "cpmap order-zero": (0, 2, 3)}
 
 
 @pytest.mark.parametrize("command", sorted(FUZZ))
@@ -874,4 +944,4 @@ FUZZ = {
 @given(data=st.data())
 def test_schema_fuzz_exits_with_a_documented_code(tmp_path, command, data):
     code, _ = run_cli(tmp_path, "fuzz", data.draw(FUZZ[command]), *command.split())
-    assert code in (0, 2, 3, 4)
+    assert code in FUZZ_EXITS.get(command, (0, 2, 3, 4))
