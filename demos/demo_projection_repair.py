@@ -23,8 +23,8 @@ alg2 = FiniteDimAlgebra([2])
 # moving at most 2 eps; the inverse square root on its range moves at most 4 eps
 h = AlgebraElement(alg2, [np.diag([0.1, 0.9])])
 eps = 0.1
-p, c = repair_almost_projection(h, eps)
-print("||p - h|| =", (p - h).norm(), "< 2 eps =", 2 * eps)
+p, c, moved = repair_almost_projection(h, eps)
+print("||p - h|| =", moved.measured, "< 2 eps =", moved.bound)
 print("||p - c|| =", (p - c).norm(), "< 4 eps =", 4 * eps)
 
 # nearly orthogonal projections can be made exactly orthogonal, moving 14 delta

@@ -11,7 +11,7 @@ phase convention so repeated runs give identical bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -81,9 +81,16 @@ class FiniteDimAlgebra:
         return [np.zeros((len(b),) + lead + (r, r), complex) for r, b in zip(self.group_sizes, self.group_blocks)]
 
 
-#: ``FiniteDimAlgebra(block_sizes, max_block)`` for a tuple of sizes, built once per pair and
-#: shared, as an algebra is immutable
-shared_algebra = lru_cache(maxsize=32)(FiniteDimAlgebra)
+def shared_algebra(block_sizes: tuple[int, ...], max_block: int) -> FiniteDimAlgebra:
+    """``FiniteDimAlgebra(block_sizes, max_block)``, built once per tuple of sizes and
+    shared, as an algebra is immutable; it keeps no cap, so the cap is checked here."""
+    if max(block_sizes, default=0) > max_block:
+        r = next(r for r in block_sizes if r > max_block)
+        raise ValueError(f"block size {r} exceeds cap {max_block}")
+    return _algebra_of(block_sizes)
+
+
+_algebra_of = lru_cache(maxsize=32)(partial(FiniteDimAlgebra, max_block=np.inf))
 
 
 class AlgebraElement:

@@ -294,12 +294,12 @@ def _cmd_cpmap(args: argparse.Namespace, data: Any) -> Any:
             algebra = jsonio.algebra_from_json(_need(data, "algebra"), args.max_block)
             h = jsonio.element_from_json(algebra, _need(data, "element"))
             eps = _number(data, "epsilon")
-            p, c = repair_almost_projection(h, eps)
+            p, c, moved = repair_almost_projection(h, eps)
             return {
                 "projection": jsonio.element_to_json(p),
                 "inverse_root": jsonio.element_to_json(c),
-                "distance": (p - h).norm(),
-                "bound": 2 * eps,
+                "distance": moved.measured,
+                "bound": moved.bound,
                 "projection_defect": validate(p, "projection", 1e-10).measured,
             }
         if kind == "order-zero-map":

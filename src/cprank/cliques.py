@@ -11,6 +11,10 @@ the bounds below prune from the root.  At each node the candidate set is
 split greedily into colour classes, each an independent set built as one
 bitmask; a clique takes at most one vertex per class, so the number of
 classes bounds it (Tomita et al., MCS 2010; San Segundo et al., BBMC 2011).
+Each class starts at the uncoloured candidate with the most neighbours among
+the candidates, as MaxCliqueDyn re-sorts by degree (Konc & Janežič, 2007):
+on a dense graph a class is then an edge of the complement matched at its
+fewest-neighbours end first (Karp & Sipser, 1981), so fewer classes result.
 Before branching on a vertex whose colour clears that bound, unit
 propagation runs from its neighbourhood over the classes coloured below the
 bound: a class left with one allowed vertex forces it, and the allowed set
@@ -34,18 +38,31 @@ def _to_masks(adj: np.ndarray) -> list[int]:
 
 
 def _color_classes(cand: int, masks: list[int]) -> list[int]:
-    """Greedy colouring of ``cand``: class c (colour c + 1) takes the lowest
-    vertex left, drops its neighbours, and repeats until nothing is left."""
+    """Greedy colouring of ``cand``: class c (colour c + 1) starts at the
+    uncoloured vertex with the most neighbours in ``cand`` (the lowest on
+    ties), then takes the lowest vertex left, drops its neighbours, and
+    repeats until nothing is left."""
+    verts = []
+    rest = cand
+    while rest:
+        low = rest & -rest
+        verts.append(low.bit_length() - 1)
+        rest ^= low
     classes = []
-    while cand:
-        avail = cand
-        cls = 0
+    # a stable sort: equal degrees keep the ascending vertex order
+    for v in sorted(verts, key=lambda u: (masks[u] & cand).bit_count(), reverse=True):
+        cls = 1 << v
+        if not cand & cls:
+            continue
+        avail = cand & ~(masks[v] | cls)
         while avail:
             low = avail & -avail
             cls |= low
             avail &= ~(masks[low.bit_length() - 1] | low)
         classes.append(cls)
         cand &= ~cls
+        if not cand:
+            break
     return classes
 
 

@@ -40,14 +40,15 @@ def _require_projections(named: Iterable[tuple[str, AlgebraElement]]) -> None:
             raise ValueError(f"{name} is not a projection: {rep.context}")
 
 
-def repair_almost_projection(h: AlgebraElement, eps: float) -> tuple[AlgebraElement, AlgebraElement]:
+def repair_almost_projection(h: AlgebraElement, eps: float) -> tuple[AlgebraElement, AlgebraElement, Check]:
     """Turn an almost-projection into a projection, with quantitative bounds.
 
     Requires ``||h - h^2|| < eps < 1/4`` and ``||h|| <= 1``; the spectrum then
     splits around 1/2 with gap ``delta = sqrt(1 - 4 eps)/2``.  Returns the
     spectral projection ``p`` above 1/2 together with ``c``, the inverse square
     root of ``h`` on the range of ``p``, satisfying ``||p - h|| < 2 eps``,
-    ``c h c = p`` and ``||p - c|| < 4 eps``.
+    ``c h c = p`` and ``||p - c|| < 4 eps``, and the check of ``||p - h||``
+    against ``2 eps``.
     """
     if not 0 < eps < 0.25:
         raise ValueError(f"eps must lie in (0, 1/4), got {eps}")
@@ -69,12 +70,13 @@ def repair_almost_projection(h: AlgebraElement, eps: float) -> tuple[AlgebraElem
     # c = f(h) with f = 0 below the gap and t^(-1/2) above it
     c = spectral.function(inverse_sqrt_on_support(rank_tol=0.5 - delta * 0.999))
     dist_ph = (p - h).norm()
-    if dist_ph >= 2 * eps:
+    moved = Check("repair", dist_ph, 2 * eps, dist_ph < 2 * eps)
+    if not moved:
         raise AssertionError(f"repair bound violated: ||p-h|| = {dist_ph:.6g} >= 2 eps")
     dist_pc = (p - c).norm()
     if dist_pc >= 4 * eps:
         raise AssertionError(f"repair bound violated: ||p-c|| = {dist_pc:.6g} >= 4 eps")
-    return p, c
+    return p, c, moved
 
 
 # ---------------------------------------------------------------------------

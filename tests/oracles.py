@@ -522,14 +522,15 @@ def support_projection_per_call(a: AlgebraElement, tol: float = DEFAULT_TOL) -> 
     )
 
 
-def repair_almost_projection_per_call(h: AlgebraElement, eps: float) -> tuple[AlgebraElement, AlgebraElement]:
+def repair_almost_projection_per_call(h: AlgebraElement, eps: float) -> tuple[AlgebraElement, AlgebraElement, Check]:
     """Turn an almost-projection into a projection, with quantitative bounds.
 
     Requires ``||h - h^2|| < eps < 1/4`` and ``||h|| <= 1``; the spectrum then
     splits around 1/2 with gap ``delta = sqrt(1 - 4 eps)/2``.  Returns the
     spectral projection ``p`` above 1/2 together with ``c``, the inverse square
     root of ``h`` on the range of ``p``, satisfying ``||p - h|| < 2 eps``,
-    ``c h c = p`` and ``||p - c|| < 4 eps``.
+    ``c h c = p`` and ``||p - c|| < 4 eps``, and the check of ``||p - h||``
+    against ``2 eps``.
     """
     if not 0 < eps < 0.25:
         raise ValueError(f"eps must lie in (0, 1/4), got {eps}")
@@ -551,7 +552,7 @@ def repair_almost_projection_per_call(h: AlgebraElement, eps: float) -> tuple[Al
     dist_pc = (p - c).norm()
     if dist_pc >= 4 * eps:
         raise AssertionError(f"repair bound violated: ||p-c|| = {dist_pc:.6g} >= 4 eps")
-    return p, c
+    return p, c, Check("repair", dist_ph, 2 * eps, True)
 
 
 def certify_order_zero_per_unit(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificate:

@@ -80,9 +80,9 @@ def test_01_almost_projection_repair():
         n = int(rng.integers(2, 7))
         eps = float(rng.choice([0.05, 0.1, 0.2]))
         h = AlgebraElement(FiniteDimAlgebra([n]), [two_cluster_hermitian(rng, n, eps)])
-        p, c = repair_almost_projection(h, eps)
+        p, c, moved = repair_almost_projection(h, eps)
         assert validate(p, "projection", 1e-10).ok
-        assert (p - h).norm() < 2 * eps
+        assert moved.ok and moved.measured == (p - h).norm() < 2 * eps == moved.bound
         assert (p - c).norm() < 4 * eps
     report(1, "almost-projection repair", t0, 5.0)
 

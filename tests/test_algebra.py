@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cprank import (
     AlgebraElement,
+    Check,
     CPMap,
     FiniteDimAlgebra,
     GapHypothesisError,
@@ -397,12 +398,14 @@ EPSILONS = st.sampled_from([1e-3, 0.01, 0.05, 0.1, 0.2, 0.249, 0.05, 0.1, 0.2, 0
 
 
 def outcome(call, *args):
-    """The exception type and text a call raises, or the bytes of each element it returns."""
+    """The exception type and text a call raises, or the bytes of each element it returns
+    and each check as it is."""
     try:
         out = call(*args)
     except Exception as exc:  # the comparison is of any failure, whatever its type
         return type(exc), str(exc)
-    return [s.tobytes() for x in (out if isinstance(out, tuple) else (out,)) for s in x.stacks]
+    out = out if isinstance(out, tuple) else (out,)
+    return [x if isinstance(x, Check) else [s.tobytes() for s in x.stacks] for x in out]
 
 
 class TestOneDecomposition:

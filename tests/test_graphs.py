@@ -23,7 +23,7 @@ from cprank import (
     tensor_strict_order_exact,
     torus_grid,
 )
-from cprank.cliques import max_clique
+from cprank.cliques import _color_classes, _to_masks, max_clique
 from cprank.covers import intersection_graph
 
 from conftest import rand_unitary
@@ -90,6 +90,20 @@ class TestMaxClique:
                     expect, _ = nx.max_weight_clique(graph, weight=None)
                     assert len(clique) == len(expect)
 
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_complements_of_regular_graphs_against_networkx(self, d):
+        # the complement of a sparse d-regular graph: the colour classes pair
+        # vertices along complement edges, which the class start order serves
+        nx = pytest.importorskip("networkx")
+        for n in (20, 31, 44, 60):
+            n += n * d % 2
+            sparse = nx.random_regular_graph(d, n, seed=1000 * d + n)
+            adj = ~nx.to_numpy_array(sparse, dtype=bool)
+            clique = max_clique(adj)
+            assert all(adj[a, b] for a, b in combinations(clique, 2))
+            expect, _ = nx.max_weight_clique(nx.complement(sparse), weight=None)
+            assert len(clique) == len(expect)
+
     def test_beats_a_poor_greedy_dive(self):
         # the dive takes hub 4 (degree 7), then vertex 0, its only neighbour
         # in the K4 on 0-3; the leaves 5-10 are pairwise non-adjacent
@@ -118,6 +132,25 @@ class TestMaxClique:
         np.fill_diagonal(bare, False)
         np.fill_diagonal(looped, loops)
         assert max_clique(looped) == max_clique(bare)
+
+    @PROPERTY
+    @given(graphs(), st.data())
+    def test_color_classes_partition_the_candidates_into_independent_sets(self, adj, data):
+        n = len(adj)
+        np.fill_diagonal(adj, False)
+        masks = _to_masks(adj)
+        cand = sum(1 << v for v in data.draw(st.sets(st.integers(0, max(n - 1, 0)))) if v < n)
+        classes = _color_classes(cand, masks)
+        assert all(classes) and sum(classes) == cand
+        left = cand
+        for cls in classes:
+            assert cls & left == cls  # disjoint from the classes before it
+            members = [v for v in range(n) if cls >> v & 1]
+            assert not any(adj[a, b] for a, b in combinations(members, 2))
+            # it starts at the vertex left with the most neighbours in cand, the lowest on ties
+            left_vs = [v for v in range(n) if left >> v & 1]
+            assert max(left_vs, key=lambda v: ((masks[v] & cand).bit_count(), -v)) in members
+            left ^= cls
 
     def test_clique_of_1100_vertices(self):
         # one search frame per clique vertex, none of them a Python call frame

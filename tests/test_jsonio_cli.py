@@ -94,9 +94,11 @@ class TestRoundTrips:
         assert np.abs(back.weights - approx.weights).max() <= 1e-15
 
     def test_approximation_read_builds_each_algebra_once(self):
-        # one algebra per block sizes and cap, shared by F, psi and phi and by later reads
+        # one algebra per block sizes, whatever the cap it was read under, shared by F,
+        # psi and phi and by later reads
         back = jsonio.approximation_from_json(APPROX3)
         assert back.F is back.psi.codomain is back.phi.domain
+        assert back.psi.domain is back.phi.codomain
         again = jsonio.approximation_from_json(APPROX3)
         assert again.F is back.F and again.psi.domain is back.psi.domain and again.phi.codomain is back.phi.codomain
 

@@ -30,23 +30,23 @@ def elem(mat):
 class TestRepair:
     def test_diagonal_example(self):
         h = elem(np.diag([0.1, 0.9]).astype(complex))
-        p, c = repair_almost_projection(h, 0.1)
+        p, c, moved = repair_almost_projection(h, 0.1)
         assert np.allclose(p.blocks[0], np.diag([0.0, 1.0]))
         assert np.allclose(c.blocks[0], np.diag([0.0, 0.9**-0.5]))
-        assert (p - h).norm() == pytest.approx(0.1)
-        assert (p - h).norm() < 0.2
+        assert moved.measured == (p - h).norm() == pytest.approx(0.1)
+        assert moved.ok and moved.bound == 0.2
 
     def test_projection_fixed(self):
         h = elem(np.diag([0.0, 1.0, 1.0]).astype(complex))
-        p, c = repair_almost_projection(h, 0.2)
-        assert (p - h).norm() <= 1e-12
+        p, c, moved = repair_almost_projection(h, 0.2)
+        assert moved.measured <= 1e-12
         assert (c - h).norm() <= 1e-12
 
     def test_conjugated(self):
         rng = np.random.default_rng(21)
         u = rand_unitary(rng, 2)
         h = elem(u @ np.diag([0.05, 0.95]) @ u.conj().T)
-        p, _ = repair_almost_projection(h, 0.1)
+        p, _, _ = repair_almost_projection(h, 0.1)
         assert (p - elem(u @ np.diag([0.0, 1.0]) @ u.conj().T)).norm() <= 1e-10
 
     def test_repaired_outputs_validate(self):
@@ -55,9 +55,9 @@ class TestRepair:
             n = int(rng.integers(2, 7))
             eps = float(rng.choice([0.05, 0.1, 0.2]))
             h = elem(two_cluster_hermitian(rng, n, eps))
-            p, c = repair_almost_projection(h, eps)
+            p, c, moved = repair_almost_projection(h, eps)
             assert validate(p, "projection", 1e-10).ok
-            assert (p - h).norm() < 2 * eps
+            assert moved.ok and moved.measured == (p - h).norm() < 2 * eps
             assert (p - c).norm() < 4 * eps
             # c inverts h on the range of p, and everything commutes
             assert ((c @ h @ c) - p).norm() <= 1e-10
