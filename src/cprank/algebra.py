@@ -11,7 +11,7 @@ phase convention so repeated runs give identical bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -20,8 +20,6 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 #: default rank cut for support projections and pseudo-inverses
 RANK_TOL = 1e-6
-#: default hard cap on matrix block sizes (desk-scale guarantee)
-DEFAULT_MAX_BLOCK = 64
 #: closed-comparison snap for spectral thresholds
 THRESHOLD_SNAP = 1e-12
 
@@ -36,20 +34,19 @@ class FiniteDimAlgebra:
 
     Blocks of one size form a size group (``group_sizes``, ``group_blocks``),
     in order of first appearance; ``block_slots`` gives each block's (group,
-    slot) in the ``(count, r, r)`` arrays an element stores per group.
+    slot) in the ``(count, r, r)`` arrays an element stores per group.  Blocks
+    may have any size >= 1; :mod:`cprank.jsonio` caps the sizes input names.
     """
 
     block_sizes: tuple[int, ...]
 
-    def __init__(self, block_sizes: Iterable[int], max_block: int = DEFAULT_MAX_BLOCK):
+    def __init__(self, block_sizes: Iterable[int]):
         sizes = tuple(int(r) for r in block_sizes)
         if not sizes:
             raise ValueError("algebra needs at least one block")
         for r in sizes:
             if r < 1:
                 raise ValueError(f"block size must be >= 1, got {r}")
-            if r > max_block:
-                raise ValueError(f"block size {r} exceeds cap {max_block}")
         object.__setattr__(self, "block_sizes", sizes)
         groups: dict[int, list[int]] = {}
         for b, r in enumerate(sizes):
@@ -81,16 +78,11 @@ class FiniteDimAlgebra:
         return [np.zeros((len(b),) + lead + (r, r), complex) for r, b in zip(self.group_sizes, self.group_blocks)]
 
 
-def shared_algebra(block_sizes: tuple[int, ...], max_block: int) -> FiniteDimAlgebra:
-    """``FiniteDimAlgebra(block_sizes, max_block)``, built once per tuple of sizes and
-    shared, as an algebra is immutable; it keeps no cap, so the cap is checked here."""
-    if max(block_sizes, default=0) > max_block:
-        r = next(r for r in block_sizes if r > max_block)
-        raise ValueError(f"block size {r} exceeds cap {max_block}")
-    return _algebra_of(block_sizes)
-
-
-_algebra_of = lru_cache(maxsize=32)(partial(FiniteDimAlgebra, max_block=np.inf))
+@lru_cache(maxsize=32)
+def shared_algebra(block_sizes: tuple[int, ...]) -> FiniteDimAlgebra:
+    """``FiniteDimAlgebra(block_sizes)``, built once per tuple of sizes and shared,
+    as an algebra is immutable."""
+    return FiniteDimAlgebra(block_sizes)
 
 
 class AlgebraElement:

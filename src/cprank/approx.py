@@ -74,8 +74,7 @@ def _above(values: np.ndarray, threshold: float) -> np.ndarray:
 
 def function_algebra(space: FiniteMetricSpace, matdim: int = 1) -> FiniteDimAlgebra:
     """The block algebra of matrix-valued functions on a finite point set."""
-    # matdim passed its cap where it was read, which may be above the default
-    return shared_algebra((matdim,) * space.npts, matdim)
+    return shared_algebra((matdim,) * space.npts)
 
 
 def _function_rows(space: FiniteMetricSpace, values, matdim: int) -> np.ndarray:
@@ -627,7 +626,7 @@ def extract_cover(
         )
         ps, devs = [q_mats[(j, i)] for i in idx], [0.0] * len(idx)
         if not keep:
-            sub = FiniteDimAlgebra((F.block_sizes[j],), max_block=F.block_sizes[j])
+            sub = FiniteDimAlgebra((F.block_sizes[j],))
             fam = orthogonalize_family([AlgebraElement(sub, [p]) for p in ps], alpha)
             nontrivial = nontrivial or not fam.unchanged
             ps, devs = [p.blocks[0] for p in fam.projections], fam.deviations

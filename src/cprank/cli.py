@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized operations")
     parser.add_argument("--tol", type=float, default=None, help="tolerance override, a finite number >= 0")
-    parser.add_argument("--max-block", type=int, default=64, help="matrix block size cap")
+    parser.add_argument("--max-block", type=int, default=jsonio.DEFAULT_MAX_BLOCK, help="matrix block size cap")
     sub = parser.add_subparsers(dest="group", required=True)
     for group, actions in (
         ("cover", ["order", "strict-order", "nerve", "refine", "check-refines"]),

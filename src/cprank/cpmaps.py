@@ -161,8 +161,7 @@ class CPMap:
     def restrict_to_block(self, i: int) -> "CPMap":
         """The map on domain block i alone, as a map out of M_{d_i}."""
         d = self.domain.block_sizes[i]
-        # d passed the cap of self.domain, which may be above the default
-        sub_domain = FiniteDimAlgebra((d,), max_block=d)
+        sub_domain = FiniteDimAlgebra((d,))
         parts = []
         for keys, arrays in self.parts:
             # a comprehension, where an int64 comparison would run one more numpy kernel
@@ -251,8 +250,7 @@ def unitize(phi: CPMap) -> CPMap:
     contractive = is_contractive(phi)
     if not contractive:
         raise ValueError(f"map is not contractive: ||phi(1)|| = {contractive.measured:.6g}")
-    sizes = phi.domain.block_sizes
-    new_domain = FiniteDimAlgebra(sizes + (1,), max_block=max(sizes))
+    new_domain = FiniteDimAlgebra(phi.domain.block_sizes + (1,))
     images = dict(phi.images)
     defect = AlgebraElement.identity(phi.codomain) - phi.apply_one()
     m = phi.domain.num_blocks
@@ -571,7 +569,7 @@ def certify_order_zero(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificat
         ):
             return OrderZeroCertificate(False, witnesses)
 
-        sub_domain = FiniteDimAlgebra((d,), max_block=d)
+        sub_domain = FiniteDimAlgebra((d,))
         conj = [sx[:, None, None] @ u @ sx[:, None, None] for sx, u in zip(s_half.stacks, units)]
         parts = [(np.stack([0 * c, c], axis=1), x) for c, x in zip(phi.codomain.group_blocks, conj)]
         sigma = CPMap.from_stacks(sub_domain, phi.codomain, parts, phi.codomain_space)
@@ -806,10 +804,8 @@ def tensor_with_identity(phi: CPMap, r: int) -> CPMap:
         raise ValueError("r must be >= 1")
     if r == 1:
         return phi
-    dom_sizes = tuple(d * r for d in phi.domain.block_sizes)
-    cod_sizes = tuple(n * r for n in phi.codomain.block_sizes)
-    new_domain = FiniteDimAlgebra(dom_sizes, max_block=max(dom_sizes))
-    new_codomain = FiniteDimAlgebra(cod_sizes, max_block=max(cod_sizes))
+    new_domain = FiniteDimAlgebra(d * r for d in phi.domain.block_sizes)
+    new_codomain = FiniteDimAlgebra(n * r for n in phi.codomain.block_sizes)
     images = {}
     for (i, c), arr in phi.images.items():
         d, _, n, _ = arr.shape

@@ -24,6 +24,9 @@ from .approx import CPApproximation, function_algebra
 from .covers import Cover, FiniteMetricSpace, SimplicialComplex
 from .cpmaps import CPMap
 
+#: default cap on the matrix block sizes input may name (desk-scale guarantee)
+DEFAULT_MAX_BLOCK = 64
+
 
 class SchemaError(ValueError):
     """Input JSON does not match the documented schema."""
@@ -56,14 +59,22 @@ def algebra_to_json(a: FiniteDimAlgebra) -> dict:
     return {"block_sizes": list(a.block_sizes)}
 
 
-def algebra_from_json(data: Any, max_block: int = 64) -> FiniteDimAlgebra:
+def _check_cap(sizes: list[int], max_block: int) -> None:
+    """Raise for the first block size above ``max_block``, the cap on what input may name."""
+    for r in sizes:
+        if r > max_block:
+            raise ValueError(f"block size {r} exceeds cap {max_block}")
+
+
+def algebra_from_json(data: Any, max_block: int = DEFAULT_MAX_BLOCK) -> FiniteDimAlgebra:
     try:
         sizes = data["block_sizes"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"algebra needs block_sizes: {exc}") from exc
     if not isinstance(sizes, list) or not sizes or not all(type(r) is int and r >= 1 for r in sizes):
         raise SchemaError(f"block_sizes must be a list of at least one integer >= 1, got {sizes!r}")
-    return shared_algebra(tuple(sizes), max_block)
+    _check_cap(sizes, max_block)
+    return shared_algebra(tuple(sizes))
 
 
 def element_to_json(a: AlgebraElement) -> dict:
@@ -205,7 +216,7 @@ def unit_records(phi: CPMap) -> list[dict]:
     ]
 
 
-def cpmap_from_json(data: Any, max_block: int = 64) -> CPMap:
+def cpmap_from_json(data: Any, max_block: int = DEFAULT_MAX_BLOCK) -> CPMap:
     if not isinstance(data, dict):
         raise SchemaError("map must be an object")
     try:
@@ -218,12 +229,13 @@ def cpmap_from_json(data: Any, max_block: int = 64) -> CPMap:
         raise SchemaError("codomain must be an object")
     space = None
     if "matrix" in codomain_spec:
-        codomain = shared_algebra((_size(codomain_spec, "matrix"),), max_block)
+        r = _size(codomain_spec, "matrix")
+        _check_cap([r], max_block)
+        codomain = shared_algebra((r,))
     elif "space" in codomain_spec:
         space = space_from_json(codomain_spec["space"])
         matdim = _size(codomain_spec, "matdim")
-        if matdim > max_block:  # as FiniteDimAlgebra words it for a matrix codomain
-            raise ValueError(f"block size {matdim} exceeds cap {max_block}")
+        _check_cap([matdim], max_block)
         codomain = function_algebra(space, matdim)
     elif "algebra" in codomain_spec:
         codomain = algebra_from_json(codomain_spec["algebra"], max_block)
@@ -315,7 +327,7 @@ def approximation_to_json(approx: CPApproximation) -> dict:
     return out
 
 
-def approximation_from_json(data: Any, max_block: int = 64) -> CPApproximation:
+def approximation_from_json(data: Any, max_block: int = DEFAULT_MAX_BLOCK) -> CPApproximation:
     if not isinstance(data, dict):
         raise SchemaError("approximation must be an object")
     try:

@@ -357,9 +357,7 @@ def af_local_step(
     live = [(i, W) for i, W in enumerate(bases) if W.shape[1] > 0]
     if not live:
         raise HypothesisFailure("cut", f"no eigenvalue of psi(u) reaches sqrt(eps) = {root:.4g}")
-    sizes = tuple(W.shape[1] for _, W in live)
-    # each size is at most a codomain block size, which passed its cap
-    sub = FiniteDimAlgebra(sizes, max_block=max(sizes))
+    sub = FiniteDimAlgebra(W.shape[1] for _, W in live)
     images = {}
     for new_i, (i, W) in enumerate(live):
         for c in range(codomain.num_blocks):

@@ -238,6 +238,14 @@ def element_from_json_per_entry(algebra: FiniteDimAlgebra, data: Any) -> Algebra
     return AlgebraElement(algebra, blocks)
 
 
+def _capped_algebra(sizes: tuple[int, ...], max_block: int) -> FiniteDimAlgebra:
+    """The algebra of ``sizes``, refused, as the CLI words it, for a block above the cap."""
+    for r in sizes:
+        if r > max_block:
+            raise ValueError(f"block size {r} exceeds cap {max_block}")
+    return FiniteDimAlgebra(sizes)
+
+
 def cpmap_from_json_per_entry(data: Any, max_block: int = 64) -> CPMap:
     """The map of a JSON record list, read one matrix entry at a time."""
     if not isinstance(data, dict):
@@ -250,11 +258,11 @@ def cpmap_from_json_per_entry(data: Any, max_block: int = 64) -> CPMap:
         raise SchemaError(f"map needs domain, codomain, unit_images: missing {exc}") from exc
     space = None
     if "matrix" in codomain_spec:
-        codomain = FiniteDimAlgebra((int(codomain_spec["matrix"]),), max_block=max_block)
+        codomain = _capped_algebra((int(codomain_spec["matrix"]),), max_block)
     elif "space" in codomain_spec:
         space = space_from_json(codomain_spec["space"])
         matdim = int(codomain_spec.get("matdim", 1))
-        codomain = FiniteDimAlgebra((matdim,) * space.npts, max_block=max_block)
+        codomain = _capped_algebra((matdim,) * space.npts, max_block)
     elif "algebra" in codomain_spec:
         codomain = algebra_from_json(codomain_spec["algebra"], max_block)
     else:
@@ -309,7 +317,7 @@ def cpmap_from_json_per_key(data: Any, max_block: int = 64) -> CPMap:
         raise SchemaError(f"map needs domain, codomain, unit_images: missing {exc}") from exc
     space = None
     if "matrix" in codomain_spec:
-        codomain = FiniteDimAlgebra((codomain_spec["matrix"],), max_block=max_block)
+        codomain = _capped_algebra((codomain_spec["matrix"],), max_block)
     elif "space" in codomain_spec:
         space = space_from_json(codomain_spec["space"])
         codomain = function_algebra(space, codomain_spec.get("matdim", 1))
@@ -600,7 +608,7 @@ def certify_order_zero_per_unit(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroC
                         f"block {i}: ||phi(e_{j}{j}) phi(e_{k}{k})|| = {prod[j, k]:.3e} > tol"
                     )
 
-        sub_domain = FiniteDimAlgebra((d,), max_block=d)
+        sub_domain = FiniteDimAlgebra((d,))
         sig_arr = {}
         for c in range(phi.codomain.num_blocks):
             arr = phi.image_array(i, c)
@@ -888,7 +896,7 @@ def extract_cover_per_class(
         if not idxs:
             continue
         r = F.block_sizes[j]
-        sub = FiniteDimAlgebra((r,), max_block=r)
+        sub = FiniteDimAlgebra((r,))
         qs = [AlgebraElement(sub, [q_mats[(j, i)]]) for i in idxs]
         sup_norm = sum(qs[1:], qs[0]).norm()
         checks.append(Check("sum-alpha", sup_norm, alpha, sup_norm <= alpha + SNAP, f"block {j}"))

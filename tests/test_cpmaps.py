@@ -428,10 +428,10 @@ class TestStrictOrderBounds:
         assert not b.exact or b.lower == b.upper
 
     def test_block_above_default_cap(self):
-        # a block of 65 is legal under a raised cap; the per-block restriction
-        # must accept it too.  phi(1) = 132 is not contractive, so every order
-        # zero certificate fails at once, before its O(d^4) unit checks.
-        alg = FiniteDimAlgebra((65, 1), max_block=128)
+        # a block of 65 is legal: only input is capped, and the per-block
+        # restriction must accept it too.  phi(1) = 132 is not contractive, so
+        # every order zero certificate fails at once, before its O(d^4) unit checks.
+        alg = FiniteDimAlgebra((65, 1))
         images = {
             (0, 0): 2 * np.eye(65, dtype=complex).reshape(65, 65, 1, 1),
             (1, 0): 2 * np.ones((1, 1, 1, 1), complex),
@@ -442,7 +442,7 @@ class TestStrictOrderBounds:
         assert (b.lower, b.upper, b.exact) == (65, 65, True)
 
     def test_unitize_block_above_default_cap(self):
-        alg = FiniteDimAlgebra((65,), max_block=128)
+        alg = FiniteDimAlgebra((65,))
         out = unitize(CPMap(alg, FiniteDimAlgebra((1,)), {}))
         assert out.domain.block_sizes == (65, 1)
 
@@ -480,8 +480,7 @@ class TestTensoring:
         assert certify_order_zero(out).ok
 
     def test_block_above_default_cap(self):
-        # inflating by r = 65 is legal when the inflated algebras take their
-        # largest block as cap
+        # inflating by r = 65 is legal: algebras derived from a map are not capped
         phi = CPMap(FiniteDimAlgebra((1,)), FiniteDimAlgebra((1,)), {})
         out = tensor_with_identity(phi, 65)
         assert out.domain.block_sizes == (65,)

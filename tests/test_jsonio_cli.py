@@ -153,13 +153,25 @@ class TestCLI:
         assert run_cli(tmp_path, "flag", {"cover": CHAIN3}, flag, value, "cover", "order") == (2, b"")
         assert f"schema error: {flag} must be an integer >= {low}, got {value}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("codomain", [{"matrix": 65}, {"space": {"metric": [[0.0]]}, "matdim": 65}])
-    def test_codomain_block_size_obeys_max_block(self, tmp_path, capsys, codomain):
-        # C into one 65x65 block: a matrix codomain, or the 65x65 functions on one point
-        unit = {"block": 0, "row": 0, "col": 0, "value": {"sparse": [[0, jsonio.matrix_to_json(np.eye(65))]]}}
-        payload = {"map": {"domain": {"block_sizes": [1]}, "codomain": codomain, "unit_images": [unit]}}
+    @pytest.mark.parametrize(
+        "domain, codomain, block, size, message",
+        [
+            ([1], {"matrix": 65}, 0, 65, "block size 65"),
+            ([1], {"space": {"metric": [[0.0]]}, "matdim": 65}, 0, 65, "block size 65"),
+            ([1], {"algebra": {"block_sizes": [1, 70, 65]}}, 2, 65, "block size 70"),
+            ([2, 65], {"matrix": 1}, 0, 1, "block size 65"),
+        ],
+        ids=["codomain0", "codomain1", "codomain2", "domain"],
+    )
+    def test_codomain_block_size_obeys_max_block(self, tmp_path, capsys, domain, codomain, block, size, message):
+        # e_00 of domain block 0 onto the identity of codomain block ``block`` of
+        # ``size``: into a matrix codomain, the functions on one point, or a block
+        # algebra, whose message names the first block above the cap; or out of
+        # a domain with a block above it
+        unit = {"block": 0, "row": 0, "col": 0, "value": {"sparse": [[block, jsonio.matrix_to_json(np.eye(size))]]}}
+        payload = {"map": {"domain": {"block_sizes": domain}, "codomain": codomain, "unit_images": [unit]}}
         assert run_cli(tmp_path, "capped", payload, "cpmap", "choi") == (3, b"")
-        assert "precondition failure: block size 65 exceeds cap 64" in capsys.readouterr().err
+        assert f"precondition failure: {message} exceeds cap 64" in capsys.readouterr().err
         code, out = run_cli(tmp_path, "wide", payload, "--max-block", "128", "cpmap", "choi")
         assert code == 0 and json.loads(out)["psd"]
 
@@ -177,6 +189,36 @@ class TestCLI:
         code, out = run_cli(tmp_path, "wide", {"approximation": approx, "r": 1}, "--max-block", "128", "approx", "tensor")
         assert code == 0 and json.loads(out)["phi"]["codomain"]["matdim"] == 65
         assert run_cli(tmp_path, "capped", {"approximation": approx, "r": 1}, "approx", "tensor") == (3, b"")
+
+    def test_sum_of_blocks_above_64_reads_back_under_its_max_block(self, tmp_path, capsys):
+        # C(pt) into one 65x65 block by f -> f e_00, and back by x -> x_00
+        e00 = np.zeros((65, 65))
+        e00[0, 0] = 1
+        approx = {
+            "F": {"block_sizes": [65]},
+            "psi": {
+                "domain": {"block_sizes": [1]},
+                "codomain": {"matrix": 65},
+                "unit_images": [{"block": 0, "row": 0, "col": 0, "value": {"sparse": [[0, jsonio.matrix_to_json(e00)]]}}],
+            },
+            "phi": {
+                "domain": {"block_sizes": [65]},
+                "codomain": {"space": {"metric": [[0.0]]}, "matdim": 1},
+                "unit_images": [{"block": 0, "row": 0, "col": 0, "value": {"sparse": [[0, [[[1.0, 0.0]]]]]}}],
+            },
+        }
+        payload = {"first": approx, "second": approx}
+        assert run_cli(tmp_path, "capped", payload, "approx", "sum") == (3, b"")
+        assert "precondition failure: block size 65 exceeds cap 64" in capsys.readouterr().err
+        code, out = run_cli(tmp_path, "wide", payload, "--max-block", "128", "approx", "sum")
+        assert code == 0
+        total = json.loads(out)
+        assert total["F"] == {"block_sizes": [65, 65]}
+        # the sum's output reads back as a summand
+        back = {"first": total, "second": total}
+        code, out = run_cli(tmp_path, "back", back, "--max-block", "128", "approx", "sum")
+        assert code == 0 and json.loads(out)["F"] == {"block_sizes": [65] * 4}
+        assert run_cli(tmp_path, "back_capped", back, "approx", "sum") == (3, b"")
 
     def test_cover_strict_order(self, tmp_path):
         payload = {"cover": jsonio.cover_to_json(three_arcs_cover(60))}
@@ -562,6 +604,21 @@ def test_function_values_keep_their_bits():
 
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 10**6), min_size=1, max_size=8), st.integers(1, 10**6))
+def test_algebra_read_obeys_the_cap(sizes, max_block):
+    # an algebra holds no r x r array, so sizes up to 10^6 cost nothing
+    above = [r for r in sizes if r > max_block]
+    if above:
+        with pytest.raises(ValueError, match=f"^block size {above[0]} exceeds cap {max_block}$"):
+            jsonio.algebra_from_json({"block_sizes": sizes}, max_block)
+    else:
+        algebra = jsonio.algebra_from_json({"block_sizes": sizes}, max_block)
+        assert algebra.block_sizes == tuple(sizes)
+        assert jsonio.algebra_from_json({"block_sizes": sizes}, max_block) is algebra
+    assert FiniteDimAlgebra((1000,)).block_sizes == (1000,)
 # exact zeros of both signs, extremes and plain values; blocks and units are
 # often zero as a whole, as in the mostly-zero images of C(X)
 ENTRIES = [0.0, -0.0, 1.0, -2.5, 0.1, 5e-324, 1e-300, 3e300]
