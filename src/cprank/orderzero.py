@@ -135,9 +135,7 @@ def check_projection_case(phi: CPMap) -> ProjectionCaseVerdict:
     Inapplicable when phi(1) is not a projection; this is distinct from a
     failing verdict.
     """
-    _require_order_zero(phi)
-    one_img = phi.apply_one()
-    proj = validate(one_img, "projection", 1e-7)
+    proj = validate(_require_order_zero(phi).unit, "projection", 1e-7)
     if not proj:
         return ProjectionCaseVerdict("inapplicable", 0.0, f"phi(1) is not a projection: {proj.context}")
     defect = _hom_defect(phi)
@@ -225,8 +223,7 @@ def perturb_to_hom(phi: CPMap, gamma: float) -> PerturbationReport:
     """
     if not 0 < gamma < 0.25:
         raise ValueError(f"gamma must lie in (0, 1/4), got {gamma}")
-    _require_order_zero(phi)
-    h = phi.apply_one()
+    h = _require_order_zero(phi).unit
     unit_defect = (h @ h - h).norm()
     if unit_defect >= gamma:
         raise ValueError(

@@ -17,8 +17,8 @@ orthogonality defect, the elementary-set check and the worst pair one pair
 at a time, the Stinespring self-check one matrix unit at a time, and the
 Choi and adjoint checks one image pair at a time; and a c.p. approximation
 evaluated one function, one block element and one class at a time, cover
-extraction included.  They are plain rather than fast, and serve only as
-oracles.
+extraction included; and the strict-order bounds with a fresh certificate
+for each block.  They are plain rather than fast, and serve only as oracles.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from cprank import (
     ExtractionTargets,
     FiniteDimAlgebra,
     FiniteMetricSpace,
+    OrderBounds,
     StepFailure,
     certify_order_zero,
     cover_order,
@@ -46,6 +47,7 @@ from cprank import (
     orthogonalize_family,
     refines,
     strict_order_abelian,
+    witness_elementary_set,
 )
 from cprank.algebra import (
     DEFAULT_TOL,
@@ -268,7 +270,7 @@ def cpmap_from_json_per_entry(data: Any, max_block: int = 64) -> CPMap:
     else:
         raise SchemaError("codomain must give matrix, space, or algebra")
 
-    images: dict[tuple[int, int], np.ndarray] = {}
+    listed: dict[tuple[int, int, int, int], list[np.ndarray]] = {}  # per (i, c, j, k), its blocks
     for rec in units:
         try:
             i, j, k = int(rec["block"]), int(rec["row"]), int(rec["col"])
@@ -278,12 +280,15 @@ def cpmap_from_json_per_entry(data: Any, max_block: int = 64) -> CPMap:
         if i >= domain.num_blocks or j >= domain.block_sizes[i] or k >= domain.block_sizes[i]:
             raise SchemaError(f"unit index ({i},{j},{k}) outside the domain")
         elem = element_from_json_per_entry(codomain, value)
-        d = domain.block_sizes[i]
         for c, blk in enumerate(elem.blocks):
-            if not np.any(blk):
-                continue
-            r = codomain.block_sizes[c]
-            arr = images.setdefault((i, c), np.zeros((d, d, r, r), complex))
+            if np.any(blk):
+                listed.setdefault((i, c, j, k), []).append(blk)
+    images: dict[tuple[int, int], np.ndarray] = {}
+    for (i, c, j, k), blocks in listed.items():
+        d, r = domain.block_sizes[i], codomain.block_sizes[c]
+        arr = images.setdefault((i, c), np.zeros((d, d, r, r), complex))
+        # a unit listed several times adds its blocks in the order of their bytes
+        for blk in sorted(blocks, key=lambda b: b.tobytes()):
             arr[j, k] += blk
     return CPMap(domain, codomain, images, codomain_space=space)
 
@@ -305,8 +310,8 @@ def unit_records_dense(phi: CPMap) -> list[dict]:
 def cpmap_from_json_per_key(data: Any, max_block: int = 64) -> CPMap:
     """The map of a JSON record list, read through a dictionary of images: each
     record checked in turn, the listed blocks parsed per codomain block size,
-    those not all zero summed in record order into their pair's image, and the
-    pairs keyed in the order of their first such block."""
+    those not all zero summed into their pair's image, a repeated unit's in the
+    order of their bytes, and the pairs keyed in the order of their first such block."""
     if not isinstance(data, dict):
         raise SchemaError("map must be an object")
     try:
@@ -346,11 +351,16 @@ def cpmap_from_json_per_key(data: Any, max_block: int = 64) -> CPMap:
         if at := [q for q, b in enumerate(index) if codomain.block_slots[b][0] == g]:
             stack = matrix_from_json([mats[q] for q in at], (len(at), r, r))
             live.update((q, blk) for q, blk in zip(at, stack) if np.any(blk))
-    images: dict[tuple[int, int], np.ndarray] = {}
+    listed: dict[tuple[int, int, int, int], list[np.ndarray]] = {}  # per (i, c, j, k), its blocks
     for q in sorted(live):
         (i, j, k), c = units_at[q], index[q]
-        arr = images.setdefault((i, c), np.zeros((sizes[i],) * 2 + live[q].shape, complex))
-        arr[j, k] += live[q]
+        listed.setdefault((i, c, j, k), []).append(live[q])
+    images: dict[tuple[int, int], np.ndarray] = {}
+    for (i, c, j, k), blocks in listed.items():
+        arr = images.setdefault((i, c), np.zeros((sizes[i],) * 2 + blocks[0].shape, complex))
+        # a unit listed several times adds its blocks in the order of their bytes
+        for blk in sorted(blocks, key=lambda b: b.tobytes()):
+            arr[j, k] += blk
     return CPMap(domain, codomain, images, codomain_space=space)
 
 
@@ -639,6 +649,31 @@ def certify_order_zero_per_unit(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroC
 
     ok = not witnesses
     return OrderZeroCertificate(ok, witnesses, hs, sigmas, recon_defect)
+
+
+def strict_order_bounds_recertifying(phi: CPMap, tol: float = ORTH_TOL, seed: int = 0) -> OrderBounds:
+    """The strict-order bounds with a certificate of the whole map, then, for a map of
+    several blocks, a fresh certificate of each block of size above 1 on its own,
+    restricted by ``restrict_to_block``."""
+    if phi.domain.is_abelian():
+        val = strict_order_abelian(phi, tol)
+        return OrderBounds(val, val, True, "abelian clique")
+    if certify_order_zero(phi, tol).ok:
+        return OrderBounds(0, 0, True, "order-zero certificate")
+    sizes = phi.domain.block_sizes
+    if len(sizes) == 1:
+        r = sizes[0]
+        return OrderBounds(r - 1, r - 1, True, "dichotomy")
+    lower = 0
+    for i, r in enumerate(sizes):
+        if r > 1 and not certify_order_zero(phi.restrict_to_block(i), tol).ok:
+            lower = max(lower, r - 1)
+    probe = witness_elementary_set(phi, lower + 2, seed=seed)
+    while probe:
+        lower = len(probe.found) - 1
+        probe = witness_elementary_set(phi, lower + 2, seed=seed)
+    upper = sum(sizes) - 1
+    return OrderBounds(lower, upper, lower == upper, "witness search + trivial cap")
 
 
 def validate_per_pair(es: ElementarySet, tol: float = 1e-10) -> None:

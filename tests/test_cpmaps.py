@@ -1,5 +1,7 @@
 """Choi verification, dilation, Schwarz estimates, and strict order."""
 
+import hashlib
+from itertools import groupby
 from unittest import mock
 
 import numpy as np
@@ -45,6 +47,7 @@ from oracles import (
     min_choi_eigenvalue_per_pair,
     norms_unscreened,
     strict_order_abelian_brute,
+    strict_order_bounds_recertifying,
     unit_product_defects_per_unit,
     validate_per_pair,
     worst_pair_per_pair,
@@ -897,3 +900,203 @@ class TestBatchedOrderZero:
             phi = random_map(rng, dom_sizes, cod_sizes)
         assert phi.min_choi_eigenvalue() == min_choi_eigenvalue_per_pair(phi)
         assert phi.adjoint_symmetry_defect() == adjoint_symmetry_defect_per_pair(phi)
+
+
+def scaled_corner(d: int, n: int, t: float, at: int) -> np.ndarray:
+    """Images into M_n of x -> t x on rows at..at+d-1 of the domain block M_d: order zero."""
+    arr = np.zeros((d, d, n, n), complex)
+    for j in range(d):
+        for k in range(d):
+            arr[j, k, at + j, at + k] = t
+    return arr
+
+
+def trace_corner(d: int, n: int, t: float, at: int, width: int) -> np.ndarray:
+    """Images into M_n of e_jj -> t times the identity on rows at..at+width-1: not order
+    zero for d > 1."""
+    arr = np.zeros((d, d, n, n), complex)
+    for j in range(d):
+        arr[j, j, range(at, at + width), range(at, at + width)] = t
+    return arr
+
+
+def mixed_three_block_map() -> CPMap:
+    """M_2 + M_3 + M_2 into M_5: blocks 0 and 2 each order zero on rows 0-1, so not
+    orthogonal, and block 1 a trace map on rows 2-4."""
+    images = {(0, 0): scaled_corner(2, 5, 0.5, 0), (1, 0): trace_corner(3, 5, 0.25, 2, 3), (2, 0): scaled_corner(2, 5, 0.3, 0)}
+    return CPMap(FiniteDimAlgebra([2, 3, 2]), FiniteDimAlgebra([5]), images)
+
+
+def assert_bounds_match_recertifying(phi: CPMap, tol: float, seed: int = 0) -> None:
+    """The one-pass bounds equal the re-certifying oracle's, and each block's verdict
+    equals a fresh certificate of that block alone."""
+    assert strict_order_bounds(phi, tol, seed) == strict_order_bounds_recertifying(phi, tol, seed)
+    cert = cpmaps._CertificatePass(phi, tol)
+    got = [cert.block_order_zero(i) for i in range(phi.domain.num_blocks)]
+    assert got == [certify_order_zero(phi.restrict_to_block(i), tol).ok for i in range(phi.domain.num_blocks)]
+
+
+def constructed_cases() -> dict[str, tuple[CPMap, float]]:
+    two, five = FiniteDimAlgebra([2, 2]), FiniteDimAlgebra([5])
+    return {
+        # each block order zero, the two not orthogonal
+        "order zero, not orthogonal": (
+            CPMap(two, FiniteDimAlgebra([2]), {(0, 0): scaled_corner(2, 2, 0.5, 0), (1, 0): scaled_corner(2, 2, 0.3, 0)}),
+            cpmaps.ORTH_TOL,
+        ),
+        # orthogonal blocks, so the whole map is read into its blocks, where block 1 fails
+        "order zero next to not": (
+            CPMap(FiniteDimAlgebra([2, 3]), five, {(0, 0): scaled_corner(2, 5, 0.5, 0), (1, 0): trace_corner(3, 5, 0.25, 2, 3)}),
+            cpmaps.ORTH_TOL,
+        ),
+        # block 0 alone is not contractive, and so is the whole map
+        "block and map not contractive": (
+            CPMap(two, FiniteDimAlgebra([4]), {(0, 0): scaled_corner(2, 4, 2.0, 0), (1, 0): scaled_corner(2, 4, 0.5, 2)}),
+            cpmaps.ORTH_TOL,
+        ),
+        # ||phi(1_0)|| = 1 + 1.5e-9 is not contractive alone, but block 1 sends e_jj to -2.4e-10 on
+        # the same rows (Choi eigenvalues and phi(1_1) within tolerance of positive), so phi(1) is,
+        # and the map is order zero
+        "block alone not contractive": (
+            CPMap(FiniteDimAlgebra([2, 4]), FiniteDimAlgebra([2]), {
+                (0, 0): scaled_corner(2, 2, 1 + 1.5e-9, 0), (1, 0): trace_corner(4, 2, -2.4e-10, 0, 2)
+            }),
+            cpmaps.ORTH_TOL,
+        ),
+        "mixed three blocks": (mixed_three_block_map(), cpmaps.ORTH_TOL),
+        "tol override passes a noisy map": (near_order_zero(np.random.default_rng(3), [2, 2], 1, 1e-6), 1e-3),
+        "tol override fails it": (near_order_zero(np.random.default_rng(3), [2, 2], 1, 1e-6), 1e-9),
+    }
+
+
+class TestOneCertificatePass:
+    """strict_order_bounds and certify_order_zero read one certificate pass."""
+
+    @PROPERTY
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_pass_unit_is_apply_one(self, dom_sizes, cod_sizes, seed):
+        """phi(1) as the sum of the h_i has the bits of apply_one(), zeros of both signs
+        included; where same-size domain blocks are adjacent that is the ascending sum."""
+        rng = np.random.default_rng(seed)
+        dom, cod = FiniteDimAlgebra(dom_sizes), FiniteDimAlgebra(cod_sizes)
+        images = {}
+        for i in rng.permutation(dom.num_blocks).tolist():
+            for c in rng.permutation(cod.num_blocks).tolist():
+                d, r = dom.block_sizes[i], cod.block_sizes[c]
+                images[(i, c)] = rand_complex(rng, (d, d, r, r)) * rng.choice([0.0, -0.0, 1.0], (d, d, 1, 1))
+        phi = CPMap(dom, cod, images)
+        cert = cpmaps._CertificatePass(phi, cpmaps.ORTH_TOL)
+        want = [s.tobytes() for s in phi.apply_one().stacks]
+        assert [s.tobytes() for s in cert.one.stacks] == want
+        hs = [phi.apply_to_block(i, np.eye(d)) for i, d in enumerate(dom_sizes)]
+        assert [[s.tobytes() for s in h.stacks] for h in cert.hs] == [[s.tobytes() for s in h.stacks] for h in hs]
+        runs = [size for size, _ in groupby(dom_sizes)]
+        if len(runs) == len(set(runs)):
+            assert [s.tobytes() for s in sum(hs[1:], hs[0]).stacks] == want
+
+    def test_ascending_sum_is_not_apply_one_where_same_size_blocks_are_apart(self):
+        # M_2 + M_3 + M_2: apply adds block 2's term before block 1's
+        rng = np.random.default_rng(0)
+        dom = FiniteDimAlgebra([2, 3, 2])
+        images = {(i, 0): rand_complex(rng, (d, d, 3, 3)) for i, d in enumerate(dom.block_sizes)}
+        phi = CPMap(dom, FiniteDimAlgebra([3]), images)
+        hs = [phi.apply_to_block(i, np.eye(d)) for i, d in enumerate(dom.block_sizes)]
+        want = phi.apply_one().stacks[0].tobytes()
+        assert (hs[0] + hs[1] + hs[2]).stacks[0].tobytes() != want
+        assert cpmaps._CertificatePass(phi, cpmaps.ORTH_TOL).one.stacks[0].tobytes() == want
+
+    @pytest.mark.parametrize("name", list(constructed_cases()))
+    def test_bounds_match_recertifying_on_constructed_maps(self, name):
+        phi, tol = constructed_cases()[name]
+        assert_bounds_match_recertifying(phi, tol)
+
+    def test_constructed_maps_reach_each_case(self):
+        cases = constructed_cases()
+        verdicts = {}
+        for name, (phi, tol) in cases.items():
+            cert = cpmaps._CertificatePass(phi, tol)
+            verdicts[name] = (certify_order_zero(phi, tol).ok, [cert.block_order_zero(i) for i in range(phi.domain.num_blocks)])
+        assert verdicts == {
+            "order zero, not orthogonal": (False, [True, True]),
+            "order zero next to not": (False, [True, False]),
+            "block and map not contractive": (False, [False, True]),
+            "block alone not contractive": (True, [False, True]),
+            "mixed three blocks": (False, [True, False, True]),
+            "tol override passes a noisy map": (True, [True, True]),
+            "tol override fails it": (False, [False, False]),
+        }
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        st.sampled_from(["cp", "order zero", "near order zero", "not cp"]),
+        st.sampled_from([cpmaps.ORTH_TOL, 1e-6, 1e-3, 0.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bounds_match_recertifying(self, sizes, kind, tol, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "cp":
+            phi = rand_cp_contraction(rng, sizes, int(rng.integers(1, 4)))
+        elif kind == "order zero":
+            phi = rand_order_zero(rng, sizes, int(rng.integers(1, 3)))
+        elif kind == "near order zero":
+            phi = near_order_zero(rng, sizes, int(rng.integers(1, 3)), float(rng.choice([1e-9, 1e-7, 1e-5])))
+        else:
+            phi = random_map(rng, sizes, [int(rng.integers(1, 4))])
+        assert_bounds_match_recertifying(phi, tol, seed % 3)
+
+    @pytest.mark.parametrize("phi", [mixed_three_block_map(), trace_map(3), rand_cp_contraction(np.random.default_rng(2), [3, 2], 2)])
+    def test_bounds_make_one_pass_and_no_restriction(self, phi):
+        real = cpmaps._CertificatePass
+        with (
+            mock.patch.object(cpmaps, "_CertificatePass", wraps=real) as passes,
+            mock.patch.object(cpmaps, "certify_order_zero", wraps=certify_order_zero) as certify,
+            mock.patch.object(CPMap, "restrict_to_block", autospec=True, side_effect=CPMap.restrict_to_block) as restrict,
+        ):
+            strict_order_bounds(phi)
+        assert (passes.call_count, certify.call_count, restrict.call_count) == (1, 0, 0)
+
+    def test_capped_certificate_of_the_mixed_map_carries_no_data(self):
+        cert = certify_order_zero(mixed_three_block_map())
+        assert not cert.ok and len(cert.witnesses) == cpmaps.MAX_WITNESSES
+        assert cert.witnesses[0] == "blocks 0,2: ||phi(1_0) phi(1_2)|| = 1.500e-01 > tol"
+        assert cert.witnesses[-1] == "block 1: sigma multiplicativity defect 1.111e-01 at units (11)(22)"
+        assert (cert.h_blocks, cert.sigma_maps, cert.unit) == ([], [], None)
+
+
+def _inexact_cap_map() -> CPMap:
+    """Two copies of the trace map on M_2 in orthogonal corners of M_4."""
+    images = {}
+    for i in range(2):
+        arr = np.zeros((2, 2, 4, 4), complex)
+        for j in range(2):
+            arr[j, j, range(2 * i, 2 * i + 2), range(2 * i, 2 * i + 2)] = 0.5
+        images[(i, 0)] = arr
+    return CPMap(FiniteDimAlgebra([2, 2]), FiniteDimAlgebra([4]), images)
+
+
+@pytest.mark.parametrize(
+    "make, m, seed, tol, samples, best, found",
+    [
+        # exhausts its budget: the images of the two blocks are orthogonal
+        (_inexact_cap_map, 3, 7, 1e-6, 200, "0.0", None),
+        (lambda: near_order_zero(np.random.default_rng(0), [3, 2], 1, 1e-3), 2, 0, 3e-4, 200, "0.00026515751543527624", None),
+        # found in the corner phase
+        (
+            lambda: near_order_zero(np.random.default_rng(0), [3, 2], 1, 1e-3), 3, 0, 2.26e-4, 165, "0.00022695814844254903",
+            "8bcc2ea7485ae5d0a0acfdd41c3e3a71dd7515141369b177c6259d643ea62689",
+        ),
+    ],
+)
+def test_witness_search_is_pinned(make, m, seed, tol, samples, best, found):
+    """Samples, best product and found set of seeded searches, as the search that
+    recomputed the worst pair's corner on every step gave them."""
+    r = witness_elementary_set(make(), m, seed=seed, tol=tol)
+    digest = None
+    if r.found is not None:
+        digest = hashlib.sha256(b"".join(s.tobytes() for p in r.found.projections for s in p.stacks)).hexdigest()
+    assert (r.samples_used, repr(r.best_min_product), digest) == (samples, best, found)

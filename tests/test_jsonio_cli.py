@@ -25,6 +25,7 @@ from cprank.cpmaps import unit_stacks
 from conftest import (
     interval_chain_cover,
     matrix_path_approximation,
+    rand_complex,
     rand_cp_contraction,
     rand_order_zero,
     three_arcs_cover,
@@ -1004,3 +1005,38 @@ FUZZ_EXITS = {"cpmap choi": (0, 2, 3), "cpmap order-zero": (0, 2, 3)}
 def test_schema_fuzz_exits_with_a_documented_code(tmp_path, command, data):
     code, _ = run_cli(tmp_path, "fuzz", data.draw(FUZZ[command]), *command.split())
     assert code in FUZZ_EXITS.get(command, (0, 2, 3, 4))
+
+
+@settings(
+    max_examples=60, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],  # each example overwrites its files
+)
+@given(
+    st.lists(st.integers(1, 2), min_size=1, max_size=3),
+    st.lists(st.integers(1, 2), min_size=1, max_size=2),
+    st.integers(0, 2**32 - 1),
+)
+def test_repeated_records_read_the_same_in_any_order(tmp_path, sizes, cod_sizes, seed):
+    """A unit listed up to four times, in parts of magnitudes 1e-3 to 1e3 whose sum
+    depends on the order of addition, gives the same `cpmap choi` bytes for any order
+    of the records; the images stay adjoint-symmetric, so choi reads them."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for i, d in enumerate(sizes):
+        for j in range(d):
+            for k in range(j, d):
+                for _ in range(int(rng.integers(1, 5))):
+                    part = [rand_complex(rng, (r, r)) * rng.choice([1e-3, 1.0, 1e3]) for r in cod_sizes]
+                    if j == k:
+                        part = [(m + m.conj().T) / 2 for m in part]
+                    listed = np.flatnonzero(rng.random(len(cod_sizes)) < 0.7).tolist()
+                    for jj, kk, f in ((j, k, lambda m: m), (k, j, lambda m: m.conj().T))[: 1 + (j != k)]:
+                        value = {"sparse": [[c, jsonio.matrix_to_json(f(part[c]))] for c in listed]}
+                        records.append({"block": i, "row": jj, "col": kk, "value": value})
+    head = {"domain": {"block_sizes": sizes}, "codomain": {"algebra": {"block_sizes": cod_sizes}}}
+    runs = [
+        run_cli(tmp_path, name, {"map": {**head, "unit_images": order}}, "cpmap", "choi")
+        for name, order in (("listed", records), ("shuffled", [records[q] for q in rng.permutation(len(records))]))
+    ]
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
