@@ -259,7 +259,6 @@ def _cmd_approx(args: argparse.Namespace, data: Any) -> Any:
 
 def _cmd_cpmap(args: argparse.Namespace, data: Any) -> Any:
     action = args.action
-    kw = {"tol": args.tol} if args.tol is not None else {}
     if action == "choi":
         phi = jsonio.cpmap_from_json(_need(data, "map"), args.max_block)
         blocks, ok, worst = choi_blocks(phi)
@@ -281,10 +280,12 @@ def _cmd_cpmap(args: argparse.Namespace, data: Any) -> Any:
         }
     if action == "order-bounds":
         phi = jsonio.cpmap_from_json(_need(data, "map"), args.max_block)
+        kw = {"tol": args.tol} if args.tol is not None else {}
         b = strict_order_bounds(phi, seed=args.seed, **kw)
         return {"lower": b.lower, "upper": b.upper, "exact": b.exact, "method": b.method}
     if action == "order-zero":
         phi = jsonio.cpmap_from_json(_need(data, "map"), args.max_block)
+        kw = {"tol": args.tol} if args.tol is not None else {}
         cert = certify_order_zero(phi, **kw)
         return {"order_zero": cert.ok, "witnesses": cert.witnesses}
     if action == "repair":

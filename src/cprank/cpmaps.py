@@ -182,7 +182,7 @@ class CPMap:
         d, _, r, _ = arr.shape
         return arr.transpose(0, 2, 1, 3).reshape(d * r, d * r)
 
-    def min_choi_eigenvalues(self) -> np.ndarray:
+    def min_choi_eigenvalue(self) -> np.ndarray:
         """Smallest Choi eigenvalue per domain block over its stored pairs, inf for a block
         with none: one ``eigvalsh`` per stack of same-shape pairs."""
         lows = np.full(self.domain.num_blocks, np.inf)
@@ -192,12 +192,8 @@ class CPMap:
             np.minimum.at(lows, keys[:, 0], np.linalg.eigvalsh(_hermitian_part(ch)).min(axis=1))
         return lows
 
-    def min_choi_eigenvalue(self) -> float:
-        """Smallest Choi eigenvalue over the stored block pairs, 0 when none is stored."""
-        return float(self.min_choi_eigenvalues().min()) if self.parts else 0.0
-
     def is_completely_positive(self) -> bool:
-        return self.min_choi_eigenvalue() >= -CP_TOL and self.adjoint_symmetry_defect() <= 1e-8
+        return float(self.min_choi_eigenvalue().min()) >= -CP_TOL and self.adjoint_symmetry_defect() <= 1e-8
 
     def apply_one(self) -> AlgebraElement:
         return self.apply(AlgebraElement.identity(self.domain))
@@ -213,9 +209,12 @@ def choi_blocks(phi: CPMap) -> tuple[list[np.ndarray], bool, float]:
     asym = phi.adjoint_symmetry_defect()
     if asym > 1e-8:
         raise ValueError(f"inconsistent adjoint symmetry: defect {asym:.3e}")
-    cod = range(phi.codomain.num_blocks)
-    blocks = [block_diag(*[phi.choi_block(i, c) for c in cod]) for i in range(phi.domain.num_blocks)]
-    worst = min([0.0] + [float(np.linalg.eigvalsh(_hermitian_part(big)).min()) for big in blocks])
+    blocks = []
+    worst = 0.0
+    for i in range(phi.domain.num_blocks):
+        big = block_diag(*[phi.choi_block(i, c) for c in range(phi.codomain.num_blocks)])
+        blocks.append(big)
+        worst = min(worst, float(np.linalg.eigvalsh(_hermitian_part(big)).min()))
     return blocks, worst >= -CP_TOL, worst
 
 
@@ -507,7 +506,7 @@ class OrderZeroCertificate:
     h_blocks: list[AlgebraElement] = field(default_factory=list)
     sigma_maps: list[CPMap] = field(default_factory=list)
     reconstruction_defect: float = 0.0
-    unit: AlgebraElement | None = None  # phi(1), the sum of the h_blocks
+    unit: AlgebraElement | None = None  # phi(1)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -519,19 +518,14 @@ MAX_WITNESSES = 16
 
 class _CertificatePass:
     """One order-zero certification of phi, its shared work done once: the smallest Choi
-    eigenvalue per domain block, the h_i = phi(1_i) and phi(1) as their sum; the
-    witnesses come on demand, for the map or for one block.  phi(1) adds the h_i as
-    :meth:`CPMap.apply` adds its pairs' terms, so it has the bits of ``phi.apply_one()``
-    (ascending block order where same-size blocks are adjacent)."""
+    eigenvalue per domain block, phi(1) and the h_i = phi(1_i); the witnesses come on
+    demand, for the map or for one block."""
 
     def __init__(self, phi: CPMap, tol: float):
         self.phi, self.tol, self.thr = phi, tol, max(tol, 1e-7)
-        self.min_choi = phi.min_choi_eigenvalues()
+        self.min_choi = phi.min_choi_eigenvalue()
+        self.one = phi.apply_one()
         self.hs = [phi.apply_to_block(i, np.eye(d)) for i, d in enumerate(phi.domain.block_sizes)]
-        one = phi.codomain.zero_stacks(())
-        for (keys, _), (_, _, gc, cod_slots, _) in zip(phi.parts, phi.layout):
-            np.add.at(one[gc], cod_slots, [self.hs[i].stacks[gc][n] for i, n in zip(keys[:, 0].tolist(), cod_slots)])
-        self.one = AlgebraElement.from_stacks(phi.codomain, one)
         self.sigmas: list[CPMap] = []
         self.recon: dict[int, float] = {}  # per block whose witnesses ran out, its reconstruction defect
 
@@ -574,8 +568,9 @@ class _CertificatePass:
         spectral = SpectralDecomposition(h)
         supp, s_half = spectral.function(ScalarFunctionSpec("support")), spectral.function(inverse_sqrt_on_support())
         conj = [sx[:, None, None] @ u @ sx[:, None, None] for sx, u in zip(s_half.stacks, units)]
+        sub_domain = FiniteDimAlgebra((d,))
         parts = [(np.stack([0 * c, c], axis=1), x) for c, x in zip(phi.codomain.group_blocks, conj)]
-        sigma = CPMap.from_stacks(FiniteDimAlgebra((d,)), phi.codomain, parts, phi.codomain_space)
+        sigma = CPMap.from_stacks(sub_domain, phi.codomain, parts, phi.codomain_space)
         sig = [0.0 + x for x in conj]  # the bits unit_stacks(sigma, 0) gives
         for start, prods in unit_product_defects(sig, sig, True):
             defect = _norms(prods, thr)
@@ -594,10 +589,11 @@ class _CertificatePass:
         self.sigmas.append(sigma)
 
     def block_order_zero(self, i: int) -> bool:
-        """The verdict of ``certify_order_zero(phi.restrict_to_block(i), tol)``, read up to
-        block i's first witness."""
-        ok = self.min_choi[i] >= -CP_TOL and self.hs[i].norm() <= 1.0 + CP_TOL
-        return ok and next(self.block_witnesses(i), None) is None and self.recon[i] <= self.thr
+        """The verdict of ``certify_order_zero(phi.restrict_to_block(i), tol)``: from the
+        read of the map where that ran through block i, else read up to its first witness."""
+        if not (self.min_choi[i] >= -CP_TOL and self.hs[i].norm() <= 1.0 + CP_TOL):
+            return False
+        return (i in self.recon or next(self.block_witnesses(i), None) is None) and self.recon[i] <= self.thr
 
 
 def certify_order_zero(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroCertificate:
@@ -663,7 +659,9 @@ class WitnessSearchResult:
 def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    ph = np.diag(r).copy()
+    ph /= np.abs(ph)
+    return q * ph
 
 
 def _worst_pair(images: list[np.ndarray]) -> tuple[int, int, float]:
@@ -699,12 +697,16 @@ def witness_elementary_set(
     rng = np.random.default_rng(seed)
 
     # allocate m vectors to blocks: largest blocks first, then round-robin
+    order = sorted(range(len(sizes)), key=lambda b: (-sizes[b], b))
     alloc: list[tuple[int, int]] = []
     remaining = m
-    for b in sorted(range(len(sizes)), key=lambda b: (-sizes[b], b)):
-        if take := min(sizes[b], remaining):
+    for b in order:
+        take = min(sizes[b], remaining)
+        if take:
             alloc.append((b, take))
             remaining -= take
+        if not remaining:
+            break
 
     def scored(projs: list[AlgebraElement]) -> tuple[list[AlgebraElement], tuple[int, int, float]]:
         """A candidate set and its worst pair."""
@@ -788,10 +790,16 @@ def strict_order_bounds(phi: CPMap, tol: float = ORTH_TOL, seed: int = 0) -> Ord
         return OrderBounds(0, 0, True, "order-zero certificate")
     sizes = phi.domain.block_sizes
     if len(sizes) == 1:
-        return OrderBounds(sizes[0] - 1, sizes[0] - 1, True, "dichotomy")
-    lower = max([r - 1 for i, r in enumerate(sizes) if r > 1 and not cert.block_order_zero(i)], default=0)
-    while probe := witness_elementary_set(phi, lower + 2, seed=seed):
+        r = sizes[0]
+        return OrderBounds(r - 1, r - 1, True, "dichotomy")
+    lower = 0
+    for i, r in enumerate(sizes):
+        if r > 1 and not cert.block_order_zero(i):
+            lower = max(lower, r - 1)
+    probe = witness_elementary_set(phi, lower + 2, seed=seed)
+    while probe:
         lower = len(probe.found) - 1
+        probe = witness_elementary_set(phi, lower + 2, seed=seed)
     upper = sum(sizes) - 1
     return OrderBounds(lower, upper, lower == upper, "witness search + trivial cap")
 
@@ -831,9 +839,11 @@ def tensor_strict_order_exact(phi: CPMap, r: int) -> tuple[int, ElementarySet]:
     clique = max_clique(_generator_graph(phi, ORTH_TOL))
     order = max(len(clique) - 1, 0)
     tensored = tensor_with_identity(phi, r)
-    e = np.zeros((r, r), complex)
-    e[0, 0] = 1.0
-    witness_members = [AlgebraElement.from_block(tensored.domain, lam, e) for lam in clique]
+    witness_members = []
+    for lam in clique:
+        e = np.zeros((r, r), complex)
+        e[0, 0] = 1.0
+        witness_members.append(AlgebraElement.from_block(tensored.domain, lam, e))
     es = ElementarySet(witness_members)
     es.validate()
     if len(clique) > 1:

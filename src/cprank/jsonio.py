@@ -262,7 +262,6 @@ def cpmap_from_json(data: Any, max_block: int = DEFAULT_MAX_BLOCK) -> CPMap:
         raise
     counts, index, mats = _listed_values(codomain, [value for _, value in heads])
     units = [unit for (unit, _), n in zip(heads, counts) for _ in range(n)]  # per listed block
-    repeats = len({unit for unit, _ in heads}) < len(heads)  # some unit is listed in two records
     # the blocks not all zero go into one image stack per codomain and domain size group,
     # its pairs in ascending order
     parts = []
@@ -280,8 +279,8 @@ def cpmap_from_json(data: Any, max_block: int = DEFAULT_MAX_BLOCK) -> CPMap:
             d = domain.group_sizes[gd]
             arrays = np.zeros((len(place), d, d) + stack.shape[1:], complex)
             dest = [(place[i, c], j, k) for i, c, j, k in targets]
-            if repeats:  # a repeated unit's blocks add in the order of their bytes, not of the records
-                dest, rows = zip(*sorted(zip(dest, rows), key=lambda p: (p[0], stack[p[1]].tobytes())))
+            # a repeated unit's blocks add in the order of their bytes, not of the records
+            dest, rows = zip(*sorted(zip(dest, rows), key=lambda p: (p[0], stack[p[1]].tobytes())))
             np.add.at(arrays, tuple(np.array(dest).T), stack[list(rows)])
             parts.append((np.array(list(place)), arrays))
     return CPMap.from_stacks(domain, codomain, parts, space)

@@ -577,7 +577,7 @@ def certify_order_zero_per_unit(phi: CPMap, tol: float = ORTH_TOL) -> OrderZeroC
     """The order-zero certificate with every witness: one product defect call per (j, k),
     one orthogonality defect per pair of blocks."""
     witnesses: list[str] = []
-    min_choi = min_choi_eigenvalue_per_pair(phi)
+    min_choi = min(min_choi_eigenvalue_per_pair(phi) + [0.0])
     if min_choi < -CP_TOL:
         witnesses.append(f"not completely positive: Choi eigenvalue {min_choi:.3e}")
     one_norm = phi.apply_one().norm()
@@ -716,11 +716,14 @@ def dilation_defect_per_unit(phi: CPMap, dil: StinespringDilation) -> float:
     return worst
 
 
-def min_choi_eigenvalue_per_pair(phi: CPMap) -> float:
-    """Smallest Choi eigenvalue over the stored block pairs, one pair at a time."""
-    chois = [phi.choi_block(i, c) for i, c in phi.images]
-    lows = [float(np.linalg.eigvalsh((ch + ch.conj().T) / 2).min()) for ch in chois]
-    return min(lows, default=0.0)
+def min_choi_eigenvalue_per_pair(phi: CPMap) -> list[float]:
+    """Smallest Choi eigenvalue per domain block over its stored pairs, inf for a block
+    with none, one pair at a time."""
+    lows = [np.inf] * phi.domain.num_blocks
+    for i, c in phi.images:
+        ch = phi.choi_block(i, c)
+        lows[i] = min(lows[i], float(np.linalg.eigvalsh((ch + ch.conj().T) / 2).min()))
+    return lows
 
 
 def adjoint_symmetry_defect_per_pair(phi: CPMap) -> float:
