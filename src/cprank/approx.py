@@ -25,12 +25,12 @@ from .algebra import (
     shared_algebra,
     spectral_norms,
 )
+from .cliques import mask_indices
 from .covers import (
     Cover,
     FiniteMetricSpace,
     cover_order,
     disjoint_union,
-    mask_indices,
     member_diameters,
     net_ball_cover,
     oscillation_scale,
@@ -455,7 +455,7 @@ def _diam_failure_data(
             chosen.append(p)
         if len(chosen) == n + 2:
             break
-    through = point_member_masks(targets.V.members)
+    through = targets.V.through
     lam_sets = [mask_indices(through[p]) for p in chosen]
     sums = [targets.weights[lset].sum(axis=0) if lset else np.zeros(space.npts) for lset in lam_sets]
     images = psi.apply(_function_batch(space, sums, 1)).blocks[j]
@@ -544,7 +544,7 @@ def extract_cover(
     m_blocks = F.num_blocks
     one_vals = _real(_values_of(phi, [(j, np.eye(r, dtype=complex)) for j, r in enumerate(F.block_sizes)]))
     A_sets = [frozenset(np.flatnonzero(_above(v, C)).tolist()) for v in one_vals]
-    through = point_member_masks(targets.V.members)
+    through = targets.V.through
     classes: list[list[list[int]]] = []
     for j in range(m_blocks):
         # members sharing a point of A_j are equivalent; chain through points,

@@ -31,12 +31,12 @@ from .approx import (
     tensor_approx,
     verify_cp_approx,
 )
-from .cliques import max_clique
+from .cliques import max_clique_of_masks
 from .covers import (
     cover_order,
     cover_strict_order,
-    intersection_graph,
     nerve,
+    neighbour_masks,
     refine_with_strict_order,
     refines,
 )
@@ -126,7 +126,7 @@ def _cmd_cover(args: argparse.Namespace, data: Any) -> Any:
         return {"order": cover_order(cover)}
     if action == "strict-order":
         cover = jsonio.cover_from_json(_need(data, "cover"))
-        clique = max_clique(intersection_graph(cover))
+        clique = max_clique_of_masks(neighbour_masks(cover))
         return {"strict_order": max(len(clique) - 1, 0), "clique": clique}
     if action == "nerve":
         cover = jsonio.cover_from_json(_need(data, "cover"))

@@ -1,8 +1,9 @@
 """Exact maximum-clique search: bit-parallel branch and bound.
 
-Vertices are 0..n-1; adjacency is a symmetric boolean matrix, in which
-diagonal entries do not count as edges.  Desk-scale graphs only (hundreds
-of vertices); the search is single-threaded and deterministic.
+Vertices are 0..n-1; adjacency is one neighbour bitmask per vertex, or a
+symmetric boolean matrix in which diagonal entries do not count as edges.
+Desk-scale graphs only (hundreds of vertices); the search is
+single-threaded and deterministic.
 
 Vertex sets are Python ints used as bitmasks.  The search starts from the
 clique of one greedy dive (take the highest-degree candidate left, keep its
@@ -35,6 +36,30 @@ import numpy as np
 def _to_masks(adj: np.ndarray) -> list[int]:
     packed = np.packbits(adj, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def mask_indices(mask: int) -> list[int]:
+    """Positions of the set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def forward_path_bound(masks: list[int]) -> int:
+    """Vertices on the longest path that steps only to higher neighbours: an
+    upper bound on the clique number, as a clique in ascending order is such a path."""
+    ends: list[int] = []  # ends[i]: the vertices seen whose longest such path has i + 1
+    for v in range(len(masks) - 1, -1, -1):
+        top = len(ends)
+        while top and not masks[v] & ends[top - 1]:
+            top -= 1
+        if top == len(ends):
+            ends.append(0)
+        ends[top] |= 1 << v
+    return len(ends)
 
 
 def _color_classes(cand: int, masks: list[int]) -> list[int]:
@@ -105,13 +130,8 @@ def _refutation(
 
 
 def max_clique(adj: np.ndarray) -> list[int]:
-    """Return one maximum clique of the graph as a sorted vertex list.
-
-    The search is depth-first over an explicit stack of frames, one per node
-    on the current path: its candidate set, colour classes, locked classes,
-    and the colour and class members still to branch on.  So it needs no
-    Python recursion, however large the clique.
-    """
+    """Return one maximum clique of the graph as a sorted vertex list; the
+    search of :func:`max_clique_of_masks` on the rows of ``adj``."""
     adj = np.array(adj, dtype=bool)
     n = adj.shape[0]
     if n == 0:
@@ -119,9 +139,25 @@ def max_clique(adj: np.ndarray) -> list[int]:
     if adj.shape != (n, n):
         raise ValueError("adjacency matrix must be square")
     np.fill_diagonal(adj, False)  # self-loops are no edges
-    # order vertices by degree descending for better pruning
-    perm = np.argsort(-adj.sum(axis=1), kind="stable").tolist()
-    pmask = _to_masks(adj[np.ix_(perm, perm)])
+    return max_clique_of_masks(_to_masks(adj))
+
+
+def max_clique_of_masks(masks: list[int]) -> list[int]:
+    """One maximum clique, as a sorted vertex list, of the graph whose neighbour
+    bitmasks (symmetric, without each vertex's own bit) are ``masks``.
+    The search is depth-first over an explicit stack of frames, one per node
+    on the current path: its candidate set, colour classes, locked classes,
+    and the colour and class members still to branch on.  So it needs no
+    Python recursion, however large the clique."""
+    n = len(masks)
+    if n == 0:
+        return []
+    # a stable sort on descending degree, for better pruning; relabel only if it moves a vertex
+    perm = sorted(range(n), key=lambda v: -masks[v].bit_count())
+    pmask = masks
+    if perm != list(range(n)):
+        pos = sorted(range(n), key=perm.__getitem__)  # the inverse of perm
+        pmask = [sum(1 << pos[u] for u in mask_indices(masks[v])) for v in perm]
 
     def frame(cand: int) -> list:
         classes = _color_classes(cand, pmask)

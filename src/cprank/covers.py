@@ -14,11 +14,12 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
-from .cliques import max_clique
+from .cliques import forward_path_bound, mask_indices, max_clique_of_masks
 
 
 @dataclass
@@ -123,6 +124,11 @@ class Cover:
     def is_covering(self, npts: int) -> bool:
         return not set(range(npts)).difference(*self.members)
 
+    @cached_property
+    def through(self) -> dict[int, int]:
+        """The point -> member-mask index, built once, on first use."""
+        return point_member_masks(self.members)
+
 
 def point_member_masks(members: list[frozenset[int]]) -> dict[int, int]:
     """Map each point to the bitmask of the members that contain it."""
@@ -134,47 +140,33 @@ def point_member_masks(members: list[frozenset[int]]) -> dict[int, int]:
     return masks
 
 
-def mask_indices(mask: int) -> list[int]:
-    """Positions of the set bits of a mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def cover_order(cover: Cover) -> int:
     """Largest number of members through a single point, minus one."""
-    through = point_member_masks(cover.members).values()
-    return max((mask.bit_count() for mask in through), default=0) - 1
+    return max((mask.bit_count() for mask in cover.through.values()), default=0) - 1
 
 
-def intersection_graph(cover: Cover) -> np.ndarray:
-    """Boolean adjacency of the members, an edge where two members meet.
-
-    A member's neighbours are the union, over its points, of the members
-    through that point.  The graph records only whether two members meet and
-    never counts their common points, so it is exact for overlaps of any size.
-    """
-    k = len(cover.members)
-    through = point_member_masks(cover.members)
-    nbytes = (k + 7) // 8
-    rows = bytearray()
-    for m in cover.members:
+def neighbour_masks(cover: Cover) -> list[int]:
+    """Each member's mask of the other members it meets: the intersection graph,
+    exact for overlaps of any size, as it never counts common points."""
+    through = cover.through
+    out = []
+    for idx, m in enumerate(cover.members):
         meets = 0
         for p in m:
             meets |= through[p]
-        rows += meets.to_bytes(nbytes, "little")
-    packed = np.frombuffer(rows, dtype=np.uint8).reshape(k, nbytes)
-    adj = np.unpackbits(packed, axis=1, count=k, bitorder="little").view(bool)
-    np.fill_diagonal(adj, False)
-    return adj
+        out.append(meets & ~(1 << idx))
+    return out
 
 
 def cover_strict_order(cover: Cover) -> int:
-    """Clique number of the intersection graph, minus one (exact)."""
-    return max(len(max_clique(intersection_graph(cover))) - 1, 0)
+    """Clique number of the intersection graph, minus one (exact).  The search
+    runs only when the clique through one point (``cover_order + 1`` members)
+    is smaller than :func:`cliques.forward_path_bound`."""
+    masks = neighbour_masks(cover)
+    omega = cover_order(cover) + 1  # the clique number unless the path bound is larger
+    if forward_path_bound(masks) > omega:
+        omega = len(max_clique_of_masks(masks))
+    return max(omega - 1, 0)
 
 
 def refines(fine: Cover, coarse: Cover) -> tuple[bool, list[int | None]]:
@@ -185,7 +177,7 @@ def refines(fine: Cover, coarse: Cover) -> tuple[bool, list[int | None]]:
     coarse members through every point of the fine member, intersected as
     bitmasks, so coarse members away from it are never visited.
     """
-    through = point_member_masks(coarse.members)
+    through = coarse.through
     everything = (1 << len(coarse.members)) - 1
     witness: list[int | None] = []
     for m in fine.members:
@@ -285,7 +277,7 @@ def nerve(cover: Cover) -> SimplicialComplex:
     On a finite model every face arises from the membership set of some
     point, so the nerve is the downward closure of those sets.
     """
-    through = point_member_masks(cover.members).values()
+    through = cover.through.values()
     total = sum(1 << mask.bit_count() for mask in through)
     if total > MAX_NERVE_FACES:
         raise ValueError(f"nerve enumeration too large ({total} subsets)")

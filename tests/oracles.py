@@ -65,7 +65,8 @@ from cprank.algebra import (
     validate,
 )
 from cprank.approx import SNAP, _above
-from cprank.covers import PartitionOfUnity, mask_indices, point_member_masks
+from cprank.cliques import mask_indices
+from cprank.covers import PartitionOfUnity, point_member_masks
 from cprank.cpmaps import (
     CP_TOL,
     ORTH_TOL,

@@ -25,7 +25,9 @@ from cprank import (
     strict_refinement,
     torus_grid,
 )
-from cprank.covers import greedy_net, oscillation_scale
+from cprank import covers
+from cprank.cliques import max_clique_of_masks
+from cprank.covers import greedy_net, neighbour_masks, oscillation_scale, refine_with_strict_order
 
 from conftest import interval_chain_cover, three_arcs_cover
 from oracles import (
@@ -241,6 +243,38 @@ class TestStrictRefinement:
             assert ref.is_covering(sp.npts)
             assert refines(ref, cov)[0]
             assert cover_strict_order(ref) <= cover_order(cov)
+
+
+def counted_searches(monkeypatch) -> list[int]:
+    """Patch the clique search that ``cover_strict_order`` calls to record the
+    size of each graph it is run on."""
+    sizes = []
+
+    def search(masks):
+        sizes.append(len(masks))
+        return max_clique_of_masks(masks)
+
+    monkeypatch.setattr(covers, "max_clique_of_masks", search)
+    return sizes
+
+
+class TestSettledByBounds:
+    def test_circle_refinement_is_settled_without_a_search(self, monkeypatch):
+        # a refined cover's cliques are chains of faces: here the longest path to
+        # higher members meets the members through one point
+        searches = counted_searches(monkeypatch)
+        sp = circle_grid(80)
+        ref, strict = refine_with_strict_order(sp, ball_cover(sp, 2.6 / 80))
+        assert searches == []
+        assert strict == len(max_clique_of_masks(neighbour_masks(ref))) - 1 == cover_order(ref)
+
+    def test_interval_refinement_searches_where_the_bounds_differ(self, monkeypatch):
+        # 120 points at 3.4 spacings: the forward-path bound reads 6 against 5
+        searches = counted_searches(monkeypatch)
+        sp = interval_grid(120)
+        ref, strict = refine_with_strict_order(sp, ball_cover(sp, 3.4 / 119))
+        assert searches == [len(ref)]
+        assert strict == len(max_clique_of_masks(neighbour_masks(ref))) - 1 == cover_order(ref)
 
 
 class TestRefinesAndBalls:

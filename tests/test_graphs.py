@@ -1,6 +1,7 @@
-"""The graph kernels against their oracles: clique search, the intersection
-graph of a cover (with its order, strict order and nerve), and the graph of
-non-orthogonal generators of a map with abelian domain."""
+"""The graph kernels against their oracles: clique search and its
+forward-path bound, the intersection graph of a cover (with its order,
+strict order and nerve), and the graph of non-orthogonal generators of a map
+with abelian domain."""
 
 from itertools import combinations
 
@@ -23,8 +24,8 @@ from cprank import (
     tensor_strict_order_exact,
     torus_grid,
 )
-from cprank.cliques import _color_classes, _to_masks, max_clique
-from cprank.covers import intersection_graph
+from cprank.cliques import _color_classes, _to_masks, forward_path_bound, max_clique, max_clique_of_masks
+from cprank.covers import neighbour_masks
 
 from conftest import rand_unitary
 from oracles import (
@@ -134,6 +135,22 @@ class TestMaxClique:
         assert max_clique(looped) == max_clique(bare)
 
     @PROPERTY
+    @given(graphs())
+    def test_matrix_and_mask_searches_agree(self, adj):
+        # the bool-matrix entry point is the mask search on its rows, self-loops cleared
+        bare = adj.copy()
+        np.fill_diagonal(bare, False)
+        assert max_clique(adj) == max_clique_of_masks(_to_masks(bare))
+
+    @PROPERTY
+    @given(graphs(), st.data())
+    def test_forward_path_bound_is_at_least_the_clique_number(self, adj, data):
+        order = data.draw(st.permutations(range(len(adj))))
+        relabelled = adj[np.ix_(order, order)]
+        np.fill_diagonal(relabelled, False)
+        assert forward_path_bound(_to_masks(relabelled)) >= max_clique_brute(adj)
+
+    @PROPERTY
     @given(graphs(), st.data())
     def test_color_classes_partition_the_candidates_into_independent_sets(self, adj, data):
         n = len(adj)
@@ -190,12 +207,12 @@ class TestCoverProperties:
     @PROPERTY
     @given(covers())
     def test_intersection_graph_edges(self, cover):
-        adj = intersection_graph(cover)
+        masks = neighbour_masks(cover)
         k = len(cover)
-        assert adj.shape == (k, k)
+        assert len(masks) == k and all(mask >> k == 0 for mask in masks)
         for i in range(k):
             for j in range(k):
-                assert adj[i, j] == (i != j and bool(cover.members[i] & cover.members[j]))
+                assert bool(masks[i] >> j & 1) == (i != j and bool(cover.members[i] & cover.members[j]))
 
     @PROPERTY
     @given(covers())

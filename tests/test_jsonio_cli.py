@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cprank import (
     AlgebraElement,
     CPMap,
+    Cover,
     FiniteDimAlgebra,
     ball_cover,
     build_cp_approx,
@@ -249,6 +250,27 @@ class TestCLI:
         data = json.loads(out)
         assert data["strict_order"] <= data["input_order"]
         assert data["input_strict_order"] == 2
+
+    @pytest.mark.parametrize(
+        "name, expect",
+        [
+            ("torus", [2, 3, 4, 5, 6, 7, 8, 13, 14, 15, 16, 17, 24, 25, 26, 35, 55, 64, 65, 66, 73, 74, 75,
+                       76, 77, 82, 83, 84, 85, 86, 87, 88, 91, 92, 93, 94, 95, 96, 97, 98, 99]),
+            ("shuffled_interval", [0, 25, 49, 57, 69, 105, 110]),
+        ],
+    )
+    def test_strict_order_clique_is_pinned(self, tmp_path, name, expect):
+        """The printed cliques that the search on a degree-sorted bool matrix
+        gave: the mask search keeps its vertex order, relabelled (interval,
+        unequal degrees) or not (torus, equal degrees)."""
+        if name == "torus":
+            cover = ball_cover(torus_grid(10, 10), 0.35)
+        else:
+            base = ball_cover(interval_grid(120), 3.4 / 119).members
+            cover = Cover([base[i] for i in np.random.default_rng(28).permutation(len(base))])
+        code, out = run_cli(tmp_path, name, {"cover": jsonio.cover_to_json(cover)}, "cover", "strict-order")
+        assert code == 0
+        assert json.loads(out) == {"clique": expect, "seed": 0, "strict_order": len(expect) - 1}
 
     def test_cover_orders_agree_past_256_point_overlap(self, tmp_path):
         members = [list(range(256)), list(range(256)), list(range(300, 310))]
