@@ -23,7 +23,6 @@ from types import MappingProxyType
 from typing import Any
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .algebra import (
     AlgebraElement,
@@ -199,6 +198,16 @@ class CPMap:
         return self.apply(AlgebraElement.identity(self.domain))
 
 
+def _direct_sum(blocks: list[np.ndarray]) -> np.ndarray:
+    """The square matrices ``blocks`` down the diagonal of a zero matrix of their result dtype."""
+    out = np.zeros((sum(len(b) for b in blocks),) * 2, dtype=np.result_type(*blocks))
+    at = 0
+    for b in blocks:
+        out[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    return out
+
+
 def choi_blocks(phi: CPMap) -> tuple[list[np.ndarray], bool, float]:
     """Per-domain-block Choi matrices and the overall PSD verdict.
 
@@ -212,7 +221,7 @@ def choi_blocks(phi: CPMap) -> tuple[list[np.ndarray], bool, float]:
     blocks = []
     worst = 0.0
     for i in range(phi.domain.num_blocks):
-        big = block_diag(*[phi.choi_block(i, c) for c in range(phi.codomain.num_blocks)])
+        big = _direct_sum([phi.choi_block(i, c) for c in range(phi.codomain.num_blocks)])
         blocks.append(big)
         worst = min(worst, float(np.linalg.eigvalsh(_hermitian_part(big)).min()))
     return blocks, worst >= -CP_TOL, worst
@@ -286,7 +295,7 @@ class StinespringDilation:
         return self.pi(matrix_unit(self.domain, i, j, k))
 
     def pi(self, x: AlgebraElement) -> np.ndarray:
-        return block_diag(*[np.kron(b, np.eye(m)) for b, m in zip(x.blocks, self.multiplicities)])
+        return _direct_sum([np.kron(b, np.eye(m)) for b, m in zip(x.blocks, self.multiplicities)])
 
     def reconstruct(self, x: AlgebraElement) -> np.ndarray:
         return self.V.conj().T @ self.pi(x) @ self.V

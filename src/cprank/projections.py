@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg as sla
 
 from .algebra import (
     DEFAULT_TOL,
@@ -245,6 +244,7 @@ def connect_projections(p: AlgebraElement, q: AlgebraElement, eta: float) -> Alg
     if dist >= eta:
         raise ValueError(f"||p - q|| = {dist:.6g} is not below eta = {eta}")
 
+    import scipy.linalg as sla  # imported here, so that importing cprank does not load scipy
     out_blocks = []
     for pb, qb in zip(p.blocks, q.blocks):
         n = pb.shape[0]
@@ -346,6 +346,7 @@ def trace_rank_bound(a_list: list[np.ndarray]) -> TraceRankReport:
 
 def _random_unitary_near(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     """A random unitary within ``radius`` of the identity in M_n."""
+    import scipy.linalg as sla  # imported here, so that importing cprank does not load scipy
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     herm = _hermitian_part(g)
     norm = np.linalg.norm(herm, 2)

@@ -112,6 +112,17 @@ class TestChoi:
         with pytest.raises(ValueError, match="adjoint"):
             choi_blocks(phi)
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.integers(1, 5), st.booleans()), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+    def test_direct_sum_matches_scipy_block_diag(self, shapes, seed):
+        from scipy.linalg import block_diag
+
+        rng = np.random.default_rng(seed)
+        blocks = [rand_complex(rng, (n, n)) if cplx else rng.normal(size=(n, n)) for n, cplx in shapes]
+        got, want = cpmaps._direct_sum(blocks), block_diag(*blocks)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
 
 class TestContractivityAndCompress:
     def test_identity(self):

@@ -1,7 +1,12 @@
 """Serialization round trips and the CLI contract (schemas, exit codes, determinism)."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +127,34 @@ def run_cli(tmp_path, name, payload, *args):
 
 
 class TestCLI:
+    def test_import_loads_no_scipy(self):
+        # each CLI command is a fresh process, which would pay for importing scipy
+        probe = "import sys, cprank.cli, cprank; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_choi_of_a_two_block_codomain_keeps_its_bytes(self, tmp_path):
+        # M_2 + C into M_2 + M_3: block 0 goes to 0.5 x + 0.25 tr(x) 1 and tr(x) Q, block 1 to R
+        # alone, so the second Choi matrix has a zero corner; every Choi eigenvalue is positive
+        # or an exact zero, so min_eigenvalue is 0.0 and the bytes are the direct sums' alone
+        q = [[[0.5, 0], [0, 0.25], [0, 0]], [[0, -0.25], [0.5, 0], [0.125, 0]], [[0, 0], [0.125, 0], [0.25, 0]]]
+        r = [[[0.75, 0], [0.125, -0.25], [0, 0]], [[0.125, 0.25], [0.5, 0], [0, 0]], [[0, 0], [0, 0], [0.375, 0]]]
+
+        def m2(j, k):
+            return [[[0.5 * (a == j and b == k) + 0.25 * (a == b and j == k), 0] for b in range(2)] for a in range(2)]
+
+        records = [
+            {"block": 0, "row": j, "col": k, "value": {"sparse": [[0, m2(j, k)]] + ([[1, q]] if j == k else [])}}
+            for j in range(2)
+            for k in range(2)
+        ] + [{"block": 1, "row": 0, "col": 0, "value": {"sparse": [[1, r]]}}]
+        head = {"domain": {"block_sizes": [2, 1]}, "codomain": {"algebra": {"block_sizes": [2, 3]}}}
+        code, out = run_cli(tmp_path, "two", {"map": {**head, "unit_images": records}}, "cpmap", "choi")
+        assert code == 0
+        assert hashlib.sha256(out).hexdigest() == "58c7df4c38040e6be448bc358264fad196c1da87773b6132c01ef0e450f6dc0d"
+
     def test_parser_is_built_once(self, tmp_path):
         assert cli.build_parser() is cli.build_parser()
         payload = {"cover": jsonio.cover_to_json(three_arcs_cover(30))}
@@ -945,6 +978,15 @@ FUZZ_SPACE = st.one_of(
     st.integers(1, 3).flatmap(lambda k: st.lists(st.lists(FUZZ_NUMBER, min_size=k, max_size=k), max_size=6)),
 ).map(lambda c: {"metric": "euclidean", "coords": c})
 FUZZ_COVER = st.lists(st.lists(st.integers(0, 6), max_size=4), max_size=4).map(lambda m: {"members": m})
+# any JSON value: ints negative and past 64 bits, bools, floats, strings and null, nested in lists and objects
+FUZZ_JSON = st.recursive(
+    st.one_of(
+        st.integers(-3, 6), st.sampled_from([-(2**64), 2**63, 2**64, 2**64 + 1]), st.booleans(),
+        st.floats(), st.text(max_size=2), st.none(),
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=5,
+)
 FUZZ_VALUES = st.lists(st.lists(st.floats(-10, 10), max_size=6), min_size=1, max_size=2)
 
 
@@ -1001,9 +1043,35 @@ def fuzz_map(draw):
     return {"map": shuffled_records(data, rng)}
 
 
+@st.composite
+def fuzz_cover(draw):
+    """A cover of 0-5 members over points 0-6 and 2**64; mostly valid, else with mixed JSON
+    values in place of some points, some members or the member list, and labels that are
+    absent, one string per member, mixed values, of the wrong length or not a list."""
+    valid = st.one_of(st.integers(0, 6), st.just(2**64))
+    if draw(st.integers(0, 3)):
+        members = draw(st.lists(st.lists(valid, max_size=4), max_size=5))
+    else:
+        member = st.one_of(st.lists(st.one_of(valid, FUZZ_JSON), max_size=4), FUZZ_JSON)
+        members = draw(st.one_of(st.lists(member, max_size=5), FUZZ_JSON))
+    n = len(members) if isinstance(members, list) else 1
+    labels = draw(st.one_of(
+        st.none(),
+        st.lists(st.text(max_size=3), min_size=n, max_size=n),
+        st.lists(st.one_of(st.text(max_size=3), FUZZ_JSON), min_size=n, max_size=n),
+        st.lists(st.text(max_size=3), min_size=n + 1, max_size=n + 2),
+        FUZZ_JSON,
+    ))
+    return {"members": members} if labels is None else {"members": members, "labels": labels}
+
+
 # per command, inputs valid and invalid over the fields coords, n and r, a
-# repair's element and epsilon, and a map's records
+# repair's element and epsilon, a map's records, and a cover's members and labels
 FUZZ = {
+    "cover order": st.fixed_dictionaries({"cover": fuzz_cover()}),
+    "cover strict-order": st.fixed_dictionaries({"cover": fuzz_cover()}),
+    "cover nerve": st.fixed_dictionaries({"cover": fuzz_cover()}),
+    "cover check-refines": st.fixed_dictionaries({"fine": fuzz_cover(), "coarse": fuzz_cover()}),
     "cover refine": st.fixed_dictionaries({"space": FUZZ_SPACE, "cover": FUZZ_COVER}),
     "approx build": st.fixed_dictionaries({"space": FUZZ_SPACE, "functions": FUZZ_VALUES, "epsilon": st.just(0.5)}),
     "approx extract-cover": st.builds(
@@ -1014,8 +1082,11 @@ FUZZ = {
     "cpmap choi": fuzz_map(),
     "cpmap order-zero": fuzz_map(),
 }
-# the exit codes each command may end in; a map's checks fail no pipeline step
-FUZZ_EXITS = {"cpmap choi": (0, 2, 3), "cpmap order-zero": (0, 2, 3)}
+# the exit codes each command may end in; a map's and a cover's checks fail no pipeline step
+FUZZ_EXITS = {
+    command: (0, 2, 3)
+    for command in ("cpmap choi", "cpmap order-zero", "cover order", "cover strict-order", "cover nerve", "cover check-refines")
+}
 
 
 @pytest.mark.parametrize("command", sorted(FUZZ))
